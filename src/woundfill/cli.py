@@ -171,9 +171,6 @@ def cmd_stats(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="woundfill", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel sections (modules are "
-                             "order-independent, so results do not change)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="synthesize heads, scars and the manifest")

@@ -17,7 +17,15 @@ import numpy as np
 
 from .errors import MeshError, NoFillingError
 from .losses import vertex_distance
-from .mesh import Mesh, boundary_loops, is_watertight, signed_volume
+from .mesh import (
+    Mesh,
+    boundary_loops,
+    components,
+    csr_from_pairs,
+    edge_key,
+    is_watertight,
+    signed_volume,
+)
 
 __all__ = ["FillReport", "distance_set", "extract_filling", "outlier_indices"]
 
@@ -77,33 +85,17 @@ class FillReport:
 
 
 def _face_components(faces: np.ndarray) -> list[np.ndarray]:
-    """Group faces into edge-connected components (indices into `faces`)."""
-    edge_to_faces: dict[tuple[int, int], list[int]] = {}
-    for fi, (a, b, c) in enumerate(faces):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edge_to_faces.setdefault(key, []).append(fi)
-    label = np.full(len(faces), -1, dtype=np.int64)
-    comps = []
-    for start in range(len(faces)):
-        if label[start] >= 0:
-            continue
-        comp = len(comps)
-        stack = [start]
-        label[start] = comp
-        members = []
-        while stack:
-            fi = stack.pop()
-            members.append(fi)
-            a, b, c = faces[fi]
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                for fj in edge_to_faces[key]:
-                    if label[fj] < 0:
-                        label[fj] = comp
-                        stack.append(fj)
-        comps.append(np.array(sorted(members), dtype=np.int64))
-    return comps
+    """Group faces into edge-connected components (indices into `faces`), ascending.
+
+    Every face is linked to the first face listing each of its edges, and
+    components are ordered by their lowest face index.
+    """
+    face = np.tile(np.arange(len(faces)), 3)
+    key = edge_key(faces.ravel("F"), faces[:, [1, 2, 0]].ravel("F"), int(faces.max()) + 1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    hub = face[first][inverse]
+    label = components(csr_from_pairs(len(faces), np.r_[face, hub], np.r_[hub, face]))
+    return np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
 
 
 def _close_component(

@@ -7,17 +7,19 @@ pad with the lowest-index unselected vertices. Every fine vertex is then
 assigned to its nearest selected vertex (hop distance, lowest coarse index
 on ties), which yields the pooling partition; convolution neighborhoods are
 those cells dilated by one ring so they overlap but still cover the level.
+
+Every level graph, cell partition and neighborhood is a CSR graph built by
+:func:`woundfill.mesh.csr_from_pairs` and walked by :func:`woundfill.mesh.bfs`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MeshError
-from .mesh import Mesh, unique_edges
+from .mesh import Mesh, bfs, components, csr_from_pairs, unique_edges, vertex_adjacency
 
 __all__ = ["ConvTopology", "MeshHierarchy", "build_hierarchy", "transpose_topology"]
 
@@ -77,32 +79,22 @@ class ConvTopology:
         return np.repeat(np.arange(self.n_out), self.sizes)
 
 
-def _csr_from_lists(n_in: int, neighborhoods: list[np.ndarray], m_clamp) -> ConvTopology:
-    indptr = np.zeros(len(neighborhoods) + 1, dtype=np.int64)
-    np.cumsum([len(nb) for nb in neighborhoods], out=indptr[1:])
-    indices = (
-        np.concatenate(neighborhoods) if neighborhoods else np.zeros(0, dtype=np.int64)
-    )
-    mean_size = indptr[-1] / max(len(neighborhoods), 1)
-    m = int(np.floor(mean_size + 0.5))
-    m = min(max(m, m_clamp[0]), m_clamp[1])
-    return ConvTopology(n_in, len(neighborhoods), indptr, indices, m)
+def _topology(n_in: int, csr: tuple[np.ndarray, np.ndarray], m_clamp) -> ConvTopology:
+    """ConvTopology over a CSR graph; basis_count is the rounded mean row size, clamped."""
+    indptr, indices = csr
+    n_out = len(indptr) - 1
+    m = int(np.floor(indptr[-1] / max(n_out, 1) + 0.5))
+    return ConvTopology(n_in, n_out, indptr, indices, min(max(m, m_clamp[0]), m_clamp[1]))
 
 
 def transpose_topology(topology: ConvTopology) -> ConvTopology:
     """Exact edge transpose: j in N'(i) iff i in N(j). basis_count carries over."""
-    rows = topology.rows()
-    cols = topology.indices
-    order = np.lexsort((rows, cols))
-    new_rows = cols[order]
-    new_indices = rows[order]
-    indptr = np.zeros(topology.n_in + 1, dtype=np.int64)
-    np.cumsum(np.bincount(new_rows, minlength=topology.n_in), out=indptr[1:])
+    indptr, indices = csr_from_pairs(topology.n_in, topology.indices, topology.rows())
     return ConvTopology(
         n_in=topology.n_out,
         n_out=topology.n_in,
         indptr=indptr,
-        indices=new_indices,
+        indices=indices,
         basis_count=topology.basis_count,
     )
 
@@ -131,81 +123,25 @@ class MeshHierarchy:
         return [len(lv) for lv in self.levels]
 
 
-def _greedy_cover(adj: list[np.ndarray], target: int) -> np.ndarray:
+def _greedy_cover(adj: tuple[np.ndarray, np.ndarray], target: int) -> np.ndarray:
     """Lowest-index greedy k-ring cover, k grown until the selection fits target,
     padded with the lowest-index unselected vertices to exactly target."""
-    n = len(adj)
+    n = len(adj[0]) - 1
     target = min(target, n)
     selection: list[int] = []
     for k in range(1, n + 2):
         covered = np.zeros(n, dtype=bool)
         selection = []
         for v in range(n):
-            if covered[v]:
-                continue
-            selection.append(v)
-            ring = {v}
-            frontier = [v]
-            for _ in range(k):
-                nxt = []
-                for u in frontier:
-                    for w in adj[u]:
-                        if w not in ring:
-                            ring.add(int(w))
-                            nxt.append(int(w))
-                frontier = nxt
-            covered[list(ring)] = True
+            if not covered[v]:
+                selection.append(v)
+                covered[bfs(adj, [v], max_hops=k)[0] <= k] = True
         if len(selection) <= target:
             break
     chosen = np.zeros(n, dtype=bool)
     chosen[selection] = True
-    for v in range(n):
-        if len(selection) >= target:
-            break
-        if not chosen[v]:
-            chosen[v] = True
-            selection.append(v)
-    return np.array(sorted(selection), dtype=np.int64)
-
-
-def _nearest_assignment(adj: list[np.ndarray], sources: np.ndarray) -> np.ndarray:
-    """Owner of every vertex: nearest source by hop count, lowest source rank on ties.
-
-    Level-synchronous multi-source BFS; within each distance ring a vertex
-    takes the minimum owner over all claiming parents, which provably equals
-    the lowest-index equidistant source.
-    """
-    n = len(adj)
-    owner = np.full(n, -1, dtype=np.int64)
-    owner[sources] = np.arange(len(sources))
-    frontier = list(sources)
-    while frontier:
-        claims: dict[int, int] = {}
-        for u in frontier:
-            for w in adj[u]:
-                if owner[w] < 0:
-                    prev = claims.get(w)
-                    if prev is None or owner[u] < prev:
-                        claims[w] = int(owner[u])
-        for w, o in claims.items():
-            owner[w] = o
-        frontier = sorted(claims)
-    if (owner < 0).any():
-        raise MeshError("hierarchy level graph is disconnected")
-    return owner
-
-
-def _quotient_adjacency(adj: list[np.ndarray], owner: np.ndarray, n_coarse: int) -> list[np.ndarray]:
-    """Coarse graph: cells are adjacent when any of their fine vertices are."""
-    neigh: list[set[int]] = [set() for _ in range(n_coarse)]
-    for u, nbrs in enumerate(adj):
-        ou = int(owner[u])
-        for w in nbrs:
-            ow = int(owner[w])
-            if ou != ow:
-                neigh[ou].add(ow)
-                neigh[ow].add(ou)
-    return [np.array(sorted(s), dtype=np.int64) for s in neigh]
+    chosen[np.flatnonzero(~chosen)[: max(target - len(selection), 0)]] = True
+    return np.flatnonzero(chosen)
 
 
 def build_hierarchy(
@@ -225,40 +161,38 @@ def build_hierarchy(
         if not (0.0 < b < a <= 1.0):
             raise MeshError(f"ratios must be strictly decreasing in (0, 1], got {ratios}")
     n = mesh.n_vertices
-    edges, counts = unique_edges(mesh)
+    _, counts = unique_edges(mesh)
     if (counts != 2).any():
         raise MeshError("build_hierarchy requires a watertight mesh")
-
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        buckets[a].append(int(b))
-        buckets[b].append(int(a))
-    adj = [np.array(sorted(bs), dtype=np.int64) for bs in buckets]
-    if not _connected(adj):
+    level_adj = vertex_adjacency(mesh)
+    if n == 0 or components(level_adj).any():
         raise MeshError("build_hierarchy requires a connected mesh")
 
     levels = [np.arange(n, dtype=np.int64)]
     parents, conv_down, pool_down = [], [], []
-    level_adj = adj
     for ratio in ratios[1:]:
         target = int(np.floor(n * ratio))
         if target < 4:
             raise MeshError(f"ratio {ratio} yields {target} vertices; need at least 4")
         n_fine = len(levels[-1])
         selected = _greedy_cover(level_adj, target)
-        owner = _nearest_assignment(level_adj, selected)
-        cells = [np.flatnonzero(owner == i) for i in range(len(selected))]
-        dilated = []
-        for cell in cells:
-            ring = set(cell.tolist())
-            for u in cell:
-                ring.update(int(w) for w in level_adj[u])
-            dilated.append(np.array(sorted(ring), dtype=np.int64))
-        pool_down.append(_csr_from_lists(n_fine, cells, m_clamp))
-        conv_down.append(_csr_from_lists(n_fine, dilated, m_clamp))
+        _, owner = bfs(level_adj, selected)
+        if (owner < 0).any():
+            raise MeshError("hierarchy level graph is disconnected")
+        fine = np.arange(n_fine)
+        u = np.repeat(fine, np.diff(level_adj[0]))  # level graph edges (u, w)
+        w = level_adj[1]
+        pool_down.append(_topology(n_fine, csr_from_pairs(len(selected), owner, fine), m_clamp))
+        # each cell plus the one-ring of its vertices
+        dilated = csr_from_pairs(
+            len(selected), np.concatenate([owner, owner[u]]), np.concatenate([fine, w])
+        )
+        conv_down.append(_topology(n_fine, dilated, m_clamp))
         parents.append(owner)
         levels.append(levels[-1][selected])
-        level_adj = _quotient_adjacency(level_adj, owner, len(selected))
+        # coarse graph: cells are adjacent when any of their fine vertices are
+        cross = owner[u] != owner[w]
+        level_adj = csr_from_pairs(len(selected), owner[u][cross], owner[w][cross])
 
     conv_up = [transpose_topology(t) for t in conv_down]
     pool_up = [transpose_topology(t) for t in pool_down]
@@ -271,18 +205,3 @@ def build_hierarchy(
         pool_up=tuple(pool_up),
     )
 
-
-def _connected(adj: list[np.ndarray]) -> bool:
-    n = len(adj)
-    if n == 0:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return bool(seen.all())

@@ -3,11 +3,17 @@
 A :class:`Mesh` is immutable: positions, faces and attribute channels are
 frozen numpy arrays, so meshes can be shared freely across workers. Every
 operation here is a pure function returning new meshes or plain arrays.
+
+Graphs (the vertex edge graph, the coarse graphs of the hierarchy, the face
+graph of a filling patch) share one CSR layout: a pair ``(indptr, indices)``
+where the neighbors of row i are ``indices[indptr[i]:indptr[i + 1]]``, sorted
+and distinct. :func:`csr_from_pairs` builds it, :func:`bfs` and
+:func:`components` walk it, and :func:`edge_key` is the one integer key for an
+undirected edge.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +22,13 @@ from .errors import MeshError, NonManifoldError
 
 __all__ = [
     "Mesh",
+    "UNREACHED",
+    "bfs",
+    "bfs_hops",
     "boundary_loops",
+    "components",
+    "csr_from_pairs",
+    "edge_key",
     "euler_characteristic",
     "fill_holes",
     "is_watertight",
@@ -106,32 +118,120 @@ class Mesh:
         return Mesh(self.positions, self.faces, attrs)
 
 
+def edge_key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Integer key of the undirected edge (a, b) over n vertices: min * n + max.
+
+    Keys sort like the (min, max) pairs they encode.
+    """
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _directed_edges(faces: np.ndarray) -> np.ndarray:
+    """(3m, 2) face-winding edges: every face's (0, 1), then (1, 2), then (2, 0)."""
+    return np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+
+
 def unique_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Undirected edges and their face-incidence counts.
 
     Returns (edges, counts) where edges is (e, 2) with edges[i, 0] < edges[i, 1],
     sorted lexicographically.
     """
-    f = mesh.faces
-    raw = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    raw = np.sort(raw, axis=1)
-    edges, counts = np.unique(raw, axis=0, return_counts=True)
-    return edges, counts
+    n = mesh.n_vertices
+    d = _directed_edges(mesh.faces)
+    keys, counts = np.unique(edge_key(d[:, 0], d[:, 1], n), return_counts=True)
+    return np.column_stack(np.divmod(keys, max(n, 1))), counts
 
 
-def vertex_adjacency(mesh: Mesh) -> list[np.ndarray]:
-    """Per-vertex sorted neighbor lists over the edge graph."""
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values. A bare np.unique call would first import numpy.ma."""
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
+def csr_from_pairs(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR graph with n rows holding every (rows[i], cols[i]) pair once.
+
+    Each row's columns come out ascending and distinct.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    width = int(cols.max()) + 1 if cols.size else 1
+    keys = _distinct(rows * width + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // width, minlength=n), out=indptr[1:])
+    return indptr, keys % width
+
+
+def vertex_adjacency(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The edge graph as CSR (indptr, indices), neighbors ascending."""
     edges, _ = unique_edges(mesh)
-    return adjacency_from_edges(mesh.n_vertices, edges)
+    return csr_from_pairs(mesh.n_vertices, *np.concatenate([edges, edges[:, ::-1]]).T)
 
 
-def adjacency_from_edges(n: int, edges: np.ndarray) -> list[np.ndarray]:
-    """Sorted neighbor lists for an undirected edge array."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(int(b))
-        adj[b].append(int(a))
-    return [np.array(sorted(nb), dtype=np.int64) for nb in adj]
+UNREACHED = np.iinfo(np.int64).max
+
+
+def bfs(
+    adj: tuple[np.ndarray, np.ndarray], sources, max_hops: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level-synchronous multi-source breadth-first search over a CSR graph.
+
+    Returns (dist, owner): the hop distance to the nearest source and that
+    source's rank in `sources`, the lowest rank winning ties. Vertices no
+    source reaches within max_hops get dist UNREACHED and owner -1. Each ring
+    takes, per new vertex, the minimum owner over its claiming parents, which
+    equals the lowest-rank equidistant source.
+    """
+    indptr, indices = adj
+    dist = np.full(len(indptr) - 1, UNREACHED, dtype=np.int64)
+    owner = np.full_like(dist, -1)
+    frontier, rank = np.unique(np.asarray(sources, dtype=np.int64), return_index=True)
+    dist[frontier] = 0
+    owner[frontier] = rank
+    hop = 0
+    while frontier.size and (max_hops is None or hop < max_hops):
+        hop += 1
+        start = indptr[frontier]
+        size = indptr[frontier + 1] - start
+        # flat positions in `indices` of every edge leaving the frontier
+        pos = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
+        nbr = indices[pos]
+        claim = np.repeat(owner[frontier], size)
+        fresh = dist[nbr] == UNREACHED
+        nbr, claim = nbr[fresh], claim[fresh]
+        frontier = _distinct(nbr)
+        dist[frontier] = hop
+        owner[frontier] = len(rank)
+        np.minimum.at(owner, nbr, claim)
+    return dist, owner
+
+
+def bfs_hops(adj: tuple[np.ndarray, np.ndarray], source: int) -> np.ndarray:
+    """Hop distances from one source; unreachable vertices get UNREACHED."""
+    return bfs(adj, [source])[0]
+
+
+def components(adj: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Connected-component label per vertex, numbered in order of each component's lowest vertex.
+
+    Minimum-label propagation with pointer jumping: every vertex repeatedly
+    takes the smallest label among itself and its neighbors, then its label's
+    label, until nothing changes; each component then carries its lowest
+    vertex index.
+    """
+    indptr, indices = adj
+    label = np.arange(len(indptr) - 1)
+    rows = np.flatnonzero(np.diff(indptr) > 0)
+    while True:
+        lowest = label.copy()
+        lowest[rows] = np.minimum(label[rows], np.minimum.reduceat(label[indices], indptr[rows]))
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = lowest
 
 
 def is_watertight(mesh: Mesh) -> bool:
@@ -148,14 +248,6 @@ def euler_characteristic(mesh: Mesh) -> int:
     return mesh.n_vertices - len(edges) + mesh.n_faces
 
 
-def _check_manifold(mesh: Mesh) -> None:
-    edges, counts = unique_edges(mesh)
-    bad = np.flatnonzero(counts > 2)
-    if bad.size:
-        e = edges[bad[0]]
-        raise NonManifoldError(e, int(counts[bad[0]]))
-
-
 def boundary_loops(mesh: Mesh) -> list[np.ndarray]:
     """Closed vertex cycles along hole rims, in face-winding order.
 
@@ -164,11 +256,14 @@ def boundary_loops(mesh: Mesh) -> list[np.ndarray]:
     edges with more than two incident faces and MeshError when the boundary
     pinches (a vertex shared by two rims), since such loops are not simple.
     """
-    _check_manifold(mesh)
-    f = mesh.faces
-    directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    key = np.sort(directed, axis=1)
-    uniq, inverse, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+    n = mesh.n_vertices
+    directed = _directed_edges(mesh.faces)
+    keys, inverse, counts = np.unique(
+        edge_key(directed[:, 0], directed[:, 1], n), return_inverse=True, return_counts=True
+    )
+    bad = np.flatnonzero(counts > 2)
+    if bad.size:
+        raise NonManifoldError(divmod(int(keys[bad[0]]), n), int(counts[bad[0]]))
     boundary = counts[inverse] == 1
     nxt: dict[int, int] = {}
     for a, b in directed[boundary]:
@@ -237,24 +332,8 @@ def keep_largest_component(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
     """
     if mesh.n_vertices == 0:
         raise MeshError("empty mesh")
-    adj = vertex_adjacency(mesh)
-    label = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    sizes = []
-    for v in range(mesh.n_vertices):
-        if label[v] >= 0:
-            continue
-        comp = len(sizes)
-        queue = deque([v])
-        label[v] = comp
-        count = 0
-        while queue:
-            u = queue.popleft()
-            count += 1
-            for w in adj[u]:
-                if label[w] < 0:
-                    label[w] = comp
-                    queue.append(w)
-        sizes.append(count)
+    label = components(vertex_adjacency(mesh))
+    sizes = np.bincount(label)
     best = int(np.argmax(sizes))  # argmax takes the first maximum: smallest-index tie-break
     keep = np.flatnonzero(label == best)
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
@@ -274,23 +353,8 @@ def k_ring(mesh: Mesh, center: int, k: int) -> np.ndarray:
         raise MeshError(f"center {center} out of range [0, {mesh.n_vertices})")
     if k < 0:
         raise MeshError("k must be >= 0")
-    dist = bfs_hops(vertex_adjacency(mesh), center)
+    dist, _ = bfs(vertex_adjacency(mesh), [center], max_hops=k)
     return np.flatnonzero(dist <= k)
-
-
-def bfs_hops(adj: list[np.ndarray], source: int) -> np.ndarray:
-    """Hop distances from source; unreachable vertices get a large sentinel."""
-    n = len(adj)
-    dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] > dist[u] + 1:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def vertex_normals(mesh: Mesh) -> np.ndarray:

@@ -153,6 +153,8 @@ def _load_ply(data: bytes) -> Mesh:
                 raise MeshFormatError(f"unsupported PLY format {parts[1]!r}", line=lineno)
             fmt_seen = True
         elif parts[0] == "element":
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise MeshFormatError(f"bad element line {line!r}", line=lineno)
             elements.append((parts[1], int(parts[2]), []))
         elif parts[0] == "property":
             if not elements:
@@ -163,45 +165,52 @@ def _load_ply(data: bytes) -> Mesh:
     if not fmt_seen:
         raise MeshFormatError("PLY header missing format line")
 
-    positions = None
-    attributes: dict[str, np.ndarray] = {}
-    faces = np.zeros((0, 3), dtype=np.int64)
-    offset = 0
+    # one record dtype per element, so the body length can be checked before reading
+    layouts = []
     for name, count, props in elements:
         if name == "vertex":
-            fields = []
             for p in props:
                 if len(p) != 2 or p[0] not in _PLY_SCALARS:
                     raise MeshFormatError(f"unsupported vertex property {' '.join(p)!r}")
-                fields.append((p[1], _PLY_SCALARS[p[0]][0]))
-            dtype = np.dtype(fields)
-            raw = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
-            offset += dtype.itemsize * count
-            names = [f[0] for f in fields]
-            if not {"x", "y", "z"} <= set(names):
+            dtype = np.dtype([(p[1], _PLY_SCALARS[p[0]][0]) for p in props])
+            if not {"x", "y", "z"} <= set(dtype.names or ()):
                 raise MeshFormatError("vertex element must provide x, y, z")
-            positions = np.column_stack([raw["x"], raw["y"], raw["z"]]).astype(np.float64)
-            for n in names:
-                if n not in ("x", "y", "z"):
-                    attributes[n] = raw[n].astype(np.float64)
         elif name == "face":
             if len(props) != 1 or props[0][0] != "list":
                 raise MeshFormatError("face element must be a single list property")
             _, cnt_t, item_t, _pname = props[0]
             if cnt_t not in _PLY_LIST_COUNTS or item_t not in _PLY_LIST_ITEMS:
                 raise MeshFormatError(f"unsupported face list types {cnt_t}/{item_t}")
-            item = np.dtype(_PLY_LIST_ITEMS[item_t])
-            rows = []
-            for i in range(count):
-                (k,) = struct.unpack_from("<B", body, offset)
-                offset += 1
-                if k != 3:
-                    raise MeshFormatError(f"face {i} has {k} vertices; only triangles supported")
-                rows.append(np.frombuffer(body, dtype=item, count=3, offset=offset))
-                offset += 3 * item.itemsize
-            faces = np.array(rows, dtype=np.int64).reshape(-1, 3)
+            # only triangles are supported, so every record is n = 3 plus three indices
+            item = _PLY_LIST_ITEMS[item_t]
+            dtype = np.dtype([("n", _PLY_LIST_COUNTS[cnt_t]), ("idx", item, (3,))])
         else:
             raise MeshFormatError(f"unsupported PLY element {name!r}")
+        layouts.append((name, count, dtype))
+    needed = sum(count * dtype.itemsize for _, count, dtype in layouts)
+    if len(body) < needed:
+        raise MeshFormatError(
+            f"PLY body is truncated: header declares {needed} bytes, file has {len(body)}"
+        )
+
+    positions = None
+    attributes: dict[str, np.ndarray] = {}
+    faces = np.zeros((0, 3), dtype=np.int64)
+    offset = 0
+    for name, count, dtype in layouts:
+        raw = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
+        offset += dtype.itemsize * count
+        if name == "vertex":
+            positions = np.column_stack([raw["x"], raw["y"], raw["z"]]).astype(np.float64)
+            for n in dtype.names:
+                if n not in ("x", "y", "z"):
+                    attributes[n] = raw[n].astype(np.float64)
+        else:
+            bad = np.flatnonzero(raw["n"] != 3)
+            if bad.size:
+                k = int(raw["n"][bad[0]])
+                raise MeshFormatError(f"face {bad[0]} has {k} vertices; only triangles supported")
+            faces = raw["idx"].astype(np.int64)
     if positions is None:
         raise MeshFormatError("PLY has no vertex element")
     return Mesh(positions, faces, attributes)

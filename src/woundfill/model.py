@@ -191,41 +191,31 @@ class Autoencoder:
             x = a + r
         return (x, cache) if keep_cache else x
 
-    def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients for the forward pass that produced `cache`."""
+    def _reverse(self, cache, grad_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """One reverse walk over the blocks: (parameter gradients, input gradient)."""
         downs, ups = self._block_topologies()
-        names = list(self.parameters())
-        grads: dict[str, np.ndarray] = {}
-        blocks = self.encoder + self.decoder
-        topos = downs + ups
         tags = [f"enc{i}" for i in range(len(self.encoder))] + [
             f"dec{i}" for i in range(len(self.decoder))
         ]
+        grads: dict[str, np.ndarray] = {}
         g = grad_out
         for blk, (conv_t, pool_t), tag, (x, h) in zip(
-            reversed(blocks), reversed(topos), reversed(tags), reversed(cache)
+            reversed(self.encoder + self.decoder), reversed(downs + ups), reversed(tags),
+            reversed(cache),
         ):
             dh = self._act_backward(h, g)
             dx_conv, conv_grads = vc_conv_backward(blk.conv, conv_t, x, dh)
             dx_res, res_grads = vd_res_backward(blk.res, pool_t, x, g)
-            grads[f"{tag}.conv.basis"] = conv_grads["basis"]
-            grads[f"{tag}.conv.coeffs"] = conv_grads["coeffs"]
-            grads[f"{tag}.conv.bias"] = conv_grads["bias"]
-            grads[f"{tag}.res.rho"] = res_grads["rho"]
-            if "matrix" in res_grads:
-                grads[f"{tag}.res.matrix"] = res_grads["matrix"]
+            for part, part_grads in (("conv", conv_grads), ("res", res_grads)):
+                for key, value in part_grads.items():
+                    grads[f"{tag}.{part}.{key}"] = value
             g = dx_conv + dx_res
-        return {name: grads[name] for name in names}
+        return {name: grads[name] for name in self.parameters()}, g
+
+    def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+        """Parameter gradients for the forward pass that produced `cache`."""
+        return self._reverse(cache, grad_out)[0]
 
     def input_gradient(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the input positions (used by gradient checks)."""
-        downs, ups = self._block_topologies()
-        g = grad_out
-        for blk, (conv_t, pool_t), (x, h) in zip(
-            reversed(self.encoder + self.decoder), reversed(downs + ups), reversed(cache)
-        ):
-            dh = self._act_backward(h, g)
-            dx_conv, _ = vc_conv_backward(blk.conv, conv_t, x, dh)
-            dx_res, _ = vd_res_backward(blk.res, pool_t, x, g)
-            g = dx_conv + dx_res
-        return g
+        return self._reverse(cache, grad_out)[1]

@@ -26,7 +26,6 @@ from .hierarchy import ConvTopology, transpose_topology
 __all__ = [
     "VcConvParams",
     "VdParams",
-    "backward",
     "elu",
     "elu_backward",
     "init_vc_conv",
@@ -279,44 +278,3 @@ def init_vd(
         return VdParams(rho=rho, matrix=None)
     lim = np.sqrt(1.0 / in_dim)
     return VdParams(rho=rho, matrix=rng.uniform(-lim, lim, size=(out_dim, in_dim)))
-
-
-_FORWARD = {
-    "vc_conv": vc_conv,
-    "vc_trans_conv": vc_trans_conv,
-    "vd_pool": vd_aggregate,
-    "vd_unpool": vd_aggregate,
-    "vd_res": vd_res,
-}
-
-_BACKWARD = {
-    "vc_conv": vc_conv_backward,
-    "vc_trans_conv": vc_trans_conv_backward,
-    "vd_pool": vd_aggregate_backward,
-    "vd_unpool": vd_aggregate_backward,
-    "vd_res": vd_res_backward,
-}
-
-
-def forward(kind: str, params, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
-    """Evaluate one layer kind by name; see module docstring for the kinds."""
-    if kind in ("elu", "relu"):
-        return elu(x) if kind == "elu" else relu(x)
-    try:
-        return _FORWARD[kind](params, topology, x)
-    except KeyError:
-        raise MeshError(f"unknown layer kind {kind!r}") from None
-
-
-def backward(
-    kind: str, params, topology: ConvTopology | None, x: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gradients of a scalar loss w.r.t. layer input and every parameter."""
-    if kind == "elu":
-        return elu_backward(x, grad_out), {}
-    if kind == "relu":
-        return relu_backward(x, grad_out), {}
-    try:
-        return _BACKWARD[kind](params, topology, x, grad_out)
-    except KeyError:
-        raise MeshError(f"unknown layer kind {kind!r}") from None

@@ -17,7 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, MeshError
-from .mesh import Mesh, bfs_hops, is_watertight, mean_edge_length, vertex_adjacency, vertex_normals
+from .mesh import (
+    UNREACHED,
+    Mesh,
+    bfs_hops,
+    is_watertight,
+    mean_edge_length,
+    vertex_adjacency,
+    vertex_normals,
+)
 from .meshio import save_mesh_path
 
 __all__ = [
@@ -106,7 +114,7 @@ def generate_scar(mesh: Mesh, spec: ScarSpec) -> tuple[Mesh, ScarMask]:
     if not is_watertight(mesh):
         raise MeshError("generate_scar requires a watertight mesh")
     hops = bfs_hops(vertex_adjacency(mesh), spec.center)
-    reachable = hops[hops < np.iinfo(np.int64).max]
+    reachable = hops[hops < UNREACHED]
     radius = spec.radius
     eccentricity = int(reachable.max())
     if radius > eccentricity:

@@ -163,6 +163,19 @@ def test_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("block", ["vertex", "face"])
+def test_truncated_ply_exits_2(tmp_path, capsys, block):
+    sphere = icosphere(1)
+    data = tmp_path / "a.ply"
+    save_mesh_path(sphere, data)
+    raw = data.read_bytes()
+    face_bytes = sphere.n_faces * 13  # uchar count + three int32 indices
+    cut = face_bytes + 5 if block == "vertex" else 7  # bytes dropped from the end
+    (tmp_path / "cut.ply").write_bytes(raw[:-cut])
+    assert run(["stats", data, tmp_path / "cut.ply"]) == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_nonmanifold_preprocess_exits_2(tmp_path):
     pos = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1.0]])
     faces = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]

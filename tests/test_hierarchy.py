@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,43 @@ def test_topology_rejects_empty_neighborhood():
 def test_hierarchy_works_on_synth_heads():
     h = build_hierarchy(synth_head(3, 3), (1.0, 0.25, 0.0625))
     assert h.level_sizes() == [642, 160, 40]
+
+
+# sha256 of every int64 array of build_hierarchy(synth_head(7, 3), (1.0, 0.25, 0.0625)),
+# computed with the original per-vertex BFS and adjacency code; pins byte identity
+HEAD7_HIERARCHY_SHA256 = {
+    "levels[0]": "ecc70a9941abf594f8d342f6c471cf744c80c87090c8081383381499c9b25d39",
+    "levels[1]": "d3872142257201eb01341dd584ad3c2238336d2f29a61faef9d3abb23141cca3",
+    "levels[2]": "eedc539e16fc0e9575f1fa403728001991d61b964b66f69d534ec9c36e4be3ba",
+    "parents[0]": "9274fdd641a9f5e988b0cdfaa7a2bef978da8317c0abd4721408c555a1218001",
+    "parents[1]": "89e714f7db616ba687d96208bf08b27b9f5df29dc680d3be17bfb6c9fcb987bb",
+    "conv_down[0].indptr": "c6c3443c1accc1498ff872b052a769511b53fb1492143c9e96108d1396166713",
+    "conv_down[0].indices": "7c07a41b68ae7ad24899fce35ca9e09c34c1e6efb9f8667e20a3882e22d51abf",
+    "conv_down[1].indptr": "802a0b91cfaf17bde4090c66726266d2306d0078b5c8c03cb86a18ee8f2b2bb7",
+    "conv_down[1].indices": "efc9a04346ecf1c7ba61f60a96a0fdb732886570758d5e221f36944a7aed75a3",
+    "pool_down[0].indptr": "38677196069792c094b5048d632e56800cd086bc315da1a8857ab0800890d29b",
+    "pool_down[0].indices": "218ba5d1d7bc0f155638031206b9f8afe7cb35826b013ab5b748bbf8c367df79",
+    "pool_down[1].indptr": "ba83a04632a794f1f7f25897fba5aa2f2ee15fd96847e7dc80224a4088cfcade",
+    "pool_down[1].indices": "987ac78f828ce8779d91b455c7d24bcc6ec33120c0c37b0d536a0d58d6998b0d",
+    "conv_up[0].indptr": "610469d45ed5b3e45d0128d9a977ce37af6246da900d87b0dada753c785df21e",
+    "conv_up[0].indices": "b19b945b938854da64dfe3f5b096a87c0477bd619d202e1c6b245b703630e7a9",
+    "conv_up[1].indptr": "7646cbc97e23021e1d03d9267a40f4b798e09cecae035616e60d14e37188b38e",
+    "conv_up[1].indices": "411fef3b30c0179c0361d8dd046b78abf40c74b09374ae6d41262e5bf0b01433",
+    "pool_up[0].indptr": "2f6f1d212a0d6f4ad3995e428a0089c962d87f5ead324cbab15fe5626785988e",
+    "pool_up[0].indices": "9274fdd641a9f5e988b0cdfaa7a2bef978da8317c0abd4721408c555a1218001",
+    "pool_up[1].indptr": "a50bb33f109160854c0c228244ae1a99fafcefd99cc09f53c32bd8b5af85260b",
+    "pool_up[1].indices": "89e714f7db616ba687d96208bf08b27b9f5df29dc680d3be17bfb6c9fcb987bb",
+}
+
+
+def test_hierarchy_arrays_are_pinned():
+    h = build_hierarchy(synth_head(7, 3), (1.0, 0.25, 0.0625))
+    arrays = {f"levels[{i}]": a for i, a in enumerate(h.levels)}
+    arrays.update({f"parents[{i}]": a for i, a in enumerate(h.parents)})
+    for name in ("conv_down", "pool_down", "conv_up", "pool_up"):
+        for i, t in enumerate(getattr(h, name)):
+            arrays[f"{name}[{i}].indptr"] = t.indptr
+            arrays[f"{name}[{i}].indices"] = t.indices
+            assert t.basis_count == (14 if name.startswith("conv") else 4)
+    sha = {k: hashlib.sha256(a.astype(np.int64).tobytes()).hexdigest() for k, a in arrays.items()}
+    assert sha == HEAD7_HIERARCHY_SHA256

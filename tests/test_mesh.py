@@ -1,6 +1,8 @@
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from woundfill import (
@@ -15,6 +17,7 @@ from woundfill import (
     signed_volume,
 )
 from woundfill.errors import MeshError, NonManifoldError
+from woundfill.mesh import UNREACHED, bfs, components, csr_from_pairs
 
 
 def test_mesh_rejects_out_of_range_face():
@@ -212,3 +215,65 @@ def test_k_ring_monotone(center, k):
     inner = set(k_ring(mesh, center, k).tolist())
     outer = set(k_ring(mesh, center, k + 1).tolist())
     assert inner <= outer
+
+
+# --- CSR graph primitive ------------------------------------------------------
+
+
+def reference_hops(neighbors: list[set[int]], source: int) -> list[float]:
+    """Plain queue BFS; math.inf where unreachable."""
+    hops = [float("inf")] * len(neighbors)
+    hops[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(neighbors[u]):
+            if hops[w] == float("inf"):
+                hops[w] = hops[u] + 1
+                queue.append(w)
+    return hops
+
+
+@st.composite
+def random_graphs(draw):
+    """Undirected graphs with up to 24 vertices, often disconnected, self-loops allowed."""
+    n = draw(st.integers(1, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+    max_hops = draw(st.one_of(st.none(), st.integers(0, 4)))
+    return n, pairs, sources, max_hops
+
+
+@seed(2026)
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_graph_primitive_matches_reference(graph):
+    n, pairs, sources, max_hops = graph
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    indptr, indices = adj = csr_from_pairs(n, np.concatenate([a, b]), np.concatenate([b, a]))
+
+    neighbors = [set() for _ in range(n)]
+    for u, w in pairs:
+        neighbors[u].add(w)
+        neighbors[w].add(u)
+    for v in range(n):
+        row = indices[indptr[v]:indptr[v + 1]]
+        assert row.tolist() == sorted(neighbors[v])  # ascending and distinct
+
+    per_source = [reference_hops(neighbors, s) for s in sources]
+    dist, owner = bfs(adj, sources, max_hops=max_hops)
+    for v in range(n):
+        nearest = min(h[v] for h in per_source)
+        if nearest == float("inf") or (max_hops is not None and nearest > max_hops):
+            assert (dist[v], owner[v]) == (UNREACHED, -1)
+        else:
+            assert dist[v] == nearest
+            assert owner[v] == min(r for r, h in enumerate(per_source) if h[v] == nearest)
+
+    label = components(adj)
+    for v in range(n):
+        reach = reference_hops(neighbors, v)
+        assert all((label[w] == label[v]) == (reach[w] != float("inf")) for w in range(n))
+    _, first = np.unique(label, return_index=True)
+    assert label[np.sort(first)].tolist() == list(range(len(first)))  # ordered by lowest vertex

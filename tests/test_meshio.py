@@ -77,6 +77,20 @@ def test_ply_rejects_big_endian():
         load_mesh(data, "ply")
 
 
+def test_ply_non_triangle_face_is_named(ico):
+    data = bytearray(save_mesh(ico, "ply"))
+    faces_at = len(data) - ico.n_faces * 13  # uchar count + three int32 indices per face
+    data[faces_at + 2 * 13] = 4
+    with pytest.raises(MeshFormatError, match="face 2 has 4 vertices"):
+        load_mesh(bytes(data) + bytes(4), "ply")
+
+
+def test_ply_rejects_negative_element_count():
+    data = b"ply\nformat binary_little_endian 1.0\nelement vertex -3\nend_header\n"
+    with pytest.raises(MeshFormatError, match="bad element line"):
+        load_mesh(data, "ply")
+
+
 def test_stl_single_triangle_is_134_bytes():
     tri = Mesh(np.eye(3), [[0, 1, 2]])
     data = save_mesh(tri, "stl")

@@ -12,7 +12,6 @@ from woundfill.hierarchy import ConvTopology
 from woundfill.ops import (
     VcConvParams,
     VdParams,
-    backward,
     elu,
     elu_backward,
     init_vc_conv,
@@ -316,8 +315,7 @@ def test_backward_dispatch_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(12)
     topo = random_topology(rng, 6, 3)
     params = init_vc_conv(rng, topo, 2, 2)
-    dx, grads = backward("vc_conv", params, topo, rng.normal(size=(6, 2)),
-                         np.zeros((3, 2)))
+    dx, grads = vc_conv_backward(params, topo, rng.normal(size=(6, 2)), np.zeros((3, 2)))
     assert not dx.any()
     assert all(not g.any() for g in grads.values())
 
@@ -327,7 +325,7 @@ def test_backward_identity_conv_sum_loss_gradient_is_ones():
     topo = identity_topology(n)
     params = VcConvParams(basis=np.eye(d)[None], coeffs=np.ones((n, 1)), bias=np.zeros(d))
     x = np.random.default_rng(13).normal(size=(n, d))
-    dx, _ = backward("vc_conv", params, topo, x, np.ones((n, d)))
+    dx, _ = vc_conv_backward(params, topo, x, np.ones((n, d)))
     assert np.allclose(dx, 1.0)
 
 
@@ -338,7 +336,7 @@ def test_backward_rejects_nonfinite_upstream():
     g = np.zeros((3, 2))
     g[0, 0] = np.nan
     with pytest.raises(NumericalError, match="upstream"):
-        backward("vc_conv", params, topo, np.zeros((5, 2)), g)
+        vc_conv_backward(params, topo, np.zeros((5, 2)), g)
 
 
 def test_elu_backward_matches_finite_differences():
@@ -348,11 +346,6 @@ def test_elu_backward_matches_finite_differences():
     dx = elu_backward(x, w, alpha=1.3)
     worst = finite_difference(lambda: float((w * elu(x, 1.3)).sum()), [x], [dx])
     assert worst < 1e-4
-
-
-def test_backward_unknown_kind():
-    with pytest.raises(MeshError, match="unknown layer kind"):
-        backward("softmax", None, None, np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 # --- init ---------------------------------------------------------------------
