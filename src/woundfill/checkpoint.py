@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .hierarchy import ConvTopology, MeshHierarchy, transpose_topology
+from .hierarchy import ConvTopology, MeshHierarchy
 from .model import Architecture, Autoencoder
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
@@ -61,8 +61,8 @@ def _hierarchy_from_dict(d: dict) -> MeshHierarchy:
         parents=tuple(np.array(p, dtype=np.int64) for p in d["parents"]),
         conv_down=conv_down,
         pool_down=pool_down,
-        conv_up=tuple(transpose_topology(t) for t in conv_down),
-        pool_up=tuple(transpose_topology(t) for t in pool_down),
+        conv_up=tuple(t.transposed for t in conv_down),
+        pool_up=tuple(t.transposed for t in pool_down),
     )
 
 

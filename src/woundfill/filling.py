@@ -19,6 +19,7 @@ from .errors import MeshError, NoFillingError
 from .losses import vertex_distance
 from .mesh import (
     Mesh,
+    _distinct,
     boundary_loops,
     components,
     csr_from_pairs,
@@ -106,7 +107,7 @@ def _close_component(
     Returns (positions, faces, closed_flag, notes) with local vertex indexing.
     """
     notes: list[str] = []
-    verts = np.unique(comp_faces)
+    verts = _distinct(comp_faces.ravel())
     nv = len(verts)
     local_faces = np.searchsorted(verts, comp_faces)
 
@@ -167,7 +168,7 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh, k_sigma: float = 2.0) -
 
     # dilate by one ring: outlier-patch vertices plus direct mesh neighbors
     in_patch = np.zeros(input_mesh.n_vertices, dtype=bool)
-    in_patch[np.unique(patch_faces)] = True
+    in_patch[patch_faces] = True
     dilated = in_patch.copy()
     for a, b in ((0, 1), (1, 2), (2, 0)):
         touching = in_patch[faces[:, a]]

@@ -15,6 +15,7 @@ Every level graph, cell partition and neighborhood is a CSR graph built by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,26 @@ class ConvTopology:
         """Output-vertex index of every CSR edge."""
         return np.repeat(np.arange(self.n_out), self.sizes)
 
+    @cached_property
+    def transpose_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, indptr) of the edge transpose, computed once per topology.
+
+        Input vertex j's edges are perm[indptr[j]:indptr[j+1]], ascending by
+        edge id and therefore by output vertex.
+        """
+        perm = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(self.n_in + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.n_in), out=indptr[1:])
+        for a in (perm, indptr):
+            a.flags.writeable = False
+        return perm, indptr
+
+    @cached_property
+    def transposed(self) -> "ConvTopology":
+        """Exact edge transpose: j in N'(i) iff i in N(j). basis_count carries over."""
+        perm, indptr = self.transpose_order
+        return ConvTopology(self.n_out, self.n_in, indptr, self.rows()[perm], self.basis_count)
+
 
 def _topology(n_in: int, csr: tuple[np.ndarray, np.ndarray], m_clamp) -> ConvTopology:
     """ConvTopology over a CSR graph; basis_count is the rounded mean row size, clamped."""
@@ -88,15 +109,8 @@ def _topology(n_in: int, csr: tuple[np.ndarray, np.ndarray], m_clamp) -> ConvTop
 
 
 def transpose_topology(topology: ConvTopology) -> ConvTopology:
-    """Exact edge transpose: j in N'(i) iff i in N(j). basis_count carries over."""
-    indptr, indices = csr_from_pairs(topology.n_in, topology.indices, topology.rows())
-    return ConvTopology(
-        n_in=topology.n_out,
-        n_out=topology.n_in,
-        indptr=indptr,
-        indices=indices,
-        basis_count=topology.basis_count,
-    )
+    """The topology's cached transpose (:attr:`ConvTopology.transposed`)."""
+    return topology.transposed
 
 
 @dataclass(frozen=True)
@@ -194,14 +208,12 @@ def build_hierarchy(
         cross = owner[u] != owner[w]
         level_adj = csr_from_pairs(len(selected), owner[u][cross], owner[w][cross])
 
-    conv_up = [transpose_topology(t) for t in conv_down]
-    pool_up = [transpose_topology(t) for t in pool_down]
     return MeshHierarchy(
         levels=tuple(levels),
         parents=tuple(parents),
         conv_down=tuple(conv_down),
         pool_down=tuple(pool_down),
-        conv_up=tuple(conv_up),
-        pool_up=tuple(pool_up),
+        conv_up=tuple(t.transposed for t in conv_down),
+        pool_up=tuple(t.transposed for t in pool_down),
     )
 

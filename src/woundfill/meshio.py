@@ -142,15 +142,16 @@ def _load_ply(data: bytes) -> Mesh:
     header = data[:end].decode("ascii", errors="replace").splitlines()
     body = data[end + len(b"end_header\n"):]
 
-    elements: list[tuple[str, int, list]] = []  # (name, count, [properties])
+    elements: list[tuple[str, int, list]] = []  # (name, count, [(lineno, property tokens)])
     fmt_seen = False
     for lineno, line in enumerate(header[1:], start=2):
         parts = line.split()
         if not parts or parts[0] == "comment":
             continue
         if parts[0] == "format":
-            if parts[1] != "binary_little_endian":
-                raise MeshFormatError(f"unsupported PLY format {parts[1]!r}", line=lineno)
+            fmt = parts[1] if len(parts) > 1 else ""
+            if fmt != "binary_little_endian":
+                raise MeshFormatError(f"unsupported PLY format {fmt!r}", line=lineno)
             fmt_seen = True
         elif parts[0] == "element":
             if len(parts) != 3 or not parts[2].isdigit():
@@ -159,7 +160,7 @@ def _load_ply(data: bytes) -> Mesh:
         elif parts[0] == "property":
             if not elements:
                 raise MeshFormatError("property before any element", line=lineno)
-            elements[-1][2].append(parts[1:])
+            elements[-1][2].append((lineno, parts[1:]))
         else:
             raise MeshFormatError(f"unsupported header line {line!r}", line=lineno)
     if not fmt_seen:
@@ -169,16 +170,22 @@ def _load_ply(data: bytes) -> Mesh:
     layouts = []
     for name, count, props in elements:
         if name == "vertex":
-            for p in props:
+            fields: dict[str, str] = {}
+            for lineno, p in props:
                 if len(p) != 2 or p[0] not in _PLY_SCALARS:
-                    raise MeshFormatError(f"unsupported vertex property {' '.join(p)!r}")
-            dtype = np.dtype([(p[1], _PLY_SCALARS[p[0]][0]) for p in props])
-            if not {"x", "y", "z"} <= set(dtype.names or ()):
+                    raise MeshFormatError(
+                        f"unsupported vertex property {' '.join(p)!r}", line=lineno
+                    )
+                if p[1] in fields:
+                    raise MeshFormatError(f"duplicate vertex property {p[1]!r}", line=lineno)
+                fields[p[1]] = _PLY_SCALARS[p[0]][0]
+            dtype = np.dtype(list(fields.items()))
+            if not {"x", "y", "z"} <= fields.keys():
                 raise MeshFormatError("vertex element must provide x, y, z")
         elif name == "face":
-            if len(props) != 1 or props[0][0] != "list":
+            if len(props) != 1 or len(props[0][1]) != 4 or props[0][1][0] != "list":
                 raise MeshFormatError("face element must be a single list property")
-            _, cnt_t, item_t, _pname = props[0]
+            _, cnt_t, item_t, _pname = props[0][1]
             if cnt_t not in _PLY_LIST_COUNTS or item_t not in _PLY_LIST_ITEMS:
                 raise MeshFormatError(f"unsupported face list types {cnt_t}/{item_t}")
             # only triangles are supported, so every record is n = 3 plus three indices

@@ -1,9 +1,13 @@
 """Forward evaluation and exact reverse-mode gradients for the operator family.
 
 Feature maps are plain (n, d) float64 arrays. Each operator reads a
-ConvTopology whose CSR edge order (ascending neighbor index per output
-vertex) fixes the summation order, so forward passes and gradients are
-bit-reproducible.
+ConvTopology in CSR form. vc_conv never builds the per-edge weights
+W_e = sum_k a_ek B_k: it factors through one E * M * min(I, O) intermediate
+and BLAS matmuls, mixing the coefficients in before the basis product when
+I <= O and after it otherwise. Per-output sums run left to right over each
+CSR row and per-input sums over the topology's cached transpose, so
+forward passes and gradients are bit-reproducible for a given numpy/BLAS
+build and thread count.
 
 Operators:
   vc_conv        y_i = sum_j (sum_k a_ijk B_k)^T x_ij + b
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError, NumericalError
-from .hierarchy import ConvTopology, transpose_topology
+from .hierarchy import ConvTopology
 
 __all__ = [
     "VcConvParams",
@@ -113,16 +117,33 @@ def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 # --- vcConv / vcTransConv ------------------------------------------------
 
 
+def _scatter_to_inputs(values: np.ndarray, topology: ConvTopology) -> np.ndarray:
+    """Per-input sums of per-edge rows, in ascending edge order, over the cached transpose."""
+    perm, indptr = topology.transpose_order
+    return _segment_sums(values[perm], indptr)
+
+
+def _outer(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per-edge outer products, flattened (k, m): out[e, k * M + m] = a[e, k] * coeffs[e, m]."""
+    return np.einsum("ek,em->ekm", a, coeffs).reshape(len(a), a.shape[1] * coeffs.shape[1])
+
+
 def vc_conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     x = _check_features(x, params.in_dim, topology)
-    if params.coeffs.shape != (topology.edge_count, params.basis.shape[0]):
+    m, i, o = params.basis.shape
+    if params.coeffs.shape != (topology.edge_count, m):
         raise MeshError(
             f"coeffs shape {params.coeffs.shape} does not match "
-            f"(edges={topology.edge_count}, M={params.basis.shape[0]})"
+            f"(edges={topology.edge_count}, M={m})"
         )
     xe = x[topology.indices]  # (E, I)
-    # per-edge weight W_e = sum_k coeffs[e, k] * basis[k]; contribution W_e^T x_e
-    contrib = np.einsum("em,mio,ei->eo", params.coeffs, params.basis, xe, optimize=True)
+    by_input = params.basis.transpose(1, 0, 2)  # (I, M, O)
+    # contribution of edge e: W_e^T x_e with W_e = sum_k coeffs[e, k] * basis[k]
+    if i <= o:
+        contrib = _outer(xe, params.coeffs) @ by_input.reshape(i * m, o)
+    else:
+        t = (xe @ by_input.reshape(i, m * o)).reshape(len(xe), m, o)  # x_e^T B_k
+        contrib = (params.coeffs[:, None, :] @ t)[:, 0]
     return _segment_sums(contrib, topology.indptr) + params.bias
 
 
@@ -131,25 +152,34 @@ def vc_conv_backward(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     x = _check_features(x, params.in_dim, topology)
     g = _check_grad(grad_out, topology.n_out)
+    m, i, o = params.basis.shape
     xe = x[topology.indices]
     ge = g[topology.rows()]
-    d_bias = g.sum(axis=0)
-    d_coeffs = np.einsum("mio,ei,eo->em", params.basis, xe, ge, optimize=True)
-    d_basis = np.einsum("em,ei,eo->mio", params.coeffs, xe, ge, optimize=True)
-    w_edges = np.einsum("em,mio->eio", params.coeffs, params.basis, optimize=True)
-    d_xe = np.einsum("eio,eo->ei", w_edges, ge, optimize=True)
-    d_x = np.zeros_like(x)
-    np.add.at(d_x, topology.indices, d_xe)
-    return d_x, {"basis": d_basis, "coeffs": d_coeffs, "bias": d_bias}
+    by_input = params.basis.transpose(1, 0, 2)  # (I, M, O)
+    if i <= o:
+        p = (ge @ by_input.reshape(i * m, o).T).reshape(len(xe), i, m)  # p[e, :, k] = B_k g_e
+        d_coeffs = (xe[:, None, :] @ p)[:, 0]
+        d_xe = (p @ params.coeffs[:, :, None])[:, :, 0]
+        d_basis = (_outer(xe, params.coeffs).T @ ge).reshape(i, m, o).transpose(1, 0, 2)
+    else:
+        t = (xe @ by_input.reshape(i, m * o)).reshape(len(xe), m, o)  # x_e^T B_k
+        d_coeffs = (t @ ge[:, :, None])[:, :, 0]
+        q = _outer(ge, params.coeffs)
+        d_xe = q @ params.basis.transpose(2, 0, 1).reshape(o * m, i)
+        d_basis = (xe.T @ q).reshape(i, o, m).transpose(2, 0, 1)
+    d_x = _scatter_to_inputs(d_xe, topology)
+    return d_x, {
+        "basis": np.ascontiguousarray(d_basis), "coeffs": d_coeffs, "bias": g.sum(axis=0)
+    }
 
 
 def vc_trans_conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     """vc_conv evaluated on the transposed topology; coeffs use its edge order."""
-    return vc_conv(params, transpose_topology(topology), x)
+    return vc_conv(params, topology.transposed, x)
 
 
 def vc_trans_conv_backward(params, topology, x, grad_out):
-    return vc_conv_backward(params, transpose_topology(topology), x, grad_out)
+    return vc_conv_backward(params, topology.transposed, x, grad_out)
 
 
 # --- vdPool / vdUnpool / vdRes -------------------------------------------
@@ -186,9 +216,7 @@ def vd_aggregate_backward(params, topology, x, grad_out):
     # d y_i / d |rho_e| = (x_e - y_i) / S_i; chain with sign(rho), subgradient 0 at 0
     d_abs = np.einsum("ei,ei->e", ge, xe - ye) / sums[topology.rows()]
     d_rho = np.sign(params.rho) * d_abs
-    d_x = np.zeros_like(x)
-    np.add.at(d_x, topology.indices, weights[:, None] * ge)
-    return d_x, {"rho": d_rho}
+    return _scatter_to_inputs(weights[:, None] * ge, topology), {"rho": d_rho}
 
 
 def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:

@@ -176,6 +176,19 @@ def test_truncated_ply_exits_2(tmp_path, capsys, block):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [
+    b"ply\nformat\nelement vertex 0\nend_header\n",
+    b"ply\nformat binary_little_endian 1.0\nelement vertex 0\n"
+    b"property float x\nproperty float x\nproperty float y\nproperty float z\nend_header\n",
+], ids=["bare-format", "duplicate-property"])
+def test_malformed_ply_header_exits_2(tmp_path, capsys, header):
+    good = tmp_path / "a.ply"
+    save_mesh_path(icosphere(1), good)
+    (tmp_path / "bad.ply").write_bytes(header)
+    assert run(["stats", good, tmp_path / "bad.ply"]) == 2
+    assert "line " in capsys.readouterr().err
+
+
 def test_nonmanifold_preprocess_exits_2(tmp_path):
     pos = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1.0]])
     faces = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]

@@ -189,6 +189,31 @@ def test_extract_deep_dent_on_plain_sphere():
     assert report.watertight
 
 
+def test_first_fill_does_not_import_numpy_ma():
+    # a bare 1-d np.unique imports numpy.ma (~1 MB) on first use
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import woundfill
+
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from woundfill import Mesh, extract_filling, icosphere, k_ring\n"
+        "base = icosphere(2)\n"
+        "positions = np.array(base.positions)\n"
+        "positions[k_ring(base, 0, 1)] *= 0.5\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported before the fill'\n"
+        "extract_filling(Mesh(positions, base.faces), base)\n"
+        "assert 'numpy.ma' not in sys.modules, 'extract_filling imported numpy.ma'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(woundfill.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_single_vertex_dent_has_no_face_patch():
     from woundfill import icosphere
 

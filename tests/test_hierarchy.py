@@ -110,6 +110,30 @@ def test_transpose_preserves_edge_count_and_edges(sphere2):
     assert fwd == bwd
 
 
+def test_transpose_is_cached_and_matches_pair_transpose():
+    from conftest import random_topology
+    from woundfill.mesh import csr_from_pairs
+
+    rng = np.random.default_rng(21)
+    for n_in, n_out, degree in ((30, 20, 6), (12, 25, 1), (9, 4, 4)):
+        t = random_topology(rng, n_in, n_out, max_degree=degree)
+        tr = transpose_topology(t)
+        assert tr is t.transposed is transpose_topology(t)
+        indptr, indices = csr_from_pairs(t.n_in, t.indices, t.rows())
+        assert np.array_equal(tr.indptr, indptr)
+        assert np.array_equal(tr.indices, indices)
+        # transposed edge k is edge perm[k] of t
+        perm, _ = t.transpose_order
+        assert np.array_equal(t.indices[perm], tr.rows())
+        assert np.array_equal(t.rows()[perm], tr.indices)
+
+
+def test_hierarchy_up_topologies_are_the_cached_transposes(sphere2):
+    h = build_hierarchy(sphere2, (1.0, 0.25, 0.0625))
+    for down, up in ((h.conv_down, h.conv_up), (h.pool_down, h.pool_up)):
+        assert all(u is d.transposed for d, u in zip(down, up))
+
+
 def test_ratio_too_small_rejected(sphere2):
     with pytest.raises(MeshError, match="at least 4"):
         build_hierarchy(sphere2, (1.0, 0.01))

@@ -91,6 +91,33 @@ def test_ply_rejects_negative_element_count():
         load_mesh(data, "ply")
 
 
+def test_ply_bare_format_line_is_format_error():
+    data = b"ply\nformat\nelement vertex 0\nend_header\n"
+    with pytest.raises(MeshFormatError, match="line 2: unsupported PLY format"):
+        load_mesh(data, "ply")
+
+
+def test_ply_duplicate_vertex_property_is_format_error():
+    data = (
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+        b"property float x\nproperty float y\nproperty float x\nproperty float z\n"
+        b"end_header\n" + bytes(16)
+    )
+    with pytest.raises(MeshFormatError, match="line 6: duplicate vertex property 'x'"):
+        load_mesh(data, "ply")
+
+
+@pytest.mark.parametrize("prop", [b"property", b"property list uchar int"])
+def test_ply_malformed_face_property_is_format_error(prop):
+    data = (
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 0\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"element face 0\n" + prop + b"\nend_header\n"
+    )
+    with pytest.raises(MeshFormatError, match="single list property"):
+        load_mesh(data, "ply")
+
+
 def test_stl_single_triangle_is_134_bytes():
     tri = Mesh(np.eye(3), [[0, 1, 2]])
     data = save_mesh(tri, "stl")

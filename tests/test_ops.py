@@ -303,6 +303,80 @@ def test_vd_aggregate_gradients_match_finite_differences():
         assert worst < 1e-4
 
 
+# --- reference kernels: the per-edge-weight einsum formulas ---------------------
+
+
+def _vc_conv_oracle(params, topology, x):
+    contrib = np.einsum("em,mio,ei->eo", params.coeffs, params.basis, x[topology.indices])
+    y = np.zeros((topology.n_out, params.basis.shape[2]))
+    np.add.at(y, topology.rows(), contrib)
+    return y + params.bias
+
+
+def _vc_conv_backward_oracle(params, topology, x, g):
+    xe, ge = x[topology.indices], g[topology.rows()]
+    w_edges = np.einsum("em,mio->eio", params.coeffs, params.basis)
+    d_x = np.zeros_like(x)
+    np.add.at(d_x, topology.indices, np.einsum("eio,eo->ei", w_edges, ge))
+    return d_x, {
+        "basis": np.einsum("em,ei,eo->mio", params.coeffs, xe, ge),
+        "coeffs": np.einsum("mio,ei,eo->em", params.basis, xe, ge),
+        "bias": g.sum(axis=0),
+    }
+
+
+def _assert_matches(actual, expected):
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("in_dim,out_dim,m", [
+    (3, 16, 4),  # I < O: coefficients mixed in before the basis product
+    (16, 3, 5),  # I > O: basis product first
+    (6, 6, 3),  # I == O
+    (4, 7, 1),  # a single basis matrix
+    (7, 2, 1),
+])
+@pytest.mark.parametrize("shape", ["mixed", "degree-1"])
+def test_vc_conv_matches_einsum_reference(in_dim, out_dim, m, shape):
+    rng = np.random.default_rng([19, in_dim, out_dim, m])
+    for _ in range(3):
+        if shape == "mixed":
+            topo = random_topology(rng, 30, 20, max_degree=6)
+        else:  # every row one neighbor; the transpose then has rows of several
+            topo = random_topology(rng, 12, 25, max_degree=1)
+        params = VcConvParams(
+            basis=rng.normal(size=(m, in_dim, out_dim)),
+            coeffs=rng.normal(size=(topo.edge_count, m)),
+            bias=rng.normal(size=out_dim),
+        )
+        x = rng.normal(size=(topo.n_in, in_dim))
+        g = rng.normal(size=(topo.n_out, out_dim))
+        _assert_matches(vc_conv(params, topo, x), _vc_conv_oracle(params, topo, x))
+        d_x, grads = vc_conv_backward(params, topo, x, g)
+        ref_x, ref = _vc_conv_backward_oracle(params, topo, x, g)
+        _assert_matches(d_x, ref_x)
+        for key in ("basis", "coeffs", "bias"):
+            assert grads[key].shape == ref[key].shape
+            _assert_matches(grads[key], ref[key])
+
+
+def test_vd_aggregate_input_gradient_matches_add_at():
+    rng = np.random.default_rng(20)
+    for n_in, n_out, degree in ((30, 20, 6), (12, 25, 1), (9, 4, 4)):
+        topo = random_topology(rng, n_in, n_out, max_degree=degree)
+        params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
+        x = rng.normal(size=(n_in, 5))
+        g = rng.normal(size=(n_out, 5))
+        d_x, _ = vd_aggregate_backward(params, topo, x, g)
+        absr = np.abs(params.rho)
+        sums = np.zeros(n_out)
+        np.add.at(sums, topo.rows(), absr)
+        ref = np.zeros_like(x)
+        np.add.at(ref, topo.indices, (absr / sums[topo.rows()])[:, None] * g[topo.rows()])
+        _assert_matches(d_x, ref)
+
+
 def test_rho_subgradient_zero_at_kink():
     topo = ConvTopology(2, 1, np.array([0, 2]), np.array([0, 1]), basis_count=1)
     params = VdParams(rho=np.array([0.0, 1.0]))
