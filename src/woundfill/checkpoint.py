@@ -4,18 +4,21 @@ The header carries the architecture, the full hierarchy (levels, parents and
 down topologies; up topologies are rebuilt by transposition) and the ordered
 block index, so inference never has to rebuild the hierarchy from a mesh.
 Writes go to a temp file in the same directory followed by an atomic rename.
+Loading checks the header's length, JSON syntax and schema before use, so a
+damaged file raises DataError naming it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError, MeshError
 from .hierarchy import ConvTopology, MeshHierarchy
 from .model import Architecture, Autoencoder
 
@@ -34,13 +37,37 @@ def _topology_to_dict(t: ConvTopology) -> dict:
     }
 
 
-def _topology_from_dict(d: dict) -> ConvTopology:
+def _field(d, key: str, kind, path):
+    """d[key] when d is a header object holding a kind there, else DataError."""
+    if not isinstance(d, dict) or key not in d:
+        raise DataError(f"{path}: checkpoint header lacks {key!r}")
+    if not isinstance(d[key], kind):
+        raise DataError(f"{path}: checkpoint header {key!r} has the wrong type")
+    return d[key]
+
+
+def _ints(value, what: str, path) -> np.ndarray:
+    """A JSON list of integers as a 1-d int64 array, else DataError."""
+    if isinstance(value, list):
+        try:
+            a = np.array(value, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if a.ndim == 1:
+                return a
+    raise DataError(f"{path}: checkpoint {what} is not a list of integers")
+
+
+def _topology_from_dict(d, n_in: int, n_out: int, path) -> ConvTopology:
+    if (_field(d, "n_in", int, path), _field(d, "n_out", int, path)) != (n_in, n_out):
+        raise DataError(f"{path}: checkpoint topology does not join levels of {n_in} and {n_out}")
     return ConvTopology(
-        n_in=int(d["n_in"]),
-        n_out=int(d["n_out"]),
-        indptr=np.array(d["indptr"], dtype=np.int64),
-        indices=np.array(d["indices"], dtype=np.int64),
-        basis_count=int(d["basis_count"]),
+        n_in=n_in,
+        n_out=n_out,
+        indptr=_ints(_field(d, "indptr", list, path), "indptr", path),
+        indices=_ints(_field(d, "indices", list, path), "indices", path),
+        basis_count=_field(d, "basis_count", int, path),
     )
 
 
@@ -53,17 +80,34 @@ def _hierarchy_to_dict(h: MeshHierarchy) -> dict:
     }
 
 
-def _hierarchy_from_dict(d: dict) -> MeshHierarchy:
-    conv_down = tuple(_topology_from_dict(t) for t in d["conv_down"])
-    pool_down = tuple(_topology_from_dict(t) for t in d["pool_down"])
+def _hierarchy_from_dict(d, path) -> MeshHierarchy:
+    levels = tuple(_ints(lv, "level", path) for lv in _field(d, "levels", list, path))
+    parents = tuple(_ints(p, "parents", path) for p in _field(d, "parents", list, path))
+    sizes = [len(lv) for lv in levels]
+    transitions = [_field(d, key, list, path) for key in ("conv_down", "pool_down")]
+    if any(len(ts) != len(levels) - 1 for ts in (parents, *transitions)):
+        raise DataError(f"{path}: checkpoint hierarchy has inconsistent level counts")
+    conv_down, pool_down = (
+        tuple(_topology_from_dict(t, *sizes[i:i + 2], path) for i, t in enumerate(ts))
+        for ts in transitions
+    )
     return MeshHierarchy(
-        levels=tuple(np.array(lv, dtype=np.int64) for lv in d["levels"]),
-        parents=tuple(np.array(p, dtype=np.int64) for p in d["parents"]),
+        levels=levels,
+        parents=parents,
         conv_down=conv_down,
         pool_down=pool_down,
         conv_up=tuple(t.transposed for t in conv_down),
         pool_up=tuple(t.transposed for t in pool_down),
     )
+
+
+def _architecture_from_dict(d, path) -> Architecture:
+    for key, kind in (("ratios", list), ("widths", list), ("activation", str),
+                      ("elu_alpha", (int, float)), ("m_clamp", list)):
+        _field(d, key, kind, path)
+    if not all(isinstance(w, int) for w in d["widths"] + d["m_clamp"]):
+        raise DataError(f"{path}: checkpoint widths and m_clamp must be integers")
+    return Architecture.from_dict(d)
 
 
 def save_checkpoint(path, model: Autoencoder, extra: dict | None = None) -> None:
@@ -93,26 +137,48 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
     data = Path(path).read_bytes()
     if not data.startswith(MAGIC):
         raise DataError(f"{path}: not a woundfill checkpoint (bad magic)")
-    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
     start = len(MAGIC) + 8
-    header = json.loads(data[start:start + header_len].decode("utf-8"))
+    if len(data) < start:
+        raise DataError(f"{path}: checkpoint truncated inside the header length")
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
+    if header_len > len(data) - start:
+        raise DataError(
+            f"{path}: header length {header_len} runs past the end of the file "
+            f"({len(data)} bytes)"
+        )
+    try:
+        header = json.loads(data[start:start + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format_version") != 1:
         raise DataError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
-    architecture = Architecture.from_dict(header["architecture"])
-    hierarchy = _hierarchy_from_dict(header["hierarchy"])
+    try:
+        architecture = _architecture_from_dict(_field(header, "architecture", dict, path), path)
+        hierarchy = _hierarchy_from_dict(_field(header, "hierarchy", dict, path), path)
+    except (ConfigError, MeshError) as exc:
+        raise DataError(f"{path}: invalid checkpoint: {exc}") from exc
+    if len(architecture.widths) != hierarchy.n_levels:
+        raise DataError(f"{path}: architecture widths do not match the hierarchy levels")
     model = Autoencoder.init(hierarchy, architecture, seed=0)
     offset = start + header_len
     params = {}
-    for block in header["blocks"]:
-        shape = tuple(block["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for block in _field(header, "blocks", list, path):
+        name = _field(block, "name", str, path)
+        shape = tuple(_ints(_field(block, "shape", list, path), "block shape", path).tolist())
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or offset + count * 8 > len(data):
+            raise DataError(f"{path}: parameter block {name!r} runs past the end of the file")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
-        params[block["name"]] = arr.astype(np.float64)
+        params[name] = arr.astype(np.float64)
         offset += count * 8
     if offset != len(data):
         raise DataError(f"{path}: trailing bytes after parameter blocks")
-    expected = set(model.parameters())
-    if expected != set(params):
+    expected = model.parameters()
+    if set(expected) != set(params) or any(
+        params[k].shape != v.shape for k, v in expected.items()
+    ):
         raise DataError(f"{path}: parameter blocks do not match the architecture")
     model.set_parameters(params)
     return model, header.get("extra", {})

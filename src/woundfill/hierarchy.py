@@ -3,13 +3,17 @@
 Coarser levels are chosen by a deterministic greedy covering of the level
 graph: repeatedly select the lowest-index uncovered vertex and mark its
 k-ring covered, growing k until the selection fits the target size, then
-pad with the lowest-index unselected vertices. Every fine vertex is then
-assigned to its nearest selected vertex (hop distance, lowest coarse index
-on ties), which yields the pooling partition; convolution neighborhoods are
-those cells dilated by one ring so they overlap but still cover the level.
+pad with the lowest-index unselected vertices. Each k-ring is one
+hop-bounded walk over the CSR lists that stamps the vertices it reaches, so
+a selected vertex costs the size of its ring, not of the graph, and a pass
+allocates O(V) once. Every fine vertex is then assigned to its nearest
+selected vertex (hop distance, lowest coarse index on ties) by one
+multi-source :func:`woundfill.mesh.bfs` per level, which yields the pooling
+partition; convolution neighborhoods are those cells dilated by one ring so
+they overlap but still cover the level.
 
 Every level graph, cell partition and neighborhood is a CSR graph built by
-:func:`woundfill.mesh.csr_from_pairs` and walked by :func:`woundfill.mesh.bfs`.
+:func:`woundfill.mesh.csr_from_pairs`.
 """
 
 from __future__ import annotations
@@ -139,17 +143,43 @@ class MeshHierarchy:
 
 def _greedy_cover(adj: tuple[np.ndarray, np.ndarray], target: int) -> np.ndarray:
     """Lowest-index greedy k-ring cover, k grown until the selection fits target,
-    padded with the lowest-index unselected vertices to exactly target."""
-    n = len(adj[0]) - 1
+    padded with the lowest-index unselected vertices to exactly target.
+
+    Each selected vertex v marks its k-ring covered with one hop-bounded walk
+    over the CSR lists. The walk goes through already covered vertices (ring
+    membership is graph distance) and stamps what it reaches with
+    seen[w] = v, so no V-length array is cleared or allocated per vertex and
+    v costs the edges of its (k-1)-ring. A pass that selects more than target
+    stops there, except the last (k = n + 1), whose selection stands when no
+    k fits.
+    """
+    indptr, indices = adj[0].tolist(), adj[1].tolist()
+    n = len(indptr) - 1
     target = min(target, n)
     selection: list[int] = []
     for k in range(1, n + 2):
-        covered = np.zeros(n, dtype=bool)
+        covered = [False] * n
+        seen = [-1] * n
         selection = []
         for v in range(n):
-            if not covered[v]:
-                selection.append(v)
-                covered[bfs(adj, [v], max_hops=k)[0] <= k] = True
+            if covered[v]:
+                continue
+            selection.append(v)
+            if len(selection) > target and k <= n:
+                break
+            seen[v] = v
+            frontier = [v]
+            for _ in range(k):
+                if not frontier:
+                    break
+                ring = []
+                for u in frontier:
+                    for w in indices[indptr[u]:indptr[u + 1]]:
+                        if seen[w] != v:
+                            seen[w] = v
+                            covered[w] = True
+                            ring.append(w)
+                frontier = ring
         if len(selection) <= target:
             break
     chosen = np.zeros(n, dtype=bool)

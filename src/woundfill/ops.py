@@ -185,7 +185,10 @@ def vc_trans_conv_backward(params, topology, x, grad_out):
 # --- vdPool / vdUnpool / vdRes -------------------------------------------
 
 
-def _normalized_rho(params: VdParams, topology: ConvTopology) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_rho(
+    params: VdParams, topology: ConvTopology, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(|rho| / row sum per edge, row sums); rows is topology.rows()."""
     rho = np.asarray(params.rho, dtype=np.float64)
     if rho.shape != (topology.edge_count,):
         raise MeshError(f"rho shape {rho.shape} != (edges={topology.edge_count},)")
@@ -195,28 +198,34 @@ def _normalized_rho(params: VdParams, topology: ConvTopology) -> tuple[np.ndarra
         raise NumericalError(
             f"all-zero density coefficients in neighborhood {int(np.argmin(sums))}"
         )
-    return absr / sums[topology.rows()], sums
+    return absr / sums[rows], sums
 
 
 def vd_aggregate(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     """Density-weighted pooling (vdPool when down, vdUnpool on the transpose)."""
     x = _check_features(x, None, topology)
-    weights, _ = _normalized_rho(params, topology)
+    weights, _ = _normalized_rho(params, topology, topology.rows())
     return _segment_sums(weights[:, None] * x[topology.indices], topology.indptr)
 
 
-def vd_aggregate_backward(params, topology, x, grad_out):
+def _vd_aggregate_grads(params, topology, x, grad_out):
+    """(y, d_x, grads) of vd_aggregate: its output y alongside the gradients."""
     x = _check_features(x, None, topology)
     g = _check_grad(grad_out, topology.n_out)
-    weights, sums = _normalized_rho(params, topology)
+    rows = topology.rows()
+    weights, sums = _normalized_rho(params, topology, rows)
     xe = x[topology.indices]
-    ge = g[topology.rows()]
     y = _segment_sums(weights[:, None] * xe, topology.indptr)
-    ye = y[topology.rows()]
+    ge = g[rows]
     # d y_i / d |rho_e| = (x_e - y_i) / S_i; chain with sign(rho), subgradient 0 at 0
-    d_abs = np.einsum("ei,ei->e", ge, xe - ye) / sums[topology.rows()]
+    d_abs = np.einsum("ei,ei->e", ge, xe - y[rows]) / sums[rows]
     d_rho = np.sign(params.rho) * d_abs
-    return _scatter_to_inputs(weights[:, None] * ge, topology), {"rho": d_rho}
+    return y, _scatter_to_inputs(weights[:, None] * ge, topology), {"rho": d_rho}
+
+
+def vd_aggregate_backward(params, topology, x, grad_out):
+    _, d_x, grads = _vd_aggregate_grads(params, topology, x, grad_out)
+    return d_x, grads
 
 
 def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
@@ -235,13 +244,9 @@ def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarra
 def vd_res_backward(params, topology, x, grad_out):
     g = _check_grad(grad_out, topology.n_out)
     if params.matrix is None:
-        d_x, grads = vd_aggregate_backward(params, topology, x, g)
-        return d_x, grads
-    agg = vd_aggregate(params, topology, x)
-    d_matrix = g.T @ agg
-    d_agg = g @ params.matrix
-    d_x, grads = vd_aggregate_backward(params, topology, x, d_agg)
-    grads["matrix"] = d_matrix
+        return vd_aggregate_backward(params, topology, x, g)
+    agg, d_x, grads = _vd_aggregate_grads(params, topology, x, g @ params.matrix)
+    grads["matrix"] = g.T @ agg
     return d_x, grads
 
 

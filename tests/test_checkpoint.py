@@ -1,9 +1,14 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from woundfill import Architecture, Autoencoder, icosphere
 from woundfill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from woundfill.errors import DataError
+from woundfill.errors import DataError, WoundfillError
 
 
 @pytest.fixture
@@ -66,3 +71,89 @@ def test_magic_is_stable(tmp_path, model):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model)
     assert path.read_bytes().startswith(MAGIC)
+
+
+def _saved(model, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    start = len(MAGIC) + 8
+    return raw, json.loads(raw[start:start + header_len]), raw[start + header_len:]
+
+
+def _with_header(header_bytes: bytes, body: bytes = b"") -> bytes:
+    return MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + body
+
+
+def _damage(kind, raw, header, body):
+    if kind == "short":
+        return raw[:12]
+    if kind == "header-past-end":
+        return MAGIC + struct.pack("<Q", len(raw)) + raw[16:]
+    if kind == "not-utf8":
+        return _with_header(b"\xff\xfe{}", body)
+    if kind == "not-json":
+        return _with_header(b"{format_version: 1}", body)
+    if kind == "json-list":
+        return _with_header(b"[1, 2]", body)
+    if kind == "no-architecture":
+        del header["architecture"]
+    elif kind == "string-index":
+        header["hierarchy"]["conv_down"][0]["indices"][3] = "x"
+    elif kind == "truncated-block":
+        body = body[:-12]
+    return _with_header(json.dumps(header).encode(), body)
+
+
+@pytest.mark.parametrize("kind", [
+    "short", "header-past-end", "not-utf8", "not-json", "json-list", "no-architecture",
+    "string-index", "truncated-block",
+])
+def test_damaged_checkpoint_is_data_error(tmp_path, model, kind):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_damage(kind, *_saved(model, tmp_path)))
+    with pytest.raises(DataError) as exc:
+        load_checkpoint(bad)
+    assert str(bad) in str(exc.value)
+
+
+def test_block_shape_must_match_architecture(tmp_path, model):
+    raw, header, body = _saved(model, tmp_path)
+    header["hierarchy"]["conv_down"][0]["basis_count"] += 1
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    with pytest.raises(DataError, match="do not match the architecture"):
+        load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    model = Autoencoder.build(icosphere(1), Architecture(ratios=(1.0, 0.3), widths=(3, 5)),
+                              seed=3)
+    save_checkpoint(path, model)
+    return path
+
+
+@seed(9091)
+@settings(max_examples=200, deadline=None)
+@given(
+    cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 255)), max_size=3),
+    in_header=st.booleans(),
+)
+def test_fuzzed_checkpoint_raises_only_woundfill_errors(small_checkpoint, cut, flips, in_header):
+    raw = bytearray(small_checkpoint.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    span = 16 + header_len if in_header else len(raw)
+    for where, value in flips:
+        raw[min(int(where * span), len(raw) - 1)] = value
+    if cut is not None:
+        raw = raw[:int(cut * len(raw))]
+    bad = small_checkpoint.with_name("fuzz.ckpt")
+    bad.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(bad)
+    except WoundfillError:
+        pass

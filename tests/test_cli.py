@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from woundfill import Mesh, icosphere, is_watertight, load_mesh_path, save_mesh_path
+from woundfill import (
+    Architecture,
+    Autoencoder,
+    Mesh,
+    icosphere,
+    is_watertight,
+    load_mesh_path,
+    save_mesh_path,
+)
+from woundfill.checkpoint import MAGIC, save_checkpoint
 from woundfill.cli import main
 
 
@@ -195,3 +204,18 @@ def test_nonmanifold_preprocess_exits_2(tmp_path):
     src = tmp_path / "bad.ply"
     save_mesh_path(Mesh(pos, faces), src)
     assert run(["preprocess", src, "--out", tmp_path / "out"]) == 2
+
+
+@pytest.mark.parametrize("damage", ["truncated", "non-json-header"])
+def test_damaged_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir, damage):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, Autoencoder.build(icosphere(1), Architecture((1.0, 0.3), (3, 5)), 0))
+    raw = good.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    if damage == "truncated":
+        bad.write_bytes(raw[:len(raw) // 2])
+    else:
+        bad.write_bytes(MAGIC + (9).to_bytes(8, "little") + b"not json!" + raw[16:])
+    assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
+                "--checkpoint", bad, "--split", "test"]) == 2
+    assert str(bad) in capsys.readouterr().err

@@ -2,10 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from woundfill import Mesh, build_hierarchy, icosphere, synth_head, transpose_topology
+from woundfill import Mesh, build_hierarchy, hierarchy, icosphere, synth_head, transpose_topology
 from woundfill.errors import MeshError
-from woundfill.hierarchy import ConvTopology
+from woundfill.hierarchy import ConvTopology, _greedy_cover
+from woundfill.mesh import bfs, csr_from_pairs, vertex_adjacency
 
 
 def test_single_level_identity(sphere2):
@@ -214,3 +217,74 @@ def test_hierarchy_arrays_are_pinned():
             assert t.basis_count == (14 if name.startswith("conv") else 4)
     sha = {k: hashlib.sha256(a.astype(np.int64).tobytes()).hexdigest() for k, a in arrays.items()}
     assert sha == HEAD7_HIERARCHY_SHA256
+
+
+def reference_cover(adj, target):
+    """The greedy cover with one full-graph bfs per selected vertex (the oracle)."""
+    n = len(adj[0]) - 1
+    target = min(target, n)
+    selection = []
+    for k in range(1, n + 2):
+        covered = np.zeros(n, dtype=bool)
+        selection = []
+        for v in range(n):
+            if not covered[v]:
+                selection.append(v)
+                covered[bfs(adj, [v], max_hops=k)[0] <= k] = True
+        if len(selection) <= target:
+            break
+    chosen = np.zeros(n, dtype=bool)
+    chosen[selection] = True
+    chosen[np.flatnonzero(~chosen)[: max(target - len(selection), 0)]] = True
+    return np.flatnonzero(chosen)
+
+
+def graph_from_pairs(n, pairs):
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return csr_from_pairs(n, np.concatenate([a, b]), np.concatenate([b, a]))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus extra edges, vertices relabelled at random."""
+    n = draw(st.integers(1, 40))
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    return graph_from_pairs(n, pairs)
+
+
+@seed(4242)
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_greedy_cover_matches_reference(adj):
+    n = len(adj[0]) - 1
+    for target in range(1, n + 1):
+        assert np.array_equal(_greedy_cover(adj, target), reference_cover(adj, target))
+
+
+@pytest.mark.parametrize("target", [640, 5])
+def test_greedy_cover_matches_reference_on_icosphere(target):
+    adj = vertex_adjacency(icosphere(4))
+    assert np.array_equal(_greedy_cover(adj, target), reference_cover(adj, target))
+
+
+def test_greedy_cover_keeps_last_pass_on_disconnected_graph():
+    # three components never fit two vertices; the last pass picks each one's lowest
+    adj = graph_from_pairs(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (7, 8)])
+    for target in (1, 2, 3, 5):
+        assert np.array_equal(_greedy_cover(adj, target), reference_cover(adj, target))
+    assert _greedy_cover(adj, 2).tolist() == [0, 3, 7]
+
+
+def test_build_hierarchy_runs_one_bfs_per_coarse_level(monkeypatch):
+    calls = []
+
+    def counting_bfs(*args, **kwargs):
+        calls.append(args[1])
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "bfs", counting_bfs)
+    h = build_hierarchy(synth_head(1, 4), (1.0, 0.25, 0.0625))
+    assert h.level_sizes() == [2562, 640, 160]
+    assert len(calls) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference, random_topology
-from woundfill import transpose_topology
+from woundfill import ops, transpose_topology
 from woundfill.errors import MeshError, NumericalError
 from woundfill.hierarchy import ConvTopology
 from woundfill.ops import (
@@ -24,6 +24,7 @@ from woundfill.ops import (
     vd_aggregate,
     vd_aggregate_backward,
     vd_res,
+    vd_res_backward,
 )
 
 
@@ -375,6 +376,23 @@ def test_vd_aggregate_input_gradient_matches_add_at():
         ref = np.zeros_like(x)
         np.add.at(ref, topo.indices, (absr / sums[topo.rows()])[:, None] * g[topo.rows()])
         _assert_matches(d_x, ref)
+
+
+def test_vd_res_backward_aggregates_once(monkeypatch):
+    rng = np.random.default_rng(22)
+    topo = random_topology(rng, 14, 6, max_degree=5)
+    params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2, matrix=rng.normal(size=(4, 3)))
+    x = rng.normal(size=(14, 3))
+    g = rng.normal(size=(6, 4))
+    calls = []
+    real = ops.vd_aggregate
+    monkeypatch.setattr(ops, "vd_aggregate", lambda *args: calls.append(args) or real(*args))
+    d_x, grads = vd_res_backward(params, topo, x, g)
+    assert calls == []
+    assert np.array_equal(grads["matrix"], g.T @ real(params, topo, x))
+    ref_dx, ref = vd_aggregate_backward(params, topo, x, g @ params.matrix)
+    assert np.array_equal(d_x, ref_dx)
+    assert np.array_equal(grads["rho"], ref["rho"])
 
 
 def test_rho_subgradient_zero_at_kink():
