@@ -14,11 +14,12 @@ import json
 import math
 import os
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MeshError
+from .errors import ConfigError, DataError, MeshError, json_field
 from .hierarchy import ConvTopology, MeshHierarchy
 from .model import Architecture, Autoencoder
 
@@ -37,13 +38,7 @@ def _topology_to_dict(t: ConvTopology) -> dict:
     }
 
 
-def _field(d, key: str, kind, path):
-    """d[key] when d is a header object holding a kind there, else DataError."""
-    if not isinstance(d, dict) or key not in d:
-        raise DataError(f"{path}: checkpoint header lacks {key!r}")
-    if not isinstance(d[key], kind):
-        raise DataError(f"{path}: checkpoint header {key!r} has the wrong type")
-    return d[key]
+_field = partial(json_field, what="checkpoint header")
 
 
 def _ints(value, what: str, path) -> np.ndarray:

@@ -14,10 +14,11 @@ from .checkpoint import load_checkpoint
 from .config import RunConfig
 from .errors import ConfigError, DataError, MeshError, NoFillingError, NumericalError
 from .filling import extract_filling
-from .losses import vertex_distance
+from .losses import METRICS, TARGETS, vertex_distance
 from .mesh import fill_holes, is_watertight, keep_largest_component
 from .meshio import load_mesh_path, save_mesh, save_mesh_path
-from .scars import load_manifest, make_dataset
+from .model import ACTIVATIONS
+from .scars import SPLITS, load_manifest, make_dataset
 from .train import evaluate, train
 
 EXIT_OK = 0
@@ -32,37 +33,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _overrides(pairs: list[tuple[str, str, object]]) -> dict:
+def _setting(parser, flag: str, key: str, **kwargs) -> None:
+    """A flag that overrides config key `key` ("section.name"), held as its dest."""
+    if "choices" not in kwargs:
+        kwargs.setdefault("metavar", flag.lstrip("-").replace("-", "_").upper())
+    parser.add_argument(flag, dest=key, **kwargs)
+
+
+def _overrides(args) -> dict:
+    """{section: {name: value}} from every flag given whose dest is a config key."""
     out: dict = {}
-    for section, key, value in pairs:
-        if value is not None:
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if section and value is not None:
             out.setdefault(section, {})[key] = value
     return out
 
 
 def cmd_gen_data(args) -> int:
-    cfg = RunConfig.load(args.config, _overrides([
-        ("dataset", "count", args.count),
-        ("dataset", "scars_per_mesh", args.scars),
-        ("dataset", "seed", args.seed),
-        ("dataset", "split_ratios", args.ratios),
-        ("dataset", "subdivisions", args.subdivisions),
-    ]))
-    out = cfg.resolve_path("out_dir", args.out, "--out")
-    ds = cfg.dataset
-    manifest = make_dataset(
-        out,
-        count=ds["count"],
-        scars_per_mesh=ds["scars_per_mesh"],
-        seed=ds["seed"],
-        split_ratios=tuple(ds["split_ratios"]),
-        subdivisions=ds["subdivisions"],
-        ranges=cfg.scar_ranges(),
-    )
-    n_files = ds["count"] * (ds["scars_per_mesh"] + 1)
+    cfg = RunConfig.load(args.config, _overrides(args))
+    out = cfg.resolve_path("out_dir", "--out")
+    manifest = make_dataset(out, **cfg.dataset_kwargs())
+    n_files = manifest.count * (manifest.scars_per_mesh + 1)
     print(f"wrote {n_files} mesh files and manifest.json to {out}")
     print(f"manifest entries: {len(manifest.entries)}")
-    for split in ("train", "val", "test"):
+    for split in SPLITS:
         heads = {e.head for e in manifest.split_entries(split)}
         print(f"  {split}: {len(heads)} heads, {len(manifest.split_entries(split))} pairs")
     return EXIT_OK
@@ -89,20 +84,9 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = RunConfig.load(args.config, _overrides([
-        ("training", "lr", args.lr),
-        ("training", "epochs", args.epochs),
-        ("training", "batch_size", args.batch),
-        ("training", "max_steps", args.max_steps),
-        ("training", "seed", args.seed),
-        ("training", "loss_target", args.loss_target),
-        ("training", "loss_metric", args.loss_metric),
-        ("architecture", "ratios", args.arch_ratios),
-        ("architecture", "widths", args.widths),
-        ("architecture", "activation", args.activation),
-    ]))
-    data = cfg.resolve_path("data_dir", args.data, "--data")
-    out = cfg.resolve_path("out_dir", args.out, "--out")
+    cfg = RunConfig.load(args.config, _overrides(args))
+    data = cfg.resolve_path("data_dir", "--data")
+    out = cfg.resolve_path("out_dir", "--out")
     manifest = load_manifest(Path(data) / "manifest.json")
     result = train(manifest, data, cfg.model_architecture(), cfg.train_settings(), out)
     print(f"trained {result.steps} steps; best loss {result.best_loss!r}")
@@ -135,11 +119,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_extract_fill(args) -> int:
-    cfg = RunConfig.load(args.config, _overrides([("extraction", "k_sigma", args.k_sigma)]))
+    cfg = RunConfig.load(args.config, _overrides(args))
     input_mesh = load_mesh_path(args.input)
     output_mesh = load_mesh_path(args.output)
     report = extract_filling(input_mesh, output_mesh, cfg.extraction["k_sigma"])
-    out = Path(cfg.resolve_path("out_dir", args.out, "--out"))
+    out = Path(cfg.resolve_path("out_dir", "--out"))
     out.mkdir(parents=True, exist_ok=True)
     (out / "fill_report.json").write_text(report.to_json())
     save_mesh_path(report.filling, out / "filling.ply")
@@ -174,13 +158,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="synthesize heads, scars and the manifest")
-    p.add_argument("--out", help="output directory (or paths.out_dir in the config)")
+    _setting(p, "--out", "paths.out_dir",
+             help="output directory (or paths.out_dir in the config)")
     p.add_argument("--config")
-    p.add_argument("--count", type=int)
-    p.add_argument("--scars", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ratios", type=float, nargs=3, metavar=("TRAIN", "VAL", "TEST"))
-    p.add_argument("--subdivisions", type=int)
+    _setting(p, "--count", "dataset.count", type=int)
+    _setting(p, "--scars", "dataset.scars_per_mesh", type=int)
+    _setting(p, "--seed", "dataset.seed", type=int)
+    _setting(p, "--ratios", "dataset.split_ratios", type=float, nargs=3,
+             metavar=("TRAIN", "VAL", "TEST"))
+    _setting(p, "--subdivisions", "dataset.subdivisions", type=int)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("preprocess", help="keep largest component and fill holes")
@@ -189,19 +175,19 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train the autoencoder on a dataset")
-    p.add_argument("--data", help="directory with manifest.json and meshes")
-    p.add_argument("--out")
+    _setting(p, "--data", "paths.data_dir", help="directory with manifest.json and meshes")
+    _setting(p, "--out", "paths.out_dir")
     p.add_argument("--config")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--max-steps", type=int, dest="max_steps")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--loss-target", choices=["ground_truth", "input"], dest="loss_target")
-    p.add_argument("--loss-metric", choices=["l2", "l1"], dest="loss_metric")
-    p.add_argument("--arch-ratios", type=float, nargs="+", dest="arch_ratios")
-    p.add_argument("--widths", type=int, nargs="+")
-    p.add_argument("--activation", choices=["elu", "relu"])
+    _setting(p, "--lr", "training.lr", type=float)
+    _setting(p, "--epochs", "training.epochs", type=int)
+    _setting(p, "--batch", "training.batch_size", type=int)
+    _setting(p, "--max-steps", "training.max_steps", type=int)
+    _setting(p, "--seed", "training.seed", type=int)
+    _setting(p, "--loss-target", "training.loss_target", choices=TARGETS)
+    _setting(p, "--loss-metric", "training.loss_metric", choices=METRICS)
+    _setting(p, "--arch-ratios", "architecture.ratios", type=float, nargs="+")
+    _setting(p, "--widths", "architecture.widths", type=int, nargs="+")
+    _setting(p, "--activation", "architecture.activation", choices=ACTIVATIONS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -210,7 +196,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint")
     p.add_argument("--identity", action="store_true",
                    help="evaluate output=input instead of a checkpoint")
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--write-meshes", action="store_true",
                    help="write per-mesh reconstructions with an 'error' channel")
     p.set_defaults(func=cmd_eval)
@@ -218,9 +204,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract-fill", help="extract the wound filling from a mesh pair")
     p.add_argument("--input", required=True, help="wounded mesh")
     p.add_argument("--output", required=True, help="reconstructed mesh")
-    p.add_argument("--out")
+    _setting(p, "--out", "paths.out_dir")
     p.add_argument("--config")
-    p.add_argument("--k-sigma", type=float, dest="k_sigma")
+    _setting(p, "--k-sigma", "extraction.k_sigma", type=float)
     p.set_defaults(func=cmd_extract_fill)
 
     p = sub.add_parser("stats", help="distance statistics between two meshes")

@@ -1,70 +1,75 @@
 """Run configuration: one JSON document, validated up front, flags override keys.
 
-Sections and defaults:
+Each section takes its keys, defaults and value types from the object it
+configures, so every default is written once, in the library:
 
-    dataset:      count, scars_per_mesh, seed, split_ratios, subdivisions,
-                  radius_range, depth_range
-    architecture: ratios, widths, activation, elu_alpha, m_clamp
-    training:     lr, beta1, beta2, eps, batch_size, epochs, patience,
-                  max_steps, loss_target, loss_metric, seed
-    extraction:   k_sigma
+    dataset:      make_dataset's keywords (count=8, scars_per_mesh=1, seed=0,
+                  split_ratios, subdivisions) plus the ScarRanges fields as
+                  radius_range and depth_range
+    architecture: the fields of model.Architecture
+    training:     the fields of train.TrainSettings, its LossSpec as
+                  loss_target and loss_metric
+    extraction:   extract_filling's k_sigma
     paths:        data_dir, out_dir (flags take precedence)
 
-Unknown sections or keys are errors, not warnings.
+A value must have the JSON type of its field's annotation: an integer for
+int, any number for float, a list of the given length and element type for a
+tuple, null only where None is allowed. Unknown sections or keys are errors,
+not warnings.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import UnionType
 
 from .errors import ConfigError
+from .filling import extract_filling
 from .losses import LossSpec
 from .model import Architecture
-from .scars import ScarRanges
+from .scars import ScarRanges, make_dataset
 from .train import TrainSettings
 
 __all__ = ["RunConfig"]
 
-_DEFAULTS = {
-    "dataset": {
-        "count": 8,
-        "scars_per_mesh": 1,
-        "seed": 0,
-        "split_ratios": [0.8, 0.1, 0.1],
-        "subdivisions": 2,
-        "radius_range": [3, 8],
-        "depth_range": [0.5, 2.0],
-    },
-    "architecture": {
-        "ratios": [1.0, 0.25],
-        "widths": [3, 16],
-        "activation": "elu",
-        "elu_alpha": 1.0,
-        "m_clamp": [4, 17],
-    },
-    "training": {
-        "lr": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "batch_size": 4,
-        "epochs": 200,
-        "patience": 20,
-        "max_steps": None,
-        "loss_target": "ground_truth",
-        "loss_metric": "l2",
-        "seed": 0,
-    },
-    "extraction": {
-        "k_sigma": 2.0,
-    },
-    "paths": {
-        "data_dir": None,
-        "out_dir": None,
-    },
-}
+
+def _keys(obj, key=str, skip=()) -> dict:
+    """Config key -> (default, annotation) per defaulted parameter of a function or dataclass."""
+    hints = typing.get_type_hints(obj)
+    return {key(p.name): (p.default, hints[p.name])
+            for p in inspect.signature(obj).parameters.values()
+            if p.default is not p.empty and p.name not in skip}
+
+
+def _schema() -> dict[str, dict[str, tuple]]:
+    return {
+        "dataset": {**_keys(make_dataset, skip=("ranges",)),
+                    **_keys(ScarRanges, "{}_range".format)},
+        "architecture": _keys(Architecture),
+        "training": {**_keys(TrainSettings, skip=("loss",)), **_keys(LossSpec, "loss_{}".format)},
+        "extraction": _keys(extract_filling),
+        "paths": {"data_dir": (None, str | None), "out_dir": (None, str | None)},
+    }
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits an annotation built from int/float/str/None/tuple/|."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (UnionType, typing.Union):
+        return any(_conforms(value, a) for a in args)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[1:] == (Ellipsis,):
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
@@ -75,9 +80,9 @@ class RunConfig:
     extraction: dict = field(default_factory=dict)
     paths: dict = field(default_factory=dict)
 
-    def resolve_path(self, key: str, flag_value, flag_name: str):
-        """Flag wins over the config's paths section; one of them must be set."""
-        value = flag_value if flag_value is not None else self.paths.get(key)
+    def resolve_path(self, key: str, flag_name: str):
+        """paths.<key>, from its flag or the config file; one of them must set it."""
+        value = self.paths[key]
         if value is None:
             raise ConfigError(f"missing {flag_name} (flag) or paths.{key} (config)")
         return value
@@ -85,18 +90,24 @@ class RunConfig:
     @classmethod
     def load(cls, path=None, overrides: dict | None = None) -> "RunConfig":
         """Merge defaults <- config file <- explicit overrides, then validate."""
-        merged = {sec: dict(keys) for sec, keys in _DEFAULTS.items()}
+        schema = _schema()
+        merged = {sec: {key: default for key, (default, _) in keys.items()}
+                  for sec, keys in schema.items()}
 
         def apply(doc: dict, origin: str):
             for sec, keys in doc.items():
-                if sec not in merged:
+                if sec not in schema:
                     raise ConfigError(f"{origin}: unknown config section {sec!r}")
                 if not isinstance(keys, dict):
                     raise ConfigError(f"{origin}: section {sec!r} must be an object")
                 for key, value in keys.items():
-                    if key not in merged[sec]:
+                    if key not in schema[sec]:
                         raise ConfigError(f"{origin}: unknown key {sec}.{key}")
-                    merged[sec][key] = value
+                    hint = schema[sec][key][1]
+                    if not _conforms(value, hint):
+                        raise ConfigError(f"{origin}: {sec}.{key} must be "
+                                          f"{inspect.formatannotation(hint)}, got {value!r}")
+                    merged[sec][key] = tuple(value) if isinstance(value, list) else value
 
         if path is not None:
             try:
@@ -116,60 +127,31 @@ class RunConfig:
 
     def validate(self):
         ds = self.dataset
-        if ds["count"] < 1 or ds["scars_per_mesh"] < 1:
-            raise ConfigError("dataset.count and dataset.scars_per_mesh must be >= 1")
-        if len(ds["split_ratios"]) != 3:
-            raise ConfigError("dataset.split_ratios needs exactly three entries")
-        if abs(sum(ds["split_ratios"]) - 1.0) > 1e-9:
-            raise ConfigError(f"dataset.split_ratios must sum to 1, got {ds['split_ratios']}")
-        if ds["subdivisions"] < 1:
-            raise ConfigError("dataset.subdivisions must be >= 1")
-        self.scar_ranges()  # validates ranges
-        self.model_architecture()  # validates architecture keys
-        tr = self.training
-        if tr["batch_size"] < 1 or tr["epochs"] < 1 or tr["patience"] < 0:
-            raise ConfigError("training.batch_size/epochs must be >= 1, patience >= 0")
-        if tr["max_steps"] is not None and tr["max_steps"] < 1:
-            raise ConfigError("training.max_steps must be >= 1 or null")
-        if not (0 <= tr["beta1"] < 1 and 0 <= tr["beta2"] < 1):
-            raise ConfigError("training.beta1/beta2 must lie in [0, 1)")
-        if tr["lr"] <= 0 or tr["eps"] <= 0:
-            raise ConfigError("training.lr and training.eps must be > 0")
-        LossSpec(tr["loss_target"], tr["loss_metric"]).validate()
+        if min(ds["count"], ds["scars_per_mesh"], ds["subdivisions"]) < 1 or ds["seed"] < 0:
+            raise ConfigError("dataset.count/scars_per_mesh/subdivisions must be >= 1, seed >= 0")
+        ratios = ds["split_ratios"]
+        if min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+            raise ConfigError(f"dataset.split_ratios must be >= 0 and sum to 1, got {ratios}")
+        self.scar_ranges()
+        self.model_architecture()
+        self.train_settings().validate()
         if self.extraction["k_sigma"] <= 0:
             raise ConfigError("extraction.k_sigma must be > 0")
 
     def scar_ranges(self) -> ScarRanges:
-        r = ScarRanges(tuple(self.dataset["radius_range"]), tuple(self.dataset["depth_range"]))
-        try:
-            r.validate()
-        except Exception as exc:
-            raise ConfigError(str(exc)) from None
-        return r
+        ranges = ScarRanges(self.dataset["radius_range"], self.dataset["depth_range"])
+        ranges.validate()
+        return ranges
+
+    def dataset_kwargs(self) -> dict:
+        """make_dataset's keyword arguments."""
+        kwargs = {k: v for k, v in self.dataset.items() if not k.endswith("_range")}
+        return {**kwargs, "ranges": self.scar_ranges()}
 
     def model_architecture(self) -> Architecture:
-        a = self.architecture
-        arch = Architecture(
-            ratios=tuple(a["ratios"]),
-            widths=tuple(a["widths"]),
-            activation=a["activation"],
-            elu_alpha=a["elu_alpha"],
-            m_clamp=tuple(a["m_clamp"]),
-        )
-        arch.validate()
-        return arch
+        return Architecture.from_dict(self.architecture)
 
     def train_settings(self) -> TrainSettings:
-        tr = self.training
-        return TrainSettings(
-            lr=tr["lr"],
-            beta1=tr["beta1"],
-            beta2=tr["beta2"],
-            eps=tr["eps"],
-            batch_size=tr["batch_size"],
-            epochs=tr["epochs"],
-            patience=tr["patience"],
-            max_steps=tr["max_steps"],
-            loss=LossSpec(tr["loss_target"], tr["loss_metric"]),
-            seed=tr["seed"],
-        )
+        tr = dict(self.training)
+        loss = LossSpec(tr.pop("loss_target"), tr.pop("loss_metric"))
+        return TrainSettings(loss=loss, **tr)

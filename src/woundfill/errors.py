@@ -47,3 +47,13 @@ class NoFillingError(DataError):
 
 class NumericalError(WoundfillError):
     """Non-finite values where finite ones are required, or divergence."""
+
+
+def json_field(doc, key: str, kind, path, what: str):
+    """doc[key] if doc is a JSON object with a non-boolean `kind` there, else DataError."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise DataError(f"{path}: {what} lacks {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DataError(f"{path}: {what} {key!r} has the wrong type")
+    return value

@@ -30,13 +30,15 @@ from .mesh import (
 
 __all__ = ["FillReport", "distance_set", "extract_filling", "outlier_indices"]
 
+K_SIGMA_DEFAULT = 2.0
+
 
 def distance_set(input_mesh: Mesh, output_mesh: Mesh) -> np.ndarray:
     """Per-vertex Euclidean distances between the index-corresponding meshes."""
     return vertex_distance(input_mesh, output_mesh)
 
 
-def outlier_indices(distances: np.ndarray, k_sigma: float = 2.0) -> np.ndarray:
+def outlier_indices(distances: np.ndarray, k_sigma: float = K_SIGMA_DEFAULT) -> np.ndarray:
     """Indices whose distance deviates from the mean by more than k_sigma stddevs.
 
     Population standard deviation; strict inequality. A constant distance set
@@ -140,7 +142,8 @@ def _close_component(
     return positions, faces, closed, notes
 
 
-def extract_filling(input_mesh: Mesh, output_mesh: Mesh, k_sigma: float = 2.0) -> FillReport:
+def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
+                    k_sigma: float = K_SIGMA_DEFAULT) -> FillReport:
     """Build the printable filling between the wounded input and the reconstruction.
 
     Steps: outlier vertices -> faces whose three corners are all outliers ->

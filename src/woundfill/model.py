@@ -12,7 +12,7 @@ the decoder reuses them in reverse, so the output matches the input shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .ops import (
 
 __all__ = ["Architecture", "Autoencoder"]
 
+ACTIVATIONS = ("elu", "relu")
+
 
 @dataclass(frozen=True)
 class Architecture:
@@ -52,33 +54,25 @@ class Architecture:
             raise ConfigError(
                 f"widths (len {len(self.widths)}) must match ratios (len {len(self.ratios)})"
             )
-        if self.widths[0] != 3:
-            raise ConfigError(f"widths[0] must be 3 (xyz coordinates), got {self.widths[0]}")
+        if not self.widths or self.widths[0] != 3:
+            raise ConfigError(f"widths must start with 3 (xyz coordinates), got {self.widths}")
         if any(w < 1 for w in self.widths):
             raise ConfigError(f"widths must be >= 1, got {self.widths}")
-        if self.activation not in ("elu", "relu"):
-            raise ConfigError(f"activation must be 'elu' or 'relu', got {self.activation!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.elu_alpha <= 0:
             raise ConfigError(f"elu_alpha must be > 0, got {self.elu_alpha}")
+        if len(self.m_clamp) != 2 or not 1 <= self.m_clamp[0] <= self.m_clamp[1]:
+            raise ConfigError(f"m_clamp must be [lo, hi] with 1 <= lo <= hi, got {self.m_clamp}")
 
     def to_dict(self) -> dict:
-        return {
-            "ratios": list(self.ratios),
-            "widths": list(self.widths),
-            "activation": self.activation,
-            "elu_alpha": self.elu_alpha,
-            "m_clamp": list(self.m_clamp),
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Architecture":
-        arch = cls(
-            ratios=tuple(d["ratios"]),
-            widths=tuple(d["widths"]),
-            activation=d["activation"],
-            elu_alpha=float(d["elu_alpha"]),
-            m_clamp=tuple(d["m_clamp"]),
-        )
+        """Inverse of to_dict (lists become tuples); the result is validated."""
+        arch = cls(**{f.name: tuple(d[f.name]) if isinstance(d[f.name], list) else d[f.name]
+                      for f in fields(cls)})
         arch.validate()
         return arch
 

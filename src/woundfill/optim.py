@@ -22,8 +22,8 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def adam_init(params: dict[str, np.ndarray], lr=1e-3, beta1=0.9, beta2=0.999,
-              eps=1e-8) -> AdamState:
+def adam_init(params: dict[str, np.ndarray], lr=AdamState.lr, beta1=AdamState.beta1,
+              beta2=AdamState.beta2, eps=AdamState.eps) -> AdamState:
     return AdamState(
         lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
         m={k: np.zeros_like(p) for k, p in params.items()},

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MeshError
+from .errors import ConfigError, DataError, MeshError, json_field
 from .mesh import (
     UNREACHED,
     Mesh,
@@ -45,6 +46,8 @@ __all__ = [
 
 SPLITS = ("train", "val", "test")
 
+_field = partial(json_field, what="manifest")
+
 
 @dataclass(frozen=True)
 class ScarSpec:
@@ -65,18 +68,13 @@ class ScarSpec:
             raise DataError(f"unknown scar profile {self.profile!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "radius": self.radius,
-            "max_depth": self.max_depth,
-            "profile": self.profile,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScarSpec":
-        return cls(int(d["center"]), int(d["radius"]), float(d["max_depth"]),
-                   str(d["profile"]), int(d["seed"]))
+    def from_dict(cls, d: dict, path) -> "ScarSpec":
+        return cls(_field(d, "center", int, path), _field(d, "radius", int, path),
+                   float(_field(d, "max_depth", (int, float), path)),
+                   _field(d, "profile", str, path), _field(d, "seed", int, path))
 
 
 @dataclass(frozen=True)
@@ -95,10 +93,10 @@ class ScarRanges:
     depth: tuple[float, float] = (0.5, 2.0)
 
     def validate(self):
-        if self.radius[0] > self.radius[1] or self.radius[0] < 1:
-            raise DataError(f"bad radius range {self.radius}")
-        if self.depth[0] > self.depth[1] or self.depth[0] <= 0:
-            raise DataError(f"bad depth range {self.depth}")
+        if len(self.radius) != 2 or not 1 <= self.radius[0] <= self.radius[1]:
+            raise ConfigError(f"bad radius range {self.radius}: need [lo, hi] with 1 <= lo <= hi")
+        if len(self.depth) != 2 or not 0 < self.depth[0] <= self.depth[1]:
+            raise ConfigError(f"bad depth range {self.depth}: need [lo, hi] with 0 < lo <= hi")
 
 
 def generate_scar(mesh: Mesh, spec: ScarSpec) -> tuple[Mesh, ScarMask]:
@@ -250,9 +248,13 @@ class ManifestEntry:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ManifestEntry":
-        return cls(int(d["head"]), int(d["scar"]), d["gt"], d["wounded"], d["split"],
-                   ScarSpec.from_dict(d["spec"]))
+    def from_dict(cls, d: dict, path) -> "ManifestEntry":
+        split = _field(d, "split", str, path)
+        if split not in SPLITS:
+            raise DataError(f"{path}: manifest split {split!r} is not one of {SPLITS}")
+        return cls(_field(d, "head", int, path), _field(d, "scar", int, path),
+                   _field(d, "gt", str, path), _field(d, "wounded", str, path), split,
+                   ScarSpec.from_dict(_field(d, "spec", dict, path), path))
 
 
 @dataclass(frozen=True)
@@ -283,22 +285,28 @@ class DatasetManifest:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        doc = json.loads(text)
-        ranges = ScarRanges(tuple(doc["ranges"]["radius"]), tuple(doc["ranges"]["depth"]))
+    def from_json(cls, text: str | bytes, path="manifest.json") -> "DatasetManifest":
+        """Parse and schema-check a manifest; a damaged one raises DataError naming path."""
+        try:
+            doc = json.loads(text)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: manifest is not UTF-8 JSON ({exc})") from None
+        ranges = _field(doc, "ranges", dict, path)
         return cls(
-            seed=int(doc["seed"]),
-            count=int(doc["count"]),
-            scars_per_mesh=int(doc["scars_per_mesh"]),
-            subdivisions=int(doc["subdivisions"]),
-            split_ratios=tuple(doc["split_ratios"]),
-            ranges=ranges,
-            entries=tuple(ManifestEntry.from_dict(e) for e in doc["entries"]),
+            seed=_field(doc, "seed", int, path),
+            count=_field(doc, "count", int, path),
+            scars_per_mesh=_field(doc, "scars_per_mesh", int, path),
+            subdivisions=_field(doc, "subdivisions", int, path),
+            split_ratios=tuple(_field(doc, "split_ratios", list, path)),
+            ranges=ScarRanges(tuple(_field(ranges, "radius", list, path)),
+                              tuple(_field(ranges, "depth", list, path))),
+            entries=tuple(ManifestEntry.from_dict(e, path)
+                          for e in _field(doc, "entries", list, path)),
         )
 
 
 def load_manifest(path) -> DatasetManifest:
-    return DatasetManifest.from_json(Path(path).read_text())
+    return DatasetManifest.from_json(Path(path).read_bytes(), path)
 
 
 def _split_assignment(count: int, ratios: tuple[float, float, float], seed: int) -> list[str]:
@@ -323,8 +331,8 @@ def _split_assignment(count: int, ratios: tuple[float, float, float], seed: int)
 
 def make_dataset(
     out_dir,
-    count: int,
-    scars_per_mesh: int = 10,
+    count: int = 8,
+    scars_per_mesh: int = 1,
     seed: int = 0,
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     subdivisions: int = 2,

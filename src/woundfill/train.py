@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .losses import LossSpec, reconstruction_loss, vertex_distance
 from .mesh import Mesh
 from .meshio import load_mesh_path, save_mesh_path
 from .model import Architecture, Autoencoder
-from .optim import adam_init, adam_step
+from .optim import AdamState, adam_init, adam_step
 from .scars import DatasetManifest
 
 __all__ = ["EvalReport", "TrainResult", "TrainSettings", "evaluate", "load_pairs", "train"]
@@ -28,16 +28,29 @@ __all__ = ["EvalReport", "TrainResult", "TrainSettings", "evaluate", "load_pairs
 
 @dataclass(frozen=True)
 class TrainSettings:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float = AdamState.lr
+    beta1: float = AdamState.beta1
+    beta2: float = AdamState.beta2
+    eps: float = AdamState.eps
     batch_size: int = 4
     epochs: int = 200
     patience: int = 20
     max_steps: int | None = None
     loss: LossSpec = field(default_factory=LossSpec)
     seed: int = 0
+
+    def validate(self):
+        if self.batch_size < 1 or self.epochs < 1 or self.patience < 0:
+            raise ConfigError("training.batch_size/epochs must be >= 1, patience >= 0")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError("training.max_steps must be >= 1 or null")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError("training.beta1/beta2 must lie in [0, 1)")
+        if self.lr <= 0 or self.eps <= 0:
+            raise ConfigError("training.lr and training.eps must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"training.seed must be >= 0, got {self.seed}")
+        self.loss.validate()
 
 
 @dataclass
@@ -88,7 +101,7 @@ def train(
     When the val split is empty, selection and early stopping fall back to the
     train loss. Metrics are appended to metrics.csv as `epoch,split,loss`.
     """
-    settings.loss.validate()
+    settings.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_pairs = load_pairs(manifest, data_dir, "train")

@@ -219,3 +219,26 @@ def test_damaged_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir, damage):
     assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
                 "--checkpoint", bad, "--split", "test"]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_json_manifest_exits_2(tmp_path, capsys, gen_dir, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_bytes((gen_dir / "manifest.json").read_bytes()[:100])
+    args = [command, "--data", data, "--out", tmp_path / "run"]
+    assert run(args + (["--identity"] if command == "eval" else [])) == 2
+    assert str(data / "manifest.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, usage", [
+    ("gen-data", "--count COUNT"),
+    ("gen-data", "--ratios TRAIN VAL TEST"),
+    ("train", "--max-steps MAX_STEPS"),
+    ("train", "--loss-target {ground_truth,input}"),
+    ("extract-fill", "--k-sigma K_SIGMA"),
+])
+def test_help_shows_value_names(capsys, command, usage):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    assert usage in capsys.readouterr().out

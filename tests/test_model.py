@@ -115,6 +115,11 @@ def test_architecture_validation():
         Architecture(ratios=(1.0, 0.5), widths=(4, 8)).validate()
     with pytest.raises(ConfigError, match="activation"):
         Architecture(activation="tanh").validate()
+    with pytest.raises(ConfigError, match="xyz"):
+        Architecture(ratios=(), widths=()).validate()
+    for m_clamp in ((17, 4), (0, 0), (4,)):
+        with pytest.raises(ConfigError, match="m_clamp"):
+            Architecture(m_clamp=m_clamp).validate()
 
 
 def test_architecture_dict_round_trip():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from woundfill import (
     ScarRanges,
@@ -17,7 +19,7 @@ from woundfill import (
     synth_head,
     vertex_distance,
 )
-from woundfill.errors import DataError
+from woundfill.errors import ConfigError, DataError, WoundfillError
 from woundfill.mesh import bfs_hops, vertex_adjacency
 
 
@@ -209,3 +211,69 @@ def test_wounded_meshes_match_specs(tmp_path):
         ring = k_ring(gt, entry.spec.center, entry.spec.radius)
         moved = np.flatnonzero(vertex_distance(gt, wounded) > 1e-6)
         assert set(moved.tolist()) <= set(ring.tolist())
+
+
+def test_scar_ranges_validation():
+    for ranges in (ScarRanges(radius=(3,)), ScarRanges(radius=(8, 3)), ScarRanges(radius=(0, 3)),
+                   ScarRanges(depth=(0.5, 1.0, 2.0)), ScarRanges(depth=(0.0, 1.0))):
+        with pytest.raises(ConfigError, match="range"):
+            ranges.validate()
+
+
+@pytest.fixture(scope="module")
+def manifest_path(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest")
+    make_dataset(root, count=2, scars_per_mesh=2, seed=5, subdivisions=1)
+    return root / "manifest.json"
+
+
+EDITS = {
+    "no-entries": lambda doc: doc.pop("entries"),
+    "string-seed": lambda doc: doc.update(seed="5"),
+    "bool-count": lambda doc: doc.update(count=True),
+    "ranges-list": lambda doc: doc.update(ranges=[3, 8]),
+    "entry-not-object": lambda doc: doc["entries"].__setitem__(0, 7),
+    "unknown-split": lambda doc: doc["entries"][0].update(split="tset"),
+    "spec-lacks-seed": lambda doc: doc["entries"][1]["spec"].pop("seed"),
+    "float-center": lambda doc: doc["entries"][1]["spec"].update(center=1.5),
+}
+
+
+@pytest.mark.parametrize("damage", ["not-json", "not-utf8", "json-list", *EDITS])
+def test_damaged_manifest_is_data_error(manifest_path, damage):
+    raw = manifest_path.read_bytes()
+    if damage == "not-json":
+        raw = raw[: len(raw) // 2]
+    elif damage == "not-utf8":
+        raw = b"\x80" + raw
+    elif damage == "json-list":
+        raw = b"[]"
+    else:
+        doc = json.loads(raw)
+        EDITS[damage](doc)
+        raw = json.dumps(doc).encode()
+    bad = manifest_path.with_name(f"{damage}.json")
+    bad.write_bytes(raw)
+    with pytest.raises(DataError) as exc:
+        load_manifest(bad)
+    assert str(bad) in str(exc.value)
+
+
+@seed(2024)
+@settings(max_examples=200, deadline=None)
+@given(
+    cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 255)), max_size=3),
+)
+def test_fuzzed_manifest_raises_only_woundfill_errors(manifest_path, cut, flips):
+    raw = bytearray(manifest_path.read_bytes())
+    for where, value in flips:
+        raw[min(int(where * len(raw)), len(raw) - 1)] = value
+    if cut is not None:
+        raw = raw[:int(cut * len(raw))]
+    bad = manifest_path.with_name("fuzz.json")
+    bad.write_bytes(bytes(raw))
+    try:
+        load_manifest(bad)
+    except WoundfillError:
+        pass
