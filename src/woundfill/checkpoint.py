@@ -4,8 +4,9 @@ The header carries the architecture, the full hierarchy (levels, parents and
 down topologies; up topologies are rebuilt by transposition) and the ordered
 block index, so inference never has to rebuild the hierarchy from a mesh.
 Writes go to a temp file in the same directory followed by an atomic rename.
-Loading checks the header's length, JSON syntax and schema before use, so a
-damaged file raises DataError naming it.
+Loading checks the header's length and JSON syntax, then reads every header
+value as the annotation of the field it fills (errors.from_json), so a damaged
+file raises DataError naming it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MeshError, json_field
+from .errors import ConfigError, DataError, MeshError, as_json, from_json, json_field
 from .hierarchy import ConvTopology, MeshHierarchy
 from .model import Architecture, Autoencoder
 
@@ -28,56 +29,24 @@ __all__ = ["load_checkpoint", "save_checkpoint"]
 MAGIC = b"WNDFILL1"
 
 
-def _topology_to_dict(t: ConvTopology) -> dict:
-    return {
-        "n_in": t.n_in,
-        "n_out": t.n_out,
-        "indptr": t.indptr.tolist(),
-        "indices": t.indices.tolist(),
-        "basis_count": t.basis_count,
-    }
-
-
-_field = partial(json_field, what="checkpoint header")
-
-
-def _ints(value, what: str, path) -> np.ndarray:
-    """A JSON list of integers as a 1-d int64 array, else DataError."""
-    if isinstance(value, list):
-        try:
-            a = np.array(value, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if a.ndim == 1:
-                return a
-    raise DataError(f"{path}: checkpoint {what} is not a list of integers")
+_HEADER = "checkpoint header"
+_field = partial(json_field, what=_HEADER)
 
 
 def _topology_from_dict(d, n_in: int, n_out: int, path) -> ConvTopology:
     if (_field(d, "n_in", int, path), _field(d, "n_out", int, path)) != (n_in, n_out):
         raise DataError(f"{path}: checkpoint topology does not join levels of {n_in} and {n_out}")
-    return ConvTopology(
-        n_in=n_in,
-        n_out=n_out,
-        indptr=_ints(_field(d, "indptr", list, path), "indptr", path),
-        indices=_ints(_field(d, "indices", list, path), "indices", path),
-        basis_count=_field(d, "basis_count", int, path),
-    )
+    return from_json(ConvTopology, d, path, _HEADER)
 
 
 def _hierarchy_to_dict(h: MeshHierarchy) -> dict:
-    return {
-        "levels": [lv.tolist() for lv in h.levels],
-        "parents": [p.tolist() for p in h.parents],
-        "conv_down": [_topology_to_dict(t) for t in h.conv_down],
-        "pool_down": [_topology_to_dict(t) for t in h.pool_down],
-    }
+    keys = ("levels", "parents", "conv_down", "pool_down")
+    return {key: as_json(getattr(h, key)) for key in keys}
 
 
 def _hierarchy_from_dict(d, path) -> MeshHierarchy:
-    levels = tuple(_ints(lv, "level", path) for lv in _field(d, "levels", list, path))
-    parents = tuple(_ints(p, "parents", path) for p in _field(d, "parents", list, path))
+    levels = _field(d, "levels", tuple[np.ndarray, ...], path)
+    parents = _field(d, "parents", tuple[np.ndarray, ...], path)
     sizes = [len(lv) for lv in levels]
     transitions = [_field(d, key, list, path) for key in ("conv_down", "pool_down")]
     if any(len(ts) != len(levels) - 1 for ts in (parents, *transitions)):
@@ -96,20 +65,11 @@ def _hierarchy_from_dict(d, path) -> MeshHierarchy:
     )
 
 
-def _architecture_from_dict(d, path) -> Architecture:
-    for key, kind in (("ratios", list), ("widths", list), ("activation", str),
-                      ("elu_alpha", (int, float)), ("m_clamp", list)):
-        _field(d, key, kind, path)
-    if not all(isinstance(w, int) for w in d["widths"] + d["m_clamp"]):
-        raise DataError(f"{path}: checkpoint widths and m_clamp must be integers")
-    return Architecture.from_dict(d)
-
-
 def save_checkpoint(path, model: Autoencoder, extra: dict | None = None) -> None:
     params = model.parameters()
     header = {
         "format_version": 1,
-        "architecture": model.architecture.to_dict(),
+        "architecture": as_json(model.architecture),
         "hierarchy": _hierarchy_to_dict(model.hierarchy),
         "blocks": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
         "extra": extra or {},
@@ -150,7 +110,8 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
     if header.get("format_version") != 1:
         raise DataError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
     try:
-        architecture = _architecture_from_dict(_field(header, "architecture", dict, path), path)
+        architecture = _field(header, "architecture", Architecture, path)
+        architecture.validate()
         hierarchy = _hierarchy_from_dict(_field(header, "hierarchy", dict, path), path)
     except (ConfigError, MeshError) as exc:
         raise DataError(f"{path}: invalid checkpoint: {exc}") from exc
@@ -161,7 +122,7 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
     params = {}
     for block in _field(header, "blocks", list, path):
         name = _field(block, "name", str, path)
-        shape = tuple(_ints(_field(block, "shape", list, path), "block shape", path).tolist())
+        shape = _field(block, "shape", tuple[int, ...], path)
         count = math.prod(shape)
         if min(shape, default=0) < 0 or offset + count * 8 > len(data):
             raise DataError(f"{path}: parameter block {name!r} runs past the end of the file")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig
-from .errors import ConfigError, DataError, MeshError, NoFillingError, NumericalError
+from .errors import ConfigError, DataError, MeshError, NumericalError
 from .filling import extract_filling
 from .losses import METRICS, TARGETS, vertex_distance
 from .mesh import fill_holes, is_watertight, keep_largest_component
@@ -97,11 +97,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest = load_manifest(Path(args.data) / "manifest.json")
-    model = None
-    if not args.identity:
-        if args.checkpoint is None:
-            raise ConfigError("eval needs --checkpoint or --identity")
-        model, _ = load_checkpoint(args.checkpoint)
+    model = None if args.identity else load_checkpoint(args.checkpoint)[0]
     report = evaluate(model, manifest, args.data, args.split,
                       out_dir=args.out if args.write_meshes else None)
     out = Path(args.out)
@@ -193,9 +189,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--identity", action="store_true",
-                   help="evaluate output=input instead of a checkpoint")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--identity", action="store_true",
+                        help="evaluate output=input instead of a checkpoint")
     p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--write-meshes", action="store_true",
                    help="write per-mesh reconstructions with an 'error' channel")
@@ -224,7 +221,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MeshError, DataError, NoFillingError, FileNotFoundError) as exc:
+    except (MeshError, DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

@@ -12,10 +12,11 @@ configures, so every default is written once, in the library:
     extraction:   extract_filling's k_sigma
     paths:        data_dir, out_dir (flags take precedence)
 
-A value must have the JSON type of its field's annotation: an integer for
-int, any number for float, a list of the given length and element type for a
-tuple, null only where None is allowed. Unknown sections or keys are errors,
-not warnings.
+A value must have the JSON type of its field's annotation, as
+errors.read_json reads it for the manifest and the checkpoint header too: an
+integer for int, any number for float, a list of the given length and element
+type for a tuple, null only where None is allowed. Unknown sections or keys
+are errors, not warnings.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import json
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import UnionType
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .filling import extract_filling
 from .losses import LossSpec
 from .model import Architecture
@@ -54,22 +54,6 @@ def _schema() -> dict[str, dict[str, tuple]]:
         "extraction": _keys(extract_filling),
         "paths": {"data_dir": (None, str | None), "out_dir": (None, str | None)},
     }
-
-
-def _conforms(value, hint) -> bool:
-    """Whether a JSON value fits an annotation built from int/float/str/None/tuple/|."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) in (UnionType, typing.Union):
-        return any(_conforms(value, a) for a in args)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if args[1:] == (Ellipsis,):
-            return all(_conforms(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_conforms, value, args))
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 @dataclass
@@ -104,10 +88,12 @@ class RunConfig:
                     if key not in schema[sec]:
                         raise ConfigError(f"{origin}: unknown key {sec}.{key}")
                     hint = schema[sec][key][1]
-                    if not _conforms(value, hint):
-                        raise ConfigError(f"{origin}: {sec}.{key} must be "
-                                          f"{inspect.formatannotation(hint)}, got {value!r}")
-                    merged[sec][key] = tuple(value) if isinstance(value, list) else value
+                    try:
+                        merged[sec][key] = read_json(value, hint, origin, sec)
+                    except TypeError:
+                        kind = inspect.formatannotation(hint)
+                        raise ConfigError(
+                            f"{origin}: {sec}.{key} must be {kind}, got {value!r}") from None
 
         if path is not None:
             try:
@@ -149,7 +135,9 @@ class RunConfig:
         return {**kwargs, "ranges": self.scar_ranges()}
 
     def model_architecture(self) -> Architecture:
-        return Architecture.from_dict(self.architecture)
+        arch = Architecture(**self.architecture)
+        arch.validate()
+        return arch
 
     def train_settings(self) -> TrainSettings:
         tr = dict(self.training)

@@ -1,8 +1,22 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one JSON reader and writer.
 
 The CLI maps these onto exit codes: config problems -> 1, data problems
 (bad meshes, bad datasets, nothing to extract) -> 2, numerical failures -> 3.
+
+The config, manifest.json and the checkpoint header are read by
+:func:`read_json`, which checks each JSON value against the annotation of the
+field it fills; :func:`from_json` builds a dataclass that way, so a damaged
+file raises DataError naming it, and :func:`as_json` writes one back.
 """
+
+from __future__ import annotations
+
+import typing
+from dataclasses import fields, is_dataclass
+from functools import cache
+from types import UnionType
+
+import numpy as np
 
 
 class WoundfillError(Exception):
@@ -49,11 +63,87 @@ class NumericalError(WoundfillError):
     """Non-finite values where finite ones are required, or divergence."""
 
 
-def json_field(doc, key: str, kind, path, what: str):
-    """doc[key] if doc is a JSON object with a non-boolean `kind` there, else DataError."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise DataError(f"{path}: {what} lacks {key!r}")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise DataError(f"{path}: {what} {key!r} has the wrong type")
+_SCALARS = {int: int, float: (int, float), str: str, bool: bool, type(None): type(None)}
+
+
+@cache
+def _json_fields(cls) -> tuple[tuple[str, str, object], ...]:
+    """(attribute, JSON key, annotation) per field; a field's metadata["json"] renames its key."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("json", f.name), hints[f.name]) for f in fields(cls))
+
+
+def read_json(value, hint, path, what: str):
+    """A JSON value read as the annotation `hint`; TypeError if it does not fit.
+
+    int, str, bool and None take their own JSON type, float any number, and
+    no other class a bool; `X | Y` takes what fits either; tuple[X, Y] a list
+    of that length and tuple[X, ...] one of any length, both read as tuples;
+    np.ndarray a flat list that numpy converts to int64 in one call (it also
+    takes integral strings and truncates floats); a dataclass an object, read
+    by from_json, whose errors name path and what. Any other class (dict,
+    list) takes its instances as they are.
+    """
+    kinds = _SCALARS.get(hint)
+    if kinds is not None:
+        if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
+            return value
+    elif hint is np.ndarray:
+        if isinstance(value, list):
+            try:
+                array = np.array(value, dtype=np.int64)
+            except (TypeError, ValueError, OverflowError):
+                raise TypeError(hint) from None
+            if array.ndim == 1:
+                return array
+    elif is_dataclass(hint):
+        return from_json(hint, value, path, what)
+    elif isinstance(hint, type):
+        if isinstance(value, hint):
+            return value
+    elif typing.get_origin(hint) in (UnionType, typing.Union):
+        for arg in typing.get_args(hint):
+            try:
+                return read_json(value, arg, path, what)
+            except TypeError:
+                pass
+    elif typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
+        args = typing.get_args(hint)
+        if args[1:] == (Ellipsis,):
+            return tuple(read_json(v, args[0], path, what) for v in value)
+        if len(value) == len(args):
+            return tuple(read_json(v, a, path, what) for v, a in zip(value, args))
+    raise TypeError(hint)
+
+
+def json_field(doc, key: str, hint, path, what: str):
+    """doc[key] read as `hint` if doc is a JSON object that has it, else DataError."""
+    return _read_fields(doc, ((key, key, hint),), path, what)[0]
+
+
+def from_json(cls, doc, path, what: str):
+    """The dataclass `cls` from a JSON object, each field read as its annotation."""
+    return cls(*_read_fields(doc, _json_fields(cls), path, what))
+
+
+def _read_fields(doc, specs, path, what: str) -> list:
+    values = []
+    for _, key, hint in specs:
+        if not isinstance(doc, dict) or key not in doc:
+            raise DataError(f"{path}: {what} lacks {key!r}")
+        try:
+            values.append(read_json(doc[key], hint, path, what))
+        except TypeError:
+            raise DataError(f"{path}: {what} {key!r} has the wrong type") from None
+    return values
+
+
+def as_json(value):
+    """The inverse of from_json: dataclasses as objects, tuples and arrays as lists."""
+    if is_dataclass(value):
+        return {key: as_json(getattr(value, name)) for name, key, _ in _json_fields(type(value))}
+    if isinstance(value, (tuple, list)):
+        return [as_json(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     return value

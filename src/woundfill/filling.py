@@ -44,13 +44,17 @@ def outlier_indices(distances: np.ndarray, k_sigma: float = K_SIGMA_DEFAULT) -> 
     Population standard deviation; strict inequality. A constant distance set
     has sigma = 0 and selects nothing; that case is detected exactly (max ==
     min) because a rounded mean of identical values could otherwise leave a
-    spurious one-ulp deviation.
+    spurious one-ulp deviation. The set is first scaled by a power of two to
+    a largest magnitude in [0.5, 1): that is exact, so it selects what the
+    unscaled set would, but the squared deviations of tiny distances no
+    longer underflow, and the selection does not change with the scale.
     """
     d = np.asarray(distances, dtype=np.float64)
     if d.size == 0:
         raise NoFillingError("empty distance set")
     if d.max() == d.min():
         return np.zeros(0, dtype=np.int64)
+    d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
     mu = d.mean()
     sigma = np.sqrt(np.mean((d - mu) ** 2))
     return np.flatnonzero(np.abs(d - mu) > k_sigma * sigma)

@@ -12,7 +12,7 @@ the decoder reuses them in reverse, so the output matches the input shape.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,23 +58,15 @@ class Architecture:
             raise ConfigError(f"widths must start with 3 (xyz coordinates), got {self.widths}")
         if any(w < 1 for w in self.widths):
             raise ConfigError(f"widths must be >= 1, got {self.widths}")
+        r = self.ratios
+        if r[0] != 1.0 or r[-1] <= 0 or any(b >= a for a, b in zip(r, r[1:])):
+            raise ConfigError(f"ratios must start at 1.0 and strictly decrease to > 0, got {r}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.elu_alpha <= 0:
             raise ConfigError(f"elu_alpha must be > 0, got {self.elu_alpha}")
         if len(self.m_clamp) != 2 or not 1 <= self.m_clamp[0] <= self.m_clamp[1]:
             raise ConfigError(f"m_clamp must be [lo, hi] with 1 <= lo <= hi, got {self.m_clamp}")
-
-    def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Architecture":
-        """Inverse of to_dict (lists become tuples); the result is validated."""
-        arch = cls(**{f.name: tuple(d[f.name]) if isinstance(d[f.name], list) else d[f.name]
-                      for f in fields(cls)})
-        arch.validate()
-        return arch
 
 
 @dataclass

@@ -5,19 +5,22 @@ neighborhood out to a hop radius, and push vertices in along their normals
 with a quadratic falloff so the focal point is deepest. Heads are deformed
 icospheres, so everything here runs at desk scale and is reproducible from
 a single integer seed.
+
+manifest.json is the DatasetManifest dataclass written by errors.as_json and
+read back by errors.from_json, each value checked against its field's
+annotation, so a damaged manifest raises DataError naming the file.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
-from functools import partial
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MeshError, json_field
+from .errors import ConfigError, DataError, MeshError, as_json, from_json
 from .mesh import (
     UNREACHED,
     Mesh,
@@ -46,8 +49,6 @@ __all__ = [
 
 SPLITS = ("train", "val", "test")
 
-_field = partial(json_field, what="manifest")
-
 
 @dataclass(frozen=True)
 class ScarSpec:
@@ -66,15 +67,6 @@ class ScarSpec:
             raise DataError(f"scar max_depth must be > 0, got {self.max_depth}")
         if self.profile != "quadratic":
             raise DataError(f"unknown scar profile {self.profile!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict, path) -> "ScarSpec":
-        return cls(_field(d, "center", int, path), _field(d, "radius", int, path),
-                   float(_field(d, "max_depth", (int, float), path)),
-                   _field(d, "profile", str, path), _field(d, "seed", int, path))
 
 
 @dataclass(frozen=True)
@@ -232,29 +224,10 @@ def synth_head(seed: int, subdivisions: int = 2) -> Mesh:
 class ManifestEntry:
     head: int
     scar: int
-    gt_file: str
-    wounded_file: str
+    gt_file: str = field(metadata={"json": "gt"})
+    wounded_file: str = field(metadata={"json": "wounded"})
     split: str
     spec: ScarSpec
-
-    def to_dict(self) -> dict:
-        return {
-            "head": self.head,
-            "scar": self.scar,
-            "gt": self.gt_file,
-            "wounded": self.wounded_file,
-            "split": self.split,
-            "spec": self.spec.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, path) -> "ManifestEntry":
-        split = _field(d, "split", str, path)
-        if split not in SPLITS:
-            raise DataError(f"{path}: manifest split {split!r} is not one of {SPLITS}")
-        return cls(_field(d, "head", int, path), _field(d, "scar", int, path),
-                   _field(d, "gt", str, path), _field(d, "wounded", str, path), split,
-                   ScarSpec.from_dict(_field(d, "spec", dict, path), path))
 
 
 @dataclass(frozen=True)
@@ -273,16 +246,7 @@ class DatasetManifest:
         return [e for e in self.entries if e.split == split]
 
     def to_json(self) -> str:
-        doc = {
-            "seed": self.seed,
-            "count": self.count,
-            "scars_per_mesh": self.scars_per_mesh,
-            "subdivisions": self.subdivisions,
-            "split_ratios": list(self.split_ratios),
-            "ranges": {"radius": list(self.ranges.radius), "depth": list(self.ranges.depth)},
-            "entries": [e.to_dict() for e in self.entries],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(as_json(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str | bytes, path="manifest.json") -> "DatasetManifest":
@@ -291,18 +255,11 @@ class DatasetManifest:
             doc = json.loads(text)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: manifest is not UTF-8 JSON ({exc})") from None
-        ranges = _field(doc, "ranges", dict, path)
-        return cls(
-            seed=_field(doc, "seed", int, path),
-            count=_field(doc, "count", int, path),
-            scars_per_mesh=_field(doc, "scars_per_mesh", int, path),
-            subdivisions=_field(doc, "subdivisions", int, path),
-            split_ratios=tuple(_field(doc, "split_ratios", list, path)),
-            ranges=ScarRanges(tuple(_field(ranges, "radius", list, path)),
-                              tuple(_field(ranges, "depth", list, path))),
-            entries=tuple(ManifestEntry.from_dict(e, path)
-                          for e in _field(doc, "entries", list, path)),
-        )
+        manifest = from_json(cls, doc, path, "manifest")
+        for entry in manifest.entries:
+            if entry.split not in SPLITS:
+                raise DataError(f"{path}: manifest split {entry.split!r} is not one of {SPLITS}")
+        return manifest
 
 
 def load_manifest(path) -> DatasetManifest:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, as_json
 from .losses import LossSpec, reconstruction_loss, vertex_distance
 from .mesh import Mesh
 from .meshio import load_mesh_path, save_mesh_path
@@ -190,16 +190,7 @@ class EvalReport:
     per_mesh: list[dict]
 
     def to_json(self) -> str:
-        doc = {
-            "split": self.split,
-            "min_vertex_distance": self.min_vertex_distance,
-            "max_vertex_distance": self.max_vertex_distance,
-            "mean_vertex_distance": self.mean_vertex_distance,
-            "min_mesh_mean": self.min_mesh_mean,
-            "max_mesh_mean": self.max_mesh_mean,
-            "per_mesh": self.per_mesh,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(as_json(self), indent=2, sort_keys=True) + "\n"
 
 
 def evaluate(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from woundfill import Architecture, Autoencoder, icosphere
 from woundfill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from woundfill.errors import DataError, WoundfillError
+from woundfill.hierarchy import ConvTopology, MeshHierarchy
 
 
 @pytest.fixture
@@ -99,6 +101,12 @@ def _damage(kind, raw, header, body):
         return _with_header(b"[1, 2]", body)
     if kind == "no-architecture":
         del header["architecture"]
+    elif kind == "string-ratio":
+        header["architecture"]["ratios"] = ["x", "y"]
+    elif kind == "bool-ratio":
+        header["architecture"]["ratios"] = [1.0, True]
+    elif kind == "rising-ratios":
+        header["architecture"]["ratios"] = [0.5, 0.9]
     elif kind == "string-index":
         header["hierarchy"]["conv_down"][0]["indices"][3] = "x"
     elif kind == "truncated-block":
@@ -108,7 +116,7 @@ def _damage(kind, raw, header, body):
 
 @pytest.mark.parametrize("kind", [
     "short", "header-past-end", "not-utf8", "not-json", "json-list", "no-architecture",
-    "string-index", "truncated-block",
+    "string-ratio", "bool-ratio", "rising-ratios", "string-index", "truncated-block",
 ])
 def test_damaged_checkpoint_is_data_error(tmp_path, model, kind):
     bad = tmp_path / "bad.ckpt"
@@ -125,6 +133,31 @@ def test_block_shape_must_match_architecture(tmp_path, model):
     bad.write_bytes(_with_header(json.dumps(header).encode(), body))
     with pytest.raises(DataError, match="do not match the architecture"):
         load_checkpoint(bad)
+
+
+# sha256 of the header below as the writer wrote it before it was derived from the fields
+HEADER_SHA256 = "5444899ab6813fb0b5da9b252637382e90da018fb80417858b1b6d0b7d702f2c"
+
+
+def test_header_json_is_pinned(tmp_path):
+    # a hand-built two-level hierarchy: literal values only, so the digest
+    # holds on any libm or BLAS (the header carries no parameter values)
+    conv = ConvTopology(6, 2, np.array([0, 4, 8]), np.array([0, 1, 2, 3, 2, 3, 4, 5]), 4)
+    pool = ConvTopology(6, 2, np.array([0, 3, 6]), np.arange(6), 3)
+    hierarchy = MeshHierarchy(
+        levels=(np.arange(6), np.array([0, 3])), parents=(np.array([0, 0, 0, 1, 1, 1]),),
+        conv_down=(conv,), pool_down=(pool,), conv_up=(conv.transposed,),
+        pool_up=(pool.transposed,),
+    )
+    arch = Architecture(ratios=(1.0, 0.5), widths=(3, 4), activation="relu", m_clamp=(3, 9))
+    save_checkpoint(tmp_path / "m.ckpt", Autoencoder.init(hierarchy, arch, seed=0),
+                    extra={"epoch": 3, "loss": 0.125})
+    raw = (tmp_path / "m.ckpt").read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    header = raw[len(MAGIC) + 8:len(MAGIC) + 8 + header_len]
+    assert hashlib.sha256(header).hexdigest() == HEADER_SHA256
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert loaded.architecture == arch
 
 
 @pytest.fixture(scope="module")

@@ -167,9 +167,38 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert code == 1
 
 
-def test_missing_file_exits_2(tmp_path):
-    code = run(["stats", tmp_path / "nope.ply", tmp_path / "nope.ply"])
-    assert code == 2
+@pytest.mark.parametrize("args", [
+    lambda tmp, data: ["stats", tmp / "nope.ply", tmp / "nope.ply"],
+    lambda tmp, data: ["stats", tmp, tmp],
+    lambda tmp, data: ["train", "--data", data / "manifest.json", "--out", tmp / "run"],
+    lambda tmp, data: ["eval", "--data", data, "--out", tmp / "ev", "--checkpoint", tmp],
+    lambda tmp, data: ["extract-fill", "--input", tmp, "--output", next(data.glob("*_gt.ply")),
+                       "--out", tmp / "fill"],
+], ids=["missing", "stats-directory", "data-is-a-file", "checkpoint-directory",
+        "input-directory"])
+def test_missing_file_exits_2(tmp_path, capsys, gen_dir, args):
+    assert run(args(tmp_path, gen_dir)) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--identity", "--checkpoint", "model.ckpt"],
+    [],
+], ids=["both", "neither"])
+def test_eval_takes_exactly_one_of_checkpoint_and_identity(tmp_path, gen_dir, flags):
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--data", gen_dir, "--out", tmp_path / "ev", *flags])
+    assert exc.value.code == 1
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("ratios", [["0.5", "0.25"], ["1.0", "1.0"]], ids=["leading", "repeated"])
+def test_bad_arch_ratios_exit_1(tmp_path, capsys, gen_dir, ratios):
+    args = ["train", "--data", gen_dir, "--out", tmp_path / "run",
+            "--arch-ratios", *ratios, "--widths", "3", "8"]
+    assert run(args) == 1
+    assert "config error: ratios" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("block", ["vertex", "face"])

@@ -96,6 +96,12 @@ def test_outlier_selection_invariant_under_power_of_two_scaling(values, exponent
     assert np.array_equal(outlier_indices(d), outlier_indices(scaled))
 
 
+def test_outlier_selection_of_tiny_distances_is_scale_free():
+    # the squared deviations of these underflow unless the set is normalized first
+    d = np.array([0.0, 6.3699823964096665e-162])
+    assert np.array_equal(outlier_indices(d), outlier_indices(d * 0.25))
+
+
 def test_outlier_selection_invariant_under_shift_and_scale_random():
     rng = np.random.default_rng(2)
     for _ in range(100):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from woundfill import Mesh, load_mesh, save_mesh
-from woundfill.errors import MeshError, MeshFormatError
+from woundfill import Mesh, icosphere, load_mesh, save_mesh
+from woundfill.errors import MeshError, MeshFormatError, WoundfillError
 
 
 def test_obj_minimal():
@@ -151,3 +153,30 @@ def test_unknown_format_rejected(ico):
         save_mesh(ico, "gltf")
     with pytest.raises(MeshFormatError, match="unsupported"):
         load_mesh(b"", "stl")
+
+
+@pytest.fixture(scope="module")
+def saved_icosphere():
+    return {fmt: save_mesh(icosphere(1), fmt) for fmt in ("ply", "obj")}
+
+
+@pytest.mark.parametrize("fmt", ["ply", "obj"])
+@seed(6161)
+@settings(max_examples=200, deadline=None)
+@given(
+    cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 255)), max_size=3),
+    in_header=st.booleans(),
+)
+def test_fuzzed_mesh_raises_only_woundfill_errors(saved_icosphere, fmt, cut, flips, in_header):
+    raw = bytearray(saved_icosphere[fmt])
+    # a PLY's header is a small share of it, so half the examples flip only there
+    span = raw.index(b"end_header\n") + 11 if in_header and fmt == "ply" else len(raw)
+    for where, value in flips:
+        raw[min(int(where * span), len(raw) - 1)] = value
+    if cut is not None:
+        raw = raw[:int(cut * len(raw))]
+    try:
+        load_mesh(bytes(raw), fmt)
+    except WoundfillError:
+        pass

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import finite_difference
 from woundfill import Architecture, Autoencoder, icosphere, reconstruction_loss
-from woundfill.errors import ConfigError
+from woundfill.errors import ConfigError, as_json, from_json
 from woundfill.ops import reference_pool
 
 
@@ -120,11 +122,16 @@ def test_architecture_validation():
     for m_clamp in ((17, 4), (0, 0), (4,)):
         with pytest.raises(ConfigError, match="m_clamp"):
             Architecture(m_clamp=m_clamp).validate()
+    for ratios in ((0.5, 0.25), (1.0, 1.0), (1.0, 0.9, 0.95), (1.0, 0.0), (1.0, -0.5)):
+        with pytest.raises(ConfigError, match="ratios"):
+            Architecture(ratios=ratios, widths=(3,) * len(ratios)).validate()
 
 
 def test_architecture_dict_round_trip():
     arch = Architecture(ratios=(1.0, 0.25, 0.1), widths=(3, 8, 16), activation="relu")
-    assert Architecture.from_dict(arch.to_dict()) == arch
+    doc = json.loads(json.dumps(as_json(arch)))
+    assert doc["ratios"] == [1.0, 0.25, 0.1]
+    assert from_json(Architecture, doc, "arch.json", "architecture") == arch
 
 
 def test_set_parameters_round_trip(small_model):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from woundfill import (
     vertex_distance,
 )
 from woundfill.errors import ConfigError, DataError, WoundfillError
+from woundfill.scars import DatasetManifest, ManifestEntry
 from woundfill.mesh import bfs_hops, vertex_adjacency
 
 
@@ -220,6 +222,27 @@ def test_scar_ranges_validation():
             ranges.validate()
 
 
+# sha256 of the manifest below as the writer wrote it before it was derived from the fields
+MANIFEST_SHA256 = "219ca902e64da2c037fb54e21bca07120d6502c9b2af48d447733bb11f41400f"
+
+
+def test_manifest_json_is_pinned():
+    # literal values only, so the digest holds on any libm or BLAS
+    manifest = DatasetManifest(
+        seed=5, count=2, scars_per_mesh=1, subdivisions=1, split_ratios=(0.5, 0.5, 0.0),
+        ranges=ScarRanges(radius=(2, 4), depth=(0.5, 1.5)),
+        entries=(
+            ManifestEntry(0, 0, "0000_gt.ply", "0000_00.ply", "train",
+                          ScarSpec(center=3, radius=2, max_depth=0.25, seed=11)),
+            ManifestEntry(1, 0, "0001_gt.ply", "0001_00.ply", "val",
+                          ScarSpec(center=40, radius=4, max_depth=0.125, seed=2**62)),
+        ),
+    )
+    text = manifest.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST_SHA256
+    assert DatasetManifest.from_json(text) == manifest
+
+
 @pytest.fixture(scope="module")
 def manifest_path(tmp_path_factory):
     root = tmp_path_factory.mktemp("manifest")
@@ -236,6 +259,8 @@ EDITS = {
     "unknown-split": lambda doc: doc["entries"][0].update(split="tset"),
     "spec-lacks-seed": lambda doc: doc["entries"][1]["spec"].pop("seed"),
     "float-center": lambda doc: doc["entries"][1]["spec"].update(center=1.5),
+    "split-ratios-length": lambda doc: doc.update(split_ratios=[1, "a", None, 4, 5]),
+    "string-radius": lambda doc: doc["ranges"].update(radius=["a"]),
 }
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from woundfill import (
 )
 from woundfill.checkpoint import load_checkpoint
 from woundfill.errors import DataError
-from woundfill.train import load_pairs
+from woundfill.train import EvalReport, load_pairs
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +119,21 @@ def test_evaluate_report_json(dataset):
     doc = json.loads(report.to_json())
     assert doc["split"] == "train"
     assert len(doc["per_mesh"]) == len(report.per_mesh)
+
+
+# sha256 of the report below as the writer wrote it before it was derived from the fields
+REPORT_SHA256 = "ee49cfb23789e7710b7241d579ae20a0b3ac2e1bf811c73073a53378c33637f6"
+
+
+def test_eval_report_json_is_pinned():
+    # literal values only, so the digest holds on any libm or BLAS
+    report = EvalReport(
+        split="test", min_vertex_distance=0.0, max_vertex_distance=0.5,
+        mean_vertex_distance=0.1875, min_mesh_mean=0.125, max_mesh_mean=0.25,
+        per_mesh=[{"id": "0000_00", "mean": 0.125, "min": 0.0, "max": 0.5},
+                  {"id": "0001_00", "mean": 0.25, "min": 0.0625, "max": 0.375}],
+    )
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256
 
 
 def test_evaluate_identity_matches_manual_aggregation(dataset):
