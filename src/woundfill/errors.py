@@ -83,6 +83,9 @@ def read_json(value, hint, path, what: str):
     takes integral strings and truncates floats); a dataclass an object, read
     by from_json, whose errors name path and what. Any other class (dict,
     list) takes its instances as they are.
+
+    Generic hints are matched on their origin before the plain-class branch:
+    on Python 3.10, isinstance(tuple[int, ...], type) is True.
     """
     kinds = _SCALARS.get(hint)
     if kinds is not None:
@@ -98,21 +101,22 @@ def read_json(value, hint, path, what: str):
                 return array
     elif is_dataclass(hint):
         return from_json(hint, value, path, what)
-    elif isinstance(hint, type):
-        if isinstance(value, hint):
-            return value
-    elif typing.get_origin(hint) in (UnionType, typing.Union):
+    elif (origin := typing.get_origin(hint)) in (UnionType, typing.Union):
         for arg in typing.get_args(hint):
             try:
                 return read_json(value, arg, path, what)
             except TypeError:
                 pass
-    elif typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
+    elif origin is tuple:
         args = typing.get_args(hint)
-        if args[1:] == (Ellipsis,):
-            return tuple(read_json(v, args[0], path, what) for v in value)
-        if len(value) == len(args):
-            return tuple(read_json(v, a, path, what) for v, a in zip(value, args))
+        if isinstance(value, (list, tuple)):
+            if args[1:] == (Ellipsis,):
+                return tuple(read_json(v, args[0], path, what) for v in value)
+            if len(value) == len(args):
+                return tuple(read_json(v, a, path, what) for v, a in zip(value, args))
+    elif isinstance(hint, type):
+        if isinstance(value, hint):
+            return value
     raise TypeError(hint)
 
 

@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from woundfill import (
 )
 from woundfill.cli import build_parser, main
 from woundfill.config import RunConfig
-from woundfill.errors import ConfigError
+from woundfill.errors import ConfigError, read_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -73,6 +74,29 @@ def test_out_of_range_value_exits_1(tmp_path, capsys, section, key, value):
     assert main(["gen-data", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()
+
+
+class _Py310Alias(types.GenericAlias):
+    """A generic alias as Python 3.10 sees it: isinstance(alias, type) holds."""
+
+    @property
+    def __class__(self):
+        return type
+
+
+@pytest.mark.parametrize("hint, value, expected", [
+    (_Py310Alias(tuple, (int, int)), [1, 2], (1, 2)),
+    (_Py310Alias(tuple, (float, ...)), [1, 2.5], (1, 2.5)),
+    (tuple[int, int], [1, 2], (1, 2)),
+], ids=["py310-fixed", "py310-variadic", "fixed"])
+def test_tuple_hints_are_read_by_their_origin(hint, value, expected):
+    assert read_json(value, hint, "cfg.json", "config") == expected
+
+
+@pytest.mark.parametrize("value", [[1, "a"], [1], [1, 2, 3], [1, True], 5])
+def test_ill_fitting_tuple_is_a_type_error(value):
+    with pytest.raises(TypeError):
+        read_json(value, _Py310Alias(tuple, (int, int)), "cfg.json", "config")
 
 
 def test_flags_override_the_file(tmp_path):
