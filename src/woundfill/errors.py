@@ -79,10 +79,9 @@ def read_json(value, hint, path, what: str):
     int, str, bool and None take their own JSON type, float any number, and
     no other class a bool; `X | Y` takes what fits either; tuple[X, Y] a list
     of that length and tuple[X, ...] one of any length, both read as tuples;
-    np.ndarray a flat list that numpy converts to int64 in one call (it also
-    takes integral strings and truncates floats); a dataclass an object, read
-    by from_json, whose errors name path and what. Any other class (dict,
-    list) takes its instances as they are.
+    np.ndarray a flat list of JSON integers that fit int64, read as an int64
+    array; a dataclass an object, read by from_json, whose errors name path
+    and what. Any other class (dict, list) takes its instances as they are.
 
     Generic hints are matched on their origin before the plain-class branch:
     on Python 3.10, isinstance(tuple[int, ...], type) is True.
@@ -92,13 +91,12 @@ def read_json(value, hint, path, what: str):
         if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
             return value
     elif hint is np.ndarray:
-        if isinstance(value, list):
+        # int64 conversion alone would also take "7", 7.7 and true
+        if isinstance(value, list) and list(map(type, value)).count(int) == len(value):
             try:
-                array = np.array(value, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
+                return np.array(value, dtype=np.int64)
+            except OverflowError:
                 raise TypeError(hint) from None
-            if array.ndim == 1:
-                return array
     elif is_dataclass(hint):
         return from_json(hint, value, path, what)
     elif (origin := typing.get_origin(hint)) in (UnionType, typing.Union):

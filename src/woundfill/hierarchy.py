@@ -29,6 +29,7 @@ from .mesh import Mesh, bfs, components, csr_from_pairs, unique_edges, vertex_ad
 __all__ = ["ConvTopology", "MeshHierarchy", "build_hierarchy", "transpose_topology"]
 
 M_CLAMP_DEFAULT = (4, 17)
+MIN_LEVEL_VERTICES = 4
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,11 @@ class ConvTopology:
         for a in (perm, indptr):
             a.flags.writeable = False
         return perm, indptr
+
+    @cached_property
+    def memo(self) -> dict:
+        """Per-topology store for index arrays that kernels derive from the CSR once."""
+        return {}
 
     @cached_property
     def transposed(self) -> "ConvTopology":
@@ -216,8 +222,10 @@ def build_hierarchy(
     parents, conv_down, pool_down = [], [], []
     for ratio in ratios[1:]:
         target = int(np.floor(n * ratio))
-        if target < 4:
-            raise MeshError(f"ratio {ratio} yields {target} vertices; need at least 4")
+        if target < MIN_LEVEL_VERTICES:
+            raise MeshError(
+                f"ratio {ratio} yields {target} of {n} vertices; need at least {MIN_LEVEL_VERTICES}"
+            )
         n_fine = len(levels[-1])
         selected = _greedy_cover(level_adj, target)
         _, owner = bfs(level_adj, selected)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .hierarchy import M_CLAMP_DEFAULT, MeshHierarchy, build_hierarchy
+from .errors import ConfigError, DataError
+from .hierarchy import M_CLAMP_DEFAULT, MIN_LEVEL_VERTICES, MeshHierarchy, build_hierarchy
 from .mesh import Mesh
 from .ops import (
     VcConvParams,
@@ -91,6 +91,12 @@ class Autoencoder:
     @classmethod
     def build(cls, mesh: Mesh, architecture: Architecture, seed: int) -> "Autoencoder":
         architecture.validate()
+        n, ratio = mesh.n_vertices, architecture.ratios[-1]
+        if (coarsest := int(np.floor(n * ratio))) < MIN_LEVEL_VERTICES:
+            raise DataError(
+                f"architecture.ratios: ratio {ratio} leaves {coarsest} of the mesh's {n} "
+                f"vertices; need at least {MIN_LEVEL_VERTICES}"
+            )
         hierarchy = build_hierarchy(mesh, architecture.ratios, architecture.m_clamp)
         return cls.init(hierarchy, architecture, seed)
 

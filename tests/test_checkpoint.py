@@ -109,6 +109,12 @@ def _damage(kind, raw, header, body):
         header["architecture"]["ratios"] = [0.5, 0.9]
     elif kind == "string-index":
         header["hierarchy"]["conv_down"][0]["indices"][3] = "x"
+    elif kind == "integral-string-index":
+        header["hierarchy"]["conv_down"][0]["indices"][3] = "7"
+    elif kind == "float-index":
+        header["hierarchy"]["conv_down"][0]["indices"][3] = 7.7
+    elif kind == "bool-index":
+        header["hierarchy"]["conv_down"][0]["indices"][3] = True
     elif kind == "truncated-block":
         body = body[:-12]
     return _with_header(json.dumps(header).encode(), body)
@@ -116,7 +122,8 @@ def _damage(kind, raw, header, body):
 
 @pytest.mark.parametrize("kind", [
     "short", "header-past-end", "not-utf8", "not-json", "json-list", "no-architecture",
-    "string-ratio", "bool-ratio", "rising-ratios", "string-index", "truncated-block",
+    "string-ratio", "bool-ratio", "rising-ratios", "string-index", "integral-string-index",
+    "float-index", "bool-index", "truncated-block",
 ])
 def test_damaged_checkpoint_is_data_error(tmp_path, model, kind):
     bad = tmp_path / "bad.ckpt"

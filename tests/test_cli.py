@@ -201,6 +201,14 @@ def test_bad_arch_ratios_exit_1(tmp_path, capsys, gen_dir, ratios):
     assert not (tmp_path / "run").exists()
 
 
+def test_arch_ratio_too_small_for_the_mesh_exits_2_naming_the_key(tmp_path, capsys, gen_dir):
+    args = ["train", "--data", gen_dir, "--out", tmp_path / "run",
+            "--arch-ratios", "1.0", "0.001", "--widths", "3", "8"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "data error: architecture.ratios: ratio 0.001 leaves 0 of the mesh's 42 vertices" in err
+
+
 @pytest.mark.parametrize("block", ["vertex", "face"])
 def test_truncated_ply_exits_2(tmp_path, capsys, block):
     sphere = icosphere(1)

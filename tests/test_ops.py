@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference, random_topology
-from woundfill import ops, transpose_topology
+from woundfill import ops, synth_head, transpose_topology
 from woundfill.errors import MeshError, NumericalError
-from woundfill.hierarchy import ConvTopology
+from woundfill.hierarchy import ConvTopology, build_hierarchy
 from woundfill.ops import (
     VcConvParams,
     VdParams,
@@ -21,6 +26,7 @@ from woundfill.ops import (
     vc_conv,
     vc_conv_backward,
     vc_trans_conv,
+    vc_trans_conv_backward,
     vd_aggregate,
     vd_aggregate_backward,
     vd_res,
@@ -346,20 +352,122 @@ def test_vc_conv_matches_einsum_reference(in_dim, out_dim, m, shape):
             topo = random_topology(rng, 30, 20, max_degree=6)
         else:  # every row one neighbor; the transpose then has rows of several
             topo = random_topology(rng, 12, 25, max_degree=1)
-        params = VcConvParams(
-            basis=rng.normal(size=(m, in_dim, out_dim)),
-            coeffs=rng.normal(size=(topo.edge_count, m)),
-            bias=rng.normal(size=out_dim),
-        )
+        _check_against_oracle(rng, topo, in_dim, out_dim, m)
+
+
+def _random_params(rng, topo, in_dim, out_dim, m):
+    return VcConvParams(
+        basis=rng.normal(size=(m, in_dim, out_dim)),
+        coeffs=rng.normal(size=(topo.edge_count, m)),
+        bias=rng.normal(size=out_dim),
+    )
+
+
+def _check_against_oracle(rng, topo, in_dim, out_dim, m, forward=vc_conv,
+                          backward=vc_conv_backward, oracle_topo=None):
+    """forward/backward on topo against the einsum oracle on oracle_topo (default topo)."""
+    oracle_topo = oracle_topo or topo
+    params = _random_params(rng, oracle_topo, in_dim, out_dim, m)
+    x = rng.normal(size=(oracle_topo.n_in, in_dim))
+    g = rng.normal(size=(oracle_topo.n_out, out_dim))
+    _assert_matches(forward(params, topo, x), _vc_conv_oracle(params, oracle_topo, x))
+    d_x, grads = backward(params, topo, x, g)
+    ref_x, ref = _vc_conv_backward_oracle(params, oracle_topo, x, g)
+    _assert_matches(d_x, ref_x)
+    for key in ("basis", "coeffs", "bias"):
+        assert grads[key].shape == ref[key].shape
+        _assert_matches(grads[key], ref[key])
+
+
+@pytest.mark.parametrize("block_edges", ["1", "3", "below-longest-row"])
+@pytest.mark.parametrize("in_dim,out_dim,m", [(3, 16, 4), (16, 3, 5), (6, 6, 3)],
+                         ids=["I<O", "I>O", "I==O"])
+@pytest.mark.parametrize("kernel", ["conv", "trans-conv"])
+def test_vc_conv_matches_einsum_reference_in_small_row_blocks(
+    monkeypatch, block_edges, in_dim, out_dim, m, kernel
+):
+    rng = np.random.default_rng([21, in_dim, out_dim, m])
+    topo = random_topology(rng, 40, 30, max_degree=8)
+    run_on = topo.transposed if kernel == "trans-conv" else topo
+    longest = min(int(topo.sizes.max()), int(topo.transposed.sizes.max()))
+    size = {"1": 1, "3": 3, "below-longest-row": longest - 1}[block_edges]
+    monkeypatch.setattr(ops, "BLOCK_EDGES", size)
+    for rows in ("out", "in"):  # both orientations run in several blocks
+        assert len(ops._blocks(run_on, rows)) >= 5
+    if kernel == "conv":
+        _check_against_oracle(rng, topo, in_dim, out_dim, m)
+    else:
+        _check_against_oracle(rng, topo, in_dim, out_dim, m, vc_trans_conv,
+                              vc_trans_conv_backward, oracle_topo=topo.transposed)
+
+
+@pytest.mark.parametrize("in_dim,out_dim", [(3, 16), (16, 3)])
+def test_vc_conv_repeats_byte_for_byte(in_dim, out_dim):
+    rng = np.random.default_rng(24)
+    topo = random_topology(rng, 50, 35, max_degree=7)
+    params = _random_params(rng, topo, in_dim, out_dim, 4)
+    x = rng.normal(size=(topo.n_in, in_dim))
+    g = rng.normal(size=(topo.n_out, out_dim))
+    first = [vc_conv(params, topo, x), *vc_conv_backward(params, topo, x, g)]
+    second = [vc_conv(params, topo, x), *vc_conv_backward(params, topo, x, g)]
+    for a, b in zip(first, second):
+        a, b = (list(v.values()) if isinstance(v, dict) else [v] for v in (a, b))
+        assert [v.tobytes() for v in a] == [v.tobytes() for v in b]
+
+
+# Scratch bytes a vc_conv call may hold beyond the arrays it returns, at the
+# train-deep widths on V=2562 and V=10242 heads. Per-edge scratch runs in row
+# blocks, so what grows with the mesh is vertex-sized.
+SCRATCH_BUDGET = 6_000_000
+
+
+def _returned_bytes(value) -> int:
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    values = value.values() if isinstance(value, dict) else value
+    return sum(_returned_bytes(v) for v in values)
+
+
+@pytest.mark.parametrize("subdivisions", [4, 5])
+def test_vc_conv_scratch_memory_is_bounded(subdivisions):
+    hierarchy = build_hierarchy(synth_head(1, subdivisions), (1.0, 0.25, 0.0625))
+    widths = (3, 16, 32)
+    layers = [(hierarchy.conv_down[k], widths[k], widths[k + 1]) for k in range(2)]
+    layers += [(hierarchy.conv_up[k], widths[k + 1], widths[k]) for k in range(2)]
+    rng = np.random.default_rng(25)
+    for topo, in_dim, out_dim in layers:
+        params = init_vc_conv(rng, topo, in_dim, out_dim)
         x = rng.normal(size=(topo.n_in, in_dim))
         g = rng.normal(size=(topo.n_out, out_dim))
-        _assert_matches(vc_conv(params, topo, x), _vc_conv_oracle(params, topo, x))
-        d_x, grads = vc_conv_backward(params, topo, x, g)
-        ref_x, ref = _vc_conv_backward_oracle(params, topo, x, g)
-        _assert_matches(d_x, ref_x)
-        for key in ("basis", "coeffs", "bias"):
-            assert grads[key].shape == ref[key].shape
-            _assert_matches(grads[key], ref[key])
+        for kernel, args in ((vc_conv, (params, topo, x)), (vc_conv_backward, (params, topo, x, g))):
+            kernel(*args)  # builds the topology's cached index plans
+            tracemalloc.start()
+            try:
+                out = kernel(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            scratch = peak - _returned_bytes(out)
+            assert scratch < SCRATCH_BUDGET, (kernel.__name__, in_dim, out_dim, scratch)
+
+
+def test_model_step_does_not_import_numpy_ma():
+    code = (
+        "import sys\n"
+        "from woundfill import scars\n"
+        "from woundfill.model import Architecture, Autoencoder\n"
+        "mesh = scars.synth_head(1, 2)\n"
+        "model = Autoencoder.build(mesh, Architecture(ratios=(1.0, 0.25), widths=(3, 16)), 0)\n"
+        "y, cache = model.forward(mesh.positions, keep_cache=True)\n"
+        "model.backward(cache, y - mesh.positions)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(ops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_vd_aggregate_input_gradient_matches_add_at():
