@@ -223,9 +223,8 @@ def build_hierarchy(
     for ratio in ratios[1:]:
         target = int(np.floor(n * ratio))
         if target < MIN_LEVEL_VERTICES:
-            raise MeshError(
-                f"ratio {ratio} yields {target} of {n} vertices; need at least {MIN_LEVEL_VERTICES}"
-            )
+            raise MeshError(f"ratio {ratio} yields {target} of {n} vertices; "
+                            f"need at least {MIN_LEVEL_VERTICES}")
         n_fine = len(levels[-1])
         selected = _greedy_cover(level_adj, target)
         _, owner = bfs(level_adj, selected)

@@ -9,10 +9,10 @@ from p = g B^T. Otherwise t = x B per input vertex, each input row mixes t_j
 with its edges' coefficients, and the backward pass sums w_j = sum_e g_e a_e^T
 over each input row, so that d_x = w B^T and d_B = x^T w.
 
-Per-edge work runs in blocks of whole CSR rows, about BLOCK_EDGES edges each,
-padded to the block's longest row and contracted by batched matmuls, so the
-scratch a call holds is bounded by the block and the vertex-sized arrays, not
-by the edge count. Per-edge rows needed in the other orientation are summed
+Per-edge work runs in blocks of whole CSR rows, padded to the block's longest
+row, at most BLOCK_EDGES entries each, and contracted by batched matmuls, so
+the scratch a call holds is bounded by the block and the vertex-sized arrays,
+not by the edge count. Per-edge rows needed in the other orientation are summed
 there left to right, over the same kind of padded blocks. Each topology
 builds its block index plans once. Forward passes and gradients are
 bit-reproducible for a given numpy/BLAS build and thread count.
@@ -124,16 +124,17 @@ def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 # --- vcConv / vcTransConv ------------------------------------------------
 
-# Edges per row block of the per-edge kernels. Blocks hold whole CSR rows, so a
-# block holds more when one row alone is longer. Model fwd+bwd time was flat
-# from 512 to 4096 on V=2562 and V=10242 heads (2 vCPUs, OpenBLAS); smaller
-# blocks hold less scratch.
+# Padded entries per row block of the per-edge kernels: a block takes whole CSR
+# rows while (rows x its longest row) stays within this, and a longer row runs
+# alone. Model fwd+bwd time was flat from 1024 to 4096 on V=2562 and V=10242
+# heads and slower at 512 and 8192 (2 vCPUs, OpenBLAS); smaller blocks hold
+# less scratch.
 BLOCK_EDGES = 1024
 
 
 def _row_blocks(indptr: np.ndarray, targets: np.ndarray, sentinel: int,
                 edges: np.ndarray | None = None) -> list[tuple]:
-    """Blocks of whole CSR rows, each about BLOCK_EDGES edges, padded to the block's longest row.
+    """Blocks of whole CSR rows padded to their longest row, each BLOCK_EDGES entries or one row.
 
     One (r0, r1, edge, target, kept) per block of rows r0..r1-1. edge[r, d]
     is the edge id of row r's d-th entry (its CSR position, mapped through
@@ -144,18 +145,19 @@ def _row_blocks(indptr: np.ndarray, targets: np.ndarray, sentinel: int,
     (rows, width) grid, in CSR order.
     """
     blocks = []
-    n = len(indptr) - 1
+    sizes = np.diff(indptr)
     r0 = 0
-    while r0 < n:
-        r1 = int(np.searchsorted(indptr, indptr[r0] + BLOCK_EDGES, side="right")) - 1
-        r1 = max(r1, r0 + 1)
+    while r0 < len(sizes):
+        width = np.maximum.accumulate(sizes[r0:r0 + BLOCK_EDGES])
+        fits = np.count_nonzero(width * np.arange(1, len(width) + 1) <= BLOCK_EDGES)
+        r1 = r0 + max(int(fits), 1)
         start = indptr[r0:r1, None]
-        size = indptr[r0 + 1:r1 + 1, None] - start
-        step = np.arange(int(size.max()))
-        real = step < size
+        step = np.arange(int(width[r1 - r0 - 1]))
+        real = step < sizes[r0:r1, None]
         slot = np.minimum(start + step, indptr[r1] - 1)
         edge = slot if edges is None else edges[slot]
-        blocks.append((r0, r1, edge, np.where(real, targets[slot], sentinel), np.flatnonzero(real)))
+        target = np.where(real, targets[slot], sentinel)
+        blocks.append((r0, r1, edge, target, np.flatnonzero(real)))
         r0 = r1
     return blocks
 
@@ -256,7 +258,7 @@ def vc_conv_backward(
     m, i, o = params.basis.shape
     c = params.coeffs
     by_input = params.basis.transpose(1, 0, 2)  # (I, M, O)
-    d_coeffs = np.empty_like(c)
+    d_coeffs = np.empty(c.shape)
     if i <= o:
         indptr = topology.indptr
         p = (g @ by_input.reshape(i * m, o).T).reshape(-1, i, m)  # p[r][:, k] = B_k g_r

@@ -392,8 +392,10 @@ def test_vc_conv_matches_einsum_reference_in_small_row_blocks(
     longest = min(int(topo.sizes.max()), int(topo.transposed.sizes.max()))
     size = {"1": 1, "3": 3, "below-longest-row": longest - 1}[block_edges]
     monkeypatch.setattr(ops, "BLOCK_EDGES", size)
-    for rows in ("out", "in"):  # both orientations run in several blocks
-        assert len(ops._blocks(run_on, rows)) >= 5
+    for rows in ("out", "in"):  # both orientations run in several bounded blocks
+        blocks = ops._blocks(run_on, rows)
+        assert len(blocks) >= 5
+        assert all(edge.size <= size or r1 - r0 == 1 for r0, r1, edge, _, _ in blocks)
     if kernel == "conv":
         _check_against_oracle(rng, topo, in_dim, out_dim, m)
     else:
@@ -439,7 +441,8 @@ def test_vc_conv_scratch_memory_is_bounded(subdivisions):
         params = init_vc_conv(rng, topo, in_dim, out_dim)
         x = rng.normal(size=(topo.n_in, in_dim))
         g = rng.normal(size=(topo.n_out, out_dim))
-        for kernel, args in ((vc_conv, (params, topo, x)), (vc_conv_backward, (params, topo, x, g))):
+        calls = ((vc_conv, (params, topo, x)), (vc_conv_backward, (params, topo, x, g)))
+        for kernel, args in calls:
             kernel(*args)  # builds the topology's cached index plans
             tracemalloc.start()
             try:
