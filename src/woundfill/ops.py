@@ -4,8 +4,8 @@ Feature maps are plain (n, d) float64 arrays. Each operator reads a
 ConvTopology in CSR form. vc_conv never builds the per-edge weights
 W_e = sum_k a_ek B_k, and its BLAS products run on vertex rows. When
 I <= O, each output row r sums z_r = sum_e x_e a_e^T over its edges and
-y = z B; the backward pass takes d_B = z^T g and, per edge, d_a and d_x
-from p = g B^T. Otherwise t = x B per input vertex, each input row mixes t_j
+y = z B; the backward pass takes d_B = z^T g, and d_a and the per-edge rows
+of d_x from p = g B^T. Otherwise t = x B per input vertex, each input row mixes t_j
 with its edges' coefficients, and the backward pass sums w_j = sum_e g_e a_e^T
 over each input row, so that d_x = w B^T and d_B = x^T w.
 
