@@ -1,12 +1,13 @@
 """Single-file checkpoints: magic, JSON header, raw little-endian float64 blocks.
 
-The header carries the architecture, the full hierarchy (levels, parents and
-down topologies; up topologies are rebuilt by transposition) and the ordered
+The header carries the architecture, the hierarchy's four fields (levels,
+parents and the down topologies; the hierarchy derives the up topologies by
+transposition and checks that its topologies join its levels) and the ordered
 block index, so inference never has to rebuild the hierarchy from a mesh.
 Writes go to a temp file in the same directory followed by an atomic rename.
 Loading checks the header's length and JSON syntax, then reads every header
-value as the annotation of the field it fills (errors.from_json), so a damaged
-file raises DataError naming it.
+value as the annotation of the field it fills (errors.from_json), hierarchy
+included, so a damaged file raises DataError naming it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MeshError, as_json, from_json, json_field
-from .hierarchy import ConvTopology, MeshHierarchy
+from .errors import ConfigError, DataError, MeshError, as_json, json_field
+from .hierarchy import MeshHierarchy
 from .model import Architecture, Autoencoder
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
@@ -33,44 +34,12 @@ _HEADER = "checkpoint header"
 _field = partial(json_field, what=_HEADER)
 
 
-def _topology_from_dict(d, n_in: int, n_out: int, path) -> ConvTopology:
-    if (_field(d, "n_in", int, path), _field(d, "n_out", int, path)) != (n_in, n_out):
-        raise DataError(f"{path}: checkpoint topology does not join levels of {n_in} and {n_out}")
-    return from_json(ConvTopology, d, path, _HEADER)
-
-
-def _hierarchy_to_dict(h: MeshHierarchy) -> dict:
-    keys = ("levels", "parents", "conv_down", "pool_down")
-    return {key: as_json(getattr(h, key)) for key in keys}
-
-
-def _hierarchy_from_dict(d, path) -> MeshHierarchy:
-    levels = _field(d, "levels", tuple[np.ndarray, ...], path)
-    parents = _field(d, "parents", tuple[np.ndarray, ...], path)
-    sizes = [len(lv) for lv in levels]
-    transitions = [_field(d, key, list, path) for key in ("conv_down", "pool_down")]
-    if any(len(ts) != len(levels) - 1 for ts in (parents, *transitions)):
-        raise DataError(f"{path}: checkpoint hierarchy has inconsistent level counts")
-    conv_down, pool_down = (
-        tuple(_topology_from_dict(t, *sizes[i:i + 2], path) for i, t in enumerate(ts))
-        for ts in transitions
-    )
-    return MeshHierarchy(
-        levels=levels,
-        parents=parents,
-        conv_down=conv_down,
-        pool_down=pool_down,
-        conv_up=tuple(t.transposed for t in conv_down),
-        pool_up=tuple(t.transposed for t in pool_down),
-    )
-
-
 def save_checkpoint(path, model: Autoencoder, extra: dict | None = None) -> None:
     params = model.parameters()
     header = {
         "format_version": 1,
         "architecture": as_json(model.architecture),
-        "hierarchy": _hierarchy_to_dict(model.hierarchy),
+        "hierarchy": as_json(model.hierarchy),
         "blocks": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
         "extra": extra or {},
     }
@@ -111,14 +80,20 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
         raise DataError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
     try:
         architecture = _field(header, "architecture", Architecture, path)
-        architecture.validate()
-        hierarchy = _hierarchy_from_dict(_field(header, "hierarchy", dict, path), path)
+        hierarchy = _field(header, "hierarchy", MeshHierarchy, path)
     except (ConfigError, MeshError) as exc:
         raise DataError(f"{path}: invalid checkpoint: {exc}") from exc
     if len(architecture.widths) != hierarchy.n_levels:
         raise DataError(f"{path}: architecture widths do not match the hierarchy levels")
-    model = Autoencoder.init(hierarchy, architecture, seed=0)
     offset = start + header_len
+    # the file holds each conv layer's basis and coefficients twice (encoder and
+    # decoder); init draws those and smaller blocks, so this bounds what it allocates
+    w = architecture.widths
+    conv_floats = sum(t.basis_count * (w[l] * w[l + 1] + t.edge_count)
+                      for l, t in enumerate(hierarchy.conv_down))
+    if 2 * conv_floats * 8 > len(data) - offset:
+        raise DataError(f"{path}: parameter blocks do not match the architecture")
+    model = Autoencoder.init(hierarchy, architecture, seed=0)
     params = {}
     for block in _field(header, "blocks", list, path):
         name = _field(block, "name", str, path)

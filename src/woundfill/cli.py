@@ -136,14 +136,14 @@ def cmd_extract_fill(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    a = load_mesh_path(args.a)
-    b = load_mesh_path(args.b)
-    d = vertex_distance(a, b)
+    d = vertex_distance(load_mesh_path(args.a), load_mesh_path(args.b))
+    if d.size == 0:
+        raise DataError(f"{args.a}, {args.b}: no vertices to compare")
+    mu = d.mean()
     print(f"vertices = {len(d)}")
     print(f"min vertex distance = {d.min():.6g}")
     print(f"max vertex distance = {d.max():.6g}")
-    print(f"mean vertex distance = {d.mean():.6g}")
-    mu = d.mean()
+    print(f"mean vertex distance = {mu:.6g}")
     sigma = (((d - mu) ** 2).mean()) ** 0.5
     print(f"std = {sigma:.6g}")
     return EXIT_OK

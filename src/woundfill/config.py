@@ -135,9 +135,7 @@ class RunConfig:
         return {**kwargs, "ranges": self.scar_ranges()}
 
     def model_architecture(self) -> Architecture:
-        arch = Architecture(**self.architecture)
-        arch.validate()
-        return arch
+        return Architecture(**self.architecture)
 
     def train_settings(self) -> TrainSettings:
         tr = dict(self.training)

@@ -160,9 +160,9 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
     if not np.array_equal(input_mesh.faces, output_mesh.faces):
         raise NoFillingError("input and output meshes must share face topology")
     d = distance_set(input_mesh, output_mesh)
+    outliers = outlier_indices(d, k_sigma)  # rejects an empty set before its mean is taken
     mu = float(d.mean())
     sigma = float(np.sqrt(np.mean((d - mu) ** 2)))
-    outliers = outlier_indices(d, k_sigma)
     if outliers.size == 0:
         raise NoFillingError("no filling detected: no distances beyond the outlier threshold")
 

@@ -13,7 +13,9 @@ partition; convolution neighborhoods are those cells dilated by one ring so
 they overlap but still cover the level.
 
 Every level graph, cell partition and neighborhood is a CSR graph built by
-:func:`woundfill.mesh.csr_from_pairs`.
+:func:`woundfill.mesh.csr_from_pairs`. A :class:`MeshHierarchy` stores only
+the down topologies; the up ones are their cached transposes, and every
+hierarchy, built or loaded, checks that its topologies join its levels.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class ConvTopology:
     basis_count: int
 
     def __post_init__(self):
+        if self.n_in < 0 or self.n_out < 0:
+            raise MeshError(f"negative vertex count: n_in {self.n_in}, n_out {self.n_out}")
         indptr = np.array(self.indptr, dtype=np.int64)
         indices = np.array(self.indices, dtype=np.int64)
         if indptr.shape != (self.n_out + 1,) or indptr[0] != 0 or indptr[-1] != len(indices):
@@ -56,6 +60,8 @@ class ConvTopology:
             raise MeshError(f"empty neighborhood for output vertex {int(np.argmin(sizes))}")
         if len(indices) and (indices.min() < 0 or indices.max() >= self.n_in):
             raise MeshError("neighbor index out of range")
+        if self.n_in > len(indices):  # each input vertex needs an edge; bounds `covered`
+            raise MeshError(f"{len(indices)} edges cannot cover {self.n_in} input vertices")
         covered = np.zeros(self.n_in, dtype=bool)
         covered[indices] = True
         if not covered.all():
@@ -125,19 +131,40 @@ def transpose_topology(topology: ConvTopology) -> ConvTopology:
 
 @dataclass(frozen=True)
 class MeshHierarchy:
-    """Nested vertex levels plus the down/up topologies between them.
+    """Nested vertex levels plus the down topologies between them.
 
     levels[l] holds mesh-level vertex ids; level 0 is the full mesh. The
     transition arrays all have length len(levels) - 1 and are indexed by the
-    finer level.
+    finer level; conv_down[l] and pool_down[l] join levels l and l+1 (n_in is
+    the size of level l, n_out that of level l+1), which construction checks.
+    The up topologies are not stored: they are the down ones' cached transposes.
     """
 
     levels: tuple[np.ndarray, ...]
     parents: tuple[np.ndarray, ...]  # per fine vertex: owning coarse (local) index
     conv_down: tuple[ConvTopology, ...]
     pool_down: tuple[ConvTopology, ...]
-    conv_up: tuple[ConvTopology, ...]
-    pool_up: tuple[ConvTopology, ...]
+
+    def __post_init__(self):
+        sizes = self.level_sizes()
+        transitions = (self.parents, self.conv_down, self.pool_down)
+        if any(len(ts) != len(sizes) - 1 for ts in transitions):
+            raise MeshError("hierarchy has inconsistent level counts")
+        for l, join in enumerate(zip(sizes, sizes[1:])):
+            if any((t.n_in, t.n_out) != join for t in (self.conv_down[l], self.pool_down[l])):
+                raise MeshError(f"conv_down[{l}] or pool_down[{l}] does not join levels of "
+                                f"{join[0]} and {join[1]} vertices")
+            if len(self.parents[l]) != join[0]:
+                raise MeshError(f"parents[{l}] has {len(self.parents[l])} entries for the "
+                                f"{join[0]} vertices of level {l}")
+
+    @property
+    def conv_up(self) -> tuple[ConvTopology, ...]:
+        return tuple(t.transposed for t in self.conv_down)
+
+    @property
+    def pool_up(self) -> tuple[ConvTopology, ...]:
+        return tuple(t.transposed for t in self.pool_down)
 
     @property
     def n_levels(self) -> int:
@@ -250,7 +277,5 @@ def build_hierarchy(
         parents=tuple(parents),
         conv_down=tuple(conv_down),
         pool_down=tuple(pool_down),
-        conv_up=tuple(t.transposed for t in conv_down),
-        pool_up=tuple(t.transposed for t in pool_down),
     )
 

@@ -12,12 +12,18 @@ the decoder reuses them in reverse, so the output matches the input shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .hierarchy import M_CLAMP_DEFAULT, MIN_LEVEL_VERTICES, MeshHierarchy, build_hierarchy
+from .hierarchy import (
+    M_CLAMP_DEFAULT,
+    MIN_LEVEL_VERTICES,
+    ConvTopology,
+    MeshHierarchy,
+    build_hierarchy,
+)
 from .mesh import Mesh
 from .ops import (
     VcConvParams,
@@ -49,6 +55,9 @@ class Architecture:
     elu_alpha: float = 1.0
     m_clamp: tuple[int, int] = M_CLAMP_DEFAULT
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if len(self.widths) != len(self.ratios):
             raise ConfigError(
@@ -71,6 +80,11 @@ class Architecture:
 
 @dataclass
 class _Block:
+    """One residual block: its parameter-name prefix, the topologies it runs on, its parameters."""
+
+    name: str  # enc0, enc1, ..., dec0, ...
+    conv_topology: ConvTopology
+    pool_topology: ConvTopology
     conv: VcConvParams
     res: VdParams
 
@@ -80,7 +94,6 @@ class Autoencoder:
 
     def __init__(self, hierarchy: MeshHierarchy, architecture: Architecture,
                  encoder: list[_Block], decoder: list[_Block]):
-        architecture.validate()
         self.hierarchy = hierarchy
         self.architecture = architecture
         self.encoder = encoder
@@ -90,7 +103,6 @@ class Autoencoder:
 
     @classmethod
     def build(cls, mesh: Mesh, architecture: Architecture, seed: int) -> "Autoencoder":
-        architecture.validate()
         n, ratio = mesh.n_vertices, architecture.ratios[-1]
         if (coarsest := int(np.floor(n * ratio))) < MIN_LEVEL_VERTICES:
             raise DataError(
@@ -103,47 +115,43 @@ class Autoencoder:
     @classmethod
     def init(cls, hierarchy: MeshHierarchy, architecture: Architecture, seed: int) -> "Autoencoder":
         """Seed-deterministic parameter init; draw order is encoder then decoder."""
-        architecture.validate()
         w = architecture.widths
         rng = np.random.default_rng(seed)
-        encoder, decoder = [], []
-        n_tr = len(hierarchy.conv_down)
-        for level in range(n_tr):
-            encoder.append(_Block(
-                conv=init_vc_conv(rng, hierarchy.conv_down[level], w[level], w[level + 1]),
-                res=init_vd(rng, hierarchy.pool_down[level], w[level], w[level + 1]),
-            ))
-        for level in reversed(range(n_tr)):
-            decoder.append(_Block(
-                conv=init_vc_conv(rng, hierarchy.conv_up[level], w[level + 1], w[level]),
-                res=init_vd(rng, hierarchy.pool_up[level], w[level + 1], w[level]),
-            ))
+
+        def block(name, conv_t, pool_t, i, o):
+            return _Block(name, conv_t, pool_t, init_vc_conv(rng, conv_t, i, o),
+                          init_vd(rng, pool_t, i, o))
+
+        h, levels = hierarchy, range(len(hierarchy.conv_down))
+        encoder = [block(f"enc{l}", h.conv_down[l], h.pool_down[l], w[l], w[l + 1])
+                   for l in levels]
+        decoder = [block(f"dec{i}", h.conv_up[l], h.pool_up[l], w[l + 1], w[l])
+                   for i, l in enumerate(reversed(levels))]
         return cls(hierarchy, architecture, encoder, decoder)
 
     # -- parameter access ---------------------------------------------------
 
+    @property
+    def blocks(self) -> list[_Block]:
+        return self.encoder + self.decoder
+
+    def _slots(self):
+        """(name, owner, field) of every parameter array, in the fixed order; owner is
+        the block's VcConvParams or VdParams, and a None field (identity matrix) is skipped."""
+        for blk in self.blocks:
+            for part in ("conv", "res"):
+                owner = getattr(blk, part)
+                for f in fields(owner):
+                    if getattr(owner, f.name) is not None:
+                        yield f"{blk.name}.{part}.{f.name}", owner, f.name
+
     def parameters(self) -> dict[str, np.ndarray]:
         """Named parameter arrays in a fixed order (views, not copies)."""
-        out: dict[str, np.ndarray] = {}
-        for tag, blocks in (("enc", self.encoder), ("dec", self.decoder)):
-            for i, blk in enumerate(blocks):
-                out[f"{tag}{i}.conv.basis"] = blk.conv.basis
-                out[f"{tag}{i}.conv.coeffs"] = blk.conv.coeffs
-                out[f"{tag}{i}.conv.bias"] = blk.conv.bias
-                out[f"{tag}{i}.res.rho"] = blk.res.rho
-                if blk.res.matrix is not None:
-                    out[f"{tag}{i}.res.matrix"] = blk.res.matrix
-        return out
+        return {name: getattr(owner, key) for name, owner, key in self._slots()}
 
     def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        for tag, blocks in (("enc", self.encoder), ("dec", self.decoder)):
-            for i, blk in enumerate(blocks):
-                blk.conv.basis = params[f"{tag}{i}.conv.basis"]
-                blk.conv.coeffs = params[f"{tag}{i}.conv.coeffs"]
-                blk.conv.bias = params[f"{tag}{i}.conv.bias"]
-                blk.res.rho = params[f"{tag}{i}.res.rho"]
-                if blk.res.matrix is not None:
-                    blk.res.matrix = params[f"{tag}{i}.res.matrix"]
+        for name, owner, key in self._slots():
+            setattr(owner, key, params[name])
 
     def parameter_count(self) -> int:
         return sum(int(np.prod(a.shape)) for a in self.parameters().values())
@@ -160,24 +168,16 @@ class Autoencoder:
             return elu_backward(h, g, self.architecture.elu_alpha)
         return relu_backward(h, g)
 
-    def _block_topologies(self):
-        hi = self.hierarchy
-        n_tr = len(hi.conv_down)
-        downs = [(hi.conv_down[l], hi.pool_down[l]) for l in range(n_tr)]
-        ups = [(hi.conv_up[l], hi.pool_up[l]) for l in reversed(range(n_tr))]
-        return downs, ups
-
     def forward(self, x: np.ndarray, keep_cache: bool = False):
         """Run positions (n, 3) through the autoencoder.
 
         With keep_cache=True also returns the per-block tensors backward needs.
         """
-        downs, ups = self._block_topologies()
         cache = []
-        for blk, (conv_t, pool_t) in zip(self.encoder + self.decoder, downs + ups):
-            h = vc_conv(blk.conv, conv_t, x)
+        for blk in self.blocks:
+            h = vc_conv(blk.conv, blk.conv_topology, x)
             a = self._act(h)
-            r = vd_res(blk.res, pool_t, x)
+            r = vd_res(blk.res, blk.pool_topology, x)
             if keep_cache:
                 cache.append((x, h))
             x = a + r
@@ -185,22 +185,15 @@ class Autoencoder:
 
     def _reverse(self, cache, grad_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """One reverse walk over the blocks: (parameter gradients, input gradient)."""
-        downs, ups = self._block_topologies()
-        tags = [f"enc{i}" for i in range(len(self.encoder))] + [
-            f"dec{i}" for i in range(len(self.decoder))
-        ]
         grads: dict[str, np.ndarray] = {}
         g = grad_out
-        for blk, (conv_t, pool_t), tag, (x, h) in zip(
-            reversed(self.encoder + self.decoder), reversed(downs + ups), reversed(tags),
-            reversed(cache),
-        ):
+        for blk, (x, h) in zip(reversed(self.blocks), reversed(cache)):
             dh = self._act_backward(h, g)
-            dx_conv, conv_grads = vc_conv_backward(blk.conv, conv_t, x, dh)
-            dx_res, res_grads = vd_res_backward(blk.res, pool_t, x, g)
+            dx_conv, conv_grads = vc_conv_backward(blk.conv, blk.conv_topology, x, dh)
+            dx_res, res_grads = vd_res_backward(blk.res, blk.pool_topology, x, g)
             for part, part_grads in (("conv", conv_grads), ("res", res_grads)):
                 for key, value in part_grads.items():
-                    grads[f"{tag}.{part}.{key}"] = value
+                    grads[f"{blk.name}.{part}.{key}"] = value
             g = dx_conv + dx_res
         return {name: grads[name] for name in self.parameters()}, g
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ def _damage(kind, raw, header, body):
         header["hierarchy"]["conv_down"][0]["indices"][3] = 7.7
     elif kind == "bool-index":
         header["hierarchy"]["conv_down"][0]["indices"][3] = True
+    elif kind == "negative-n-out":
+        header["hierarchy"]["conv_down"][0].update(n_out=-1, indptr=[])
+    elif kind == "huge-n-in":
+        header["hierarchy"]["conv_down"][0]["n_in"] = 10**11
+    elif kind == "extra-level":
+        header["hierarchy"]["levels"].append([0, 1, 2, 3])
+    elif kind == "unjoined-levels":
+        header["hierarchy"]["levels"][1].append(0)
+    elif kind == "huge-width":
+        header["architecture"]["widths"][1] = 10**9
+    elif kind == "huge-basis-count":
+        header["hierarchy"]["conv_down"][0]["basis_count"] = 10**9
     elif kind == "truncated-block":
         body = body[:-12]
     return _with_header(json.dumps(header).encode(), body)
@@ -123,14 +136,21 @@ def _damage(kind, raw, header, body):
 @pytest.mark.parametrize("kind", [
     "short", "header-past-end", "not-utf8", "not-json", "json-list", "no-architecture",
     "string-ratio", "bool-ratio", "rising-ratios", "string-index", "integral-string-index",
-    "float-index", "bool-index", "truncated-block",
+    "float-index", "bool-index", "negative-n-out", "huge-n-in", "extra-level",
+    "unjoined-levels", "huge-width", "huge-basis-count", "truncated-block",
 ])
 def test_damaged_checkpoint_is_data_error(tmp_path, model, kind):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(_damage(kind, *_saved(model, tmp_path)))
-    with pytest.raises(DataError) as exc:
-        load_checkpoint(bad)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError) as exc:
+            load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert str(bad) in str(exc.value)
+    assert peak < 2**24  # nothing is sized by a header number before it is checked
 
 
 def test_block_shape_must_match_architecture(tmp_path, model):
@@ -153,8 +173,7 @@ def test_header_json_is_pinned(tmp_path):
     pool = ConvTopology(6, 2, np.array([0, 3, 6]), np.arange(6), 3)
     hierarchy = MeshHierarchy(
         levels=(np.arange(6), np.array([0, 3])), parents=(np.array([0, 0, 0, 1, 1, 1]),),
-        conv_down=(conv,), pool_down=(pool,), conv_up=(conv.transposed,),
-        pool_up=(pool.transposed,),
+        conv_down=(conv,), pool_down=(pool,),
     )
     arch = Architecture(ratios=(1.0, 0.5), widths=(3, 4), activation="relu", m_clamp=(3, 9))
     save_checkpoint(tmp_path / "m.ckpt", Autoencoder.init(hierarchy, arch, seed=0),

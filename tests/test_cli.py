@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ def test_stats_prints_distances(capsys, gen_dir):
     assert run(["stats", a, b]) == 0
     out = capsys.readouterr().out
     assert "mean vertex distance" in out
+
+
+@pytest.mark.parametrize("command", ["stats", "extract-fill"])
+def test_zero_vertex_mesh_exits_2_without_warnings(tmp_path, capsys, command):
+    empty = tmp_path / "empty.ply"
+    save_mesh_path(Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)), empty)
+    args = [empty, empty] if command == "stats" else [
+        "--input", empty, "--output", empty, "--out", tmp_path / "f"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error:")
 
 
 def test_usage_error_exits_1(capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from woundfill import Mesh, build_hierarchy, hierarchy, icosphere, synth_head, transpose_topology
 from woundfill.errors import MeshError
-from woundfill.hierarchy import ConvTopology, _greedy_cover
+from woundfill.hierarchy import ConvTopology, MeshHierarchy, _greedy_cover
 from woundfill.mesh import bfs, csr_from_pairs, vertex_adjacency
 
 
@@ -172,6 +172,34 @@ def test_topology_validates_coverage():
 def test_topology_rejects_empty_neighborhood():
     with pytest.raises(MeshError, match="empty neighborhood"):
         ConvTopology(2, 2, np.array([0, 0, 2]), np.array([0, 1]), basis_count=1)
+
+
+@pytest.mark.parametrize("n_in, n_out, indptr, indices, match", [
+    (3, -1, [], [0, 1, 2], "negative"),
+    (-1, 1, [0, 1], [0], "negative"),
+    (10**11, 1, [0, 3], [0, 1, 2], "cannot cover"),
+], ids=["negative-n-out", "negative-n-in", "n-in-above-edge-count"])
+def test_topology_rejects_impossible_vertex_counts(n_in, n_out, indptr, indices, match):
+    with pytest.raises(MeshError, match=match):
+        ConvTopology(n_in, n_out, np.array(indptr), np.array(indices), basis_count=4)
+
+
+def test_hierarchy_checks_level_counts_and_joins():
+    conv = ConvTopology(6, 2, np.array([0, 4, 8]), np.array([0, 1, 2, 3, 2, 3, 4, 5]), 4)
+    pool = ConvTopology(6, 2, np.array([0, 3, 6]), np.arange(6), 3)
+    levels, parents = (np.arange(6), np.array([0, 3])), (np.array([0, 0, 0, 1, 1, 1]),)
+    h = MeshHierarchy(levels, parents, (conv,), (pool,))
+    assert h.conv_up[0] is conv.transposed and h.pool_up[0] is pool.transposed
+    with pytest.raises(MeshError, match="level counts"):
+        MeshHierarchy(levels + (np.array([0]),), parents, (conv,), (pool,))
+    with pytest.raises(MeshError, match="level counts"):
+        MeshHierarchy(levels, parents, (conv, conv), (pool,))
+    with pytest.raises(MeshError, match="join"):
+        MeshHierarchy((np.arange(6), np.array([0, 3, 4])), parents, (conv,), (pool,))
+    with pytest.raises(MeshError, match="join"):
+        MeshHierarchy(levels, parents, (conv,), (conv.transposed,))
+    with pytest.raises(MeshError, match=r"parents\[0\] has 5 entries"):
+        MeshHierarchy(levels, (np.zeros(5, dtype=np.int64),), (conv,), (pool,))
 
 
 def test_hierarchy_works_on_synth_heads():
