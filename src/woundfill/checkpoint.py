@@ -7,7 +7,10 @@ block index, so inference never has to rebuild the hierarchy from a mesh.
 Writes go to a temp file in the same directory followed by an atomic rename.
 Loading checks the header's length and JSON syntax, then reads every header
 value as the annotation of the field it fills (errors.from_json), hierarchy
-included, so a damaged file raises DataError naming it.
+included, so a damaged file raises DataError naming it. The block index and
+the byte count after the header must then equal exactly what
+model.parameter_shapes gives for that architecture and hierarchy, before any
+block is read; the model is built from the file's blocks, drawing nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, MeshError, as_json, json_field
 from .hierarchy import MeshHierarchy
-from .model import Architecture, Autoencoder
+from .model import Architecture, Autoencoder, parameter_shapes
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
@@ -85,31 +88,22 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
         raise DataError(f"{path}: invalid checkpoint: {exc}") from exc
     if len(architecture.widths) != hierarchy.n_levels:
         raise DataError(f"{path}: architecture widths do not match the hierarchy levels")
-    offset = start + header_len
-    # the file holds each conv layer's basis and coefficients twice (encoder and
-    # decoder); init draws those and smaller blocks, so this bounds what it allocates
-    w = architecture.widths
-    conv_floats = sum(t.basis_count * (w[l] * w[l + 1] + t.edge_count)
-                      for l, t in enumerate(hierarchy.conv_down))
-    if 2 * conv_floats * 8 > len(data) - offset:
+    shapes = parameter_shapes(hierarchy, architecture)
+    blocks = [(_field(block, "name", str, path), _field(block, "shape", tuple[int, ...], path))
+              for block in _field(header, "blocks", list, path)]
+    if blocks != list(shapes.items()):
         raise DataError(f"{path}: parameter blocks do not match the architecture")
-    model = Autoencoder.init(hierarchy, architecture, seed=0)
+    offset = start + header_len
+    body = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(data) - offset < body:
+        raise DataError(f"{path}: parameter blocks run past the end of the file")
+    if len(data) - offset > body:
+        raise DataError(f"{path}: trailing bytes after parameter blocks")
     params = {}
-    for block in _field(header, "blocks", list, path):
-        name = _field(block, "name", str, path)
-        shape = _field(block, "shape", tuple[int, ...], path)
+    for name, shape in shapes.items():
         count = math.prod(shape)
-        if min(shape, default=0) < 0 or offset + count * 8 > len(data):
-            raise DataError(f"{path}: parameter block {name!r} runs past the end of the file")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
         params[name] = arr.astype(np.float64)
         offset += count * 8
-    if offset != len(data):
-        raise DataError(f"{path}: trailing bytes after parameter blocks")
-    expected = model.parameters()
-    if set(expected) != set(params) or any(
-        params[k].shape != v.shape for k, v in expected.items()
-    ):
-        raise DataError(f"{path}: parameter blocks do not match the architecture")
-    model.set_parameters(params)
+    model = Autoencoder.from_parameters(hierarchy, architecture, params)
     return model, header.get("extra", {})

@@ -8,6 +8,11 @@ activation, then adds the density-weighted residual path:
 Up blocks mirror this with the transposed topologies (vcTransConv / vdUpRes).
 The encoder halts at the coarsest hierarchy level; widths are per level and
 the decoder reuses them in reverse, so the output matches the input shape.
+
+forward, backward and input_gradient take positions (n, 3) or a vertex-major
+batch (n, B, 3) of meshes on the hierarchy's topology, and pass the layout
+through every block unchanged. On a batch, backward returns each parameter's
+gradient summed over the samples; the sum happens inside the ops kernels.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .ops import (
     vd_res_backward,
 )
 
-__all__ = ["Architecture", "Autoencoder"]
+__all__ = ["Architecture", "Autoencoder", "parameter_shapes"]
 
 ACTIVATIONS = ("elu", "relu")
 
@@ -78,6 +83,35 @@ class Architecture:
             raise ConfigError(f"m_clamp must be [lo, hi] with 1 <= lo <= hi, got {self.m_clamp}")
 
 
+def _layout(hierarchy: MeshHierarchy, architecture: Architecture):
+    """(name, conv topology, pool topology, in width, out width) of each block in
+    order: the encoder down the levels, then the decoder on their transposes."""
+    h, w, levels = hierarchy, architecture.widths, range(len(hierarchy.conv_down))
+    for l in levels:
+        yield f"enc{l}", h.conv_down[l], h.pool_down[l], w[l], w[l + 1]
+    for i, l in enumerate(reversed(levels)):
+        yield f"dec{i}", h.conv_up[l], h.pool_up[l], w[l + 1], w[l]
+
+
+def parameter_shapes(hierarchy: MeshHierarchy,
+                     architecture: Architecture) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter array, in Autoencoder.parameters() order.
+
+    Shapes follow init_vc_conv and init_vd; a block whose widths agree has no
+    residual matrix. Nothing is allocated, so a loader can check a file against it.
+    """
+    shapes = {}
+    for name, conv_t, pool_t, i, o in _layout(hierarchy, architecture):
+        m = conv_t.basis_count
+        shapes[f"{name}.conv.basis"] = (m, i, o)
+        shapes[f"{name}.conv.coeffs"] = (conv_t.edge_count, m)
+        shapes[f"{name}.conv.bias"] = (o,)
+        shapes[f"{name}.res.rho"] = (pool_t.edge_count,)
+        if i != o:
+            shapes[f"{name}.res.matrix"] = (o, i)
+    return shapes
+
+
 @dataclass
 class _Block:
     """One residual block: its parameter-name prefix, the topologies it runs on, its parameters."""
@@ -93,11 +127,10 @@ class Autoencoder:
     """Holds hierarchy, architecture and parameters; forward/backward are exact."""
 
     def __init__(self, hierarchy: MeshHierarchy, architecture: Architecture,
-                 encoder: list[_Block], decoder: list[_Block]):
+                 blocks: list[_Block]):
         self.hierarchy = hierarchy
         self.architecture = architecture
-        self.encoder = encoder
-        self.decoder = decoder
+        self.blocks = blocks  # the encoder's, then the decoder's, as _layout orders them
 
     # -- construction -----------------------------------------------------
 
@@ -115,25 +148,31 @@ class Autoencoder:
     @classmethod
     def init(cls, hierarchy: MeshHierarchy, architecture: Architecture, seed: int) -> "Autoencoder":
         """Seed-deterministic parameter init; draw order is encoder then decoder."""
-        w = architecture.widths
         rng = np.random.default_rng(seed)
+        return cls(hierarchy, architecture, [
+            _Block(name, conv_t, pool_t, init_vc_conv(rng, conv_t, i, o),
+                   init_vd(rng, pool_t, i, o))
+            for name, conv_t, pool_t, i, o in _layout(hierarchy, architecture)
+        ])
 
-        def block(name, conv_t, pool_t, i, o):
-            return _Block(name, conv_t, pool_t, init_vc_conv(rng, conv_t, i, o),
-                          init_vd(rng, pool_t, i, o))
+    @classmethod
+    def from_parameters(cls, hierarchy: MeshHierarchy, architecture: Architecture,
+                        params: dict[str, np.ndarray]) -> "Autoencoder":
+        """The model holding `params`, named as parameters() names them; nothing is drawn.
 
-        h, levels = hierarchy, range(len(hierarchy.conv_down))
-        encoder = [block(f"enc{l}", h.conv_down[l], h.pool_down[l], w[l], w[l + 1])
-                   for l in levels]
-        decoder = [block(f"dec{i}", h.conv_up[l], h.pool_up[l], w[l + 1], w[l])
-                   for i, l in enumerate(reversed(levels))]
-        return cls(hierarchy, architecture, encoder, decoder)
+        The caller has checked the names and shapes against parameter_shapes().
+        """
+        def take(kind, prefix):  # an absent residual matrix stays None (identity)
+            return kind(**{f.name: params[key] for f in fields(kind)
+                           if (key := f"{prefix}.{f.name}") in params})
+
+        return cls(hierarchy, architecture, [
+            _Block(name, conv_t, pool_t, take(VcConvParams, f"{name}.conv"),
+                   take(VdParams, f"{name}.res"))
+            for name, conv_t, pool_t, _, _ in _layout(hierarchy, architecture)
+        ])
 
     # -- parameter access ---------------------------------------------------
-
-    @property
-    def blocks(self) -> list[_Block]:
-        return self.encoder + self.decoder
 
     def _slots(self):
         """(name, owner, field) of every parameter array, in the fixed order; owner is
@@ -169,9 +208,10 @@ class Autoencoder:
         return relu_backward(h, g)
 
     def forward(self, x: np.ndarray, keep_cache: bool = False):
-        """Run positions (n, 3) through the autoencoder.
+        """Run positions (n, 3), or a batch (n, B, 3), through the autoencoder.
 
-        With keep_cache=True also returns the per-block tensors backward needs.
+        The output has x's shape. With keep_cache=True also returns the
+        per-block tensors backward needs.
         """
         cache = []
         for blk in self.blocks:
@@ -198,7 +238,7 @@ class Autoencoder:
         return {name: grads[name] for name in self.parameters()}, g
 
     def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients for the forward pass that produced `cache`."""
+        """Parameter gradients for the forward pass that produced `cache`; summed over a batch."""
         return self._reverse(cache, grad_out)[0]
 
     def input_gradient(self, cache, grad_out: np.ndarray) -> np.ndarray:

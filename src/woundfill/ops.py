@@ -1,21 +1,30 @@
 """Forward evaluation and exact reverse-mode gradients for the operator family.
 
-Feature maps are plain (n, d) float64 arrays. Each operator reads a
-ConvTopology in CSR form. vc_conv never builds the per-edge weights
-W_e = sum_k a_ek B_k, and its BLAS products run on vertex rows. When
-I <= O, each output row r sums z_r = sum_e x_e a_e^T over its edges and
-y = z B; the backward pass takes d_B = z^T g, and d_a and the per-edge rows
-of d_x from p = g B^T. Otherwise t = x B per input vertex, each input row mixes t_j
-with its edges' coefficients, and the backward pass sums w_j = sum_e g_e a_e^T
-over each input row, so that d_x = w B^T and d_B = x^T w.
+Every operator takes one feature map (n, d) or a vertex-major batch (n, B, d)
+of B maps on the same topology, and returns the same layout. A (n, d) map
+runs as the batch of one through a reshape. With the batch axis between the
+vertex and feature axes, a vertex's B*d values are one contiguous row, so
+every gather is a row gather over B*d columns, and a parameter gradient sums
+over the samples inside the products that form it: the row-block matmuls
+contract over B*I (or B*O) columns, the basis, bias and residual-matrix
+gradients over n*B rows, and the density gradient over B*d columns.
+
+Each operator reads a ConvTopology in CSR form. vc_conv never builds the
+per-edge weights W_e = sum_k a_ek B_k, and its BLAS products run on vertex
+rows. When I <= O, each output row r sums z_r = sum_e x_e a_e^T over its edges
+and y = z B; the backward pass takes d_B = z^T g, and d_a and the per-edge
+rows of d_x from p = g B^T. Otherwise t = x B per input vertex, each input row
+mixes t_j with its edges' coefficients, and the backward pass sums
+w_j = sum_e g_e a_e^T over each input row, so that d_x = w B^T and d_B = x^T w.
 
 Per-edge work runs in blocks of whole CSR rows, padded to the block's longest
 row, at most BLOCK_EDGES entries each, and contracted by batched matmuls, so
 the scratch a call holds is bounded by the block and the vertex-sized arrays,
-not by the edge count. Per-edge rows needed in the other orientation are summed
-there left to right, over the same kind of padded blocks. Each topology
-builds its block index plans once. Forward passes and gradients are
-bit-reproducible for a given numpy/BLAS build and thread count.
+not by the edge count; both grow with B*d. Per-edge rows needed in the other
+orientation are summed there left to right, over the same kind of padded
+blocks. Each topology builds its block index plans once. Forward passes and
+gradients are bit-reproducible for a given numpy/BLAS build, thread count and
+batch size.
 
 Operators:
   vc_conv        y_i = sum_j (sum_k a_ijk B_k)^T x_ij + b
@@ -92,25 +101,41 @@ class VdParams:
 
 
 def _check_features(x: np.ndarray, dim: int | None, topology: ConvTopology) -> np.ndarray:
+    """x as float64, checked to be a (n_in, d) map or a (n_in, B, d) batch of finite values."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise MeshError(f"feature map must be 2-d, got shape {x.shape}")
+    if x.ndim not in (2, 3):
+        raise MeshError(f"feature map must be (n, d) or a batch (n, B, d), got shape {x.shape}")
     if x.shape[0] != topology.n_in:
         raise MeshError(f"feature map has {x.shape[0]} rows, topology expects {topology.n_in}")
-    if dim is not None and x.shape[1] != dim:
-        raise MeshError(f"feature dimension {x.shape[1]} != layer input dimension {dim}")
+    if dim is not None and x.shape[-1] != dim:
+        raise MeshError(f"feature dimension {x.shape[-1]} != layer input dimension {dim}")
     if not np.all(np.isfinite(x)):
         raise NumericalError("non-finite values in input feature map")
     return x
 
 
-def _check_grad(g: np.ndarray, n_out: int) -> np.ndarray:
+def _check_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
-    if g.shape[0] != n_out:
-        raise MeshError(f"upstream gradient has {g.shape[0]} rows, expected {n_out}")
+    if g.shape != shape:
+        raise MeshError(f"upstream gradient has shape {g.shape}, expected {shape}")
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite upstream gradient")
     return g
+
+
+def _out_shape(x: np.ndarray, n: int, d: int) -> tuple[int, ...]:
+    """Shape of an n-vertex, d-feature result in x's layout: (n, d) or (n, B, d)."""
+    return (n, *x.shape[1:-1], d)
+
+
+def _vertex_rows(a: np.ndarray) -> np.ndarray:
+    """a as (n, B*d): each vertex's samples and features in one row."""
+    return a.reshape(a.shape[0], int(np.prod(a.shape[1:])))
+
+
+def _sample_rows(a: np.ndarray) -> np.ndarray:
+    """a as (n*B, d): one row per vertex and sample."""
+    return a.reshape(int(np.prod(a.shape[:-1])), a.shape[-1])
 
 
 def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -221,30 +246,39 @@ def _check_coeffs(params: VcConvParams, topology: ConvTopology) -> None:
         )
 
 
+def _vertex_products(x: np.ndarray, params: VcConvParams) -> np.ndarray:
+    """t_j = (x_j^T B_k)_k of every input vertex j, as (n_in, M, B*O): row k holds x_jb^T B_k
+    for each sample b in turn."""
+    m, i, o = params.basis.shape
+    t = _sample_rows(x) @ params.basis.transpose(1, 0, 2).reshape(i, m * o)
+    return t.reshape(len(x), -1, m, o).transpose(0, 2, 1, 3).reshape(len(x), m, -1)
+
+
 def vc_conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     x = _check_features(x, params.in_dim, topology)
     _check_coeffs(params, topology)
     m, i, o = params.basis.shape
     c = params.coeffs
-    by_input = params.basis.transpose(1, 0, 2)  # (I, M, O)
     if i <= o:
-        # per output row r: z_r = sum of x_e c_e^T over its edges, then y = z B
-        xs = _zero_row(x)
-        z = np.empty((topology.n_out, i, m))
+        # per output row r: z_r = sum of x_e c_e^T over its edges (B*I rows), then y = z B
+        xs = _zero_row(_vertex_rows(x))
+        z = np.empty((topology.n_out, xs.shape[1], m))
         for r0, r1, edge, src, _ in _blocks(topology, "out"):
             xe = np.take(xs, src, axis=0)
             np.matmul(xe.transpose(0, 2, 1), np.take(c, edge, axis=0), out=z[r0:r1])
-        y = z.reshape(-1, i * m) @ by_input.reshape(i * m, o)
+        y = z.reshape(-1, i * m) @ params.basis.transpose(1, 0, 2).reshape(i * m, o)
     else:
         # per input row j: t_j = (x_j^T B_k)_k, then each edge's c_e^T t_j in
         # transposed edge order, summed over the output rows
         t_indptr = topology.transpose_order[1]
-        t = (x @ by_input.reshape(i, m * o)).reshape(-1, m, o)
-        contrib = np.zeros((topology.edge_count + 1, o))
+        t = _vertex_products(x, params)
+        contrib = np.zeros((topology.edge_count + 1, t.shape[2]))
         for j0, j1, edge, _, kept in _blocks(topology, "in"):
             per_row = np.take(c, edge, axis=0) @ t[j0:j1]
-            np.take(per_row.reshape(-1, o), kept, axis=0, out=contrib[t_indptr[j0]:t_indptr[j1]])
+            np.take(per_row.reshape(-1, t.shape[2]), kept, axis=0,
+                    out=contrib[t_indptr[j0]:t_indptr[j1]])
         y = _row_sums(contrib, topology, "out")
+    y = y.reshape(_out_shape(x, topology.n_out, o))
     y += params.bias
     return y
 
@@ -252,33 +286,36 @@ def vc_conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.n
 def vc_conv_backward(
     params: VcConvParams, topology: ConvTopology, x: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(d_x, parameter gradients); on a batch, each parameter gradient sums over the samples."""
     x = _check_features(x, params.in_dim, topology)
-    g = _check_grad(grad_out, topology.n_out)
     _check_coeffs(params, topology)
     m, i, o = params.basis.shape
+    g = _check_grad(grad_out, _out_shape(x, topology.n_out, o))
     c = params.coeffs
-    by_input = params.basis.transpose(1, 0, 2)  # (I, M, O)
     d_coeffs = np.empty(c.shape)
     if i <= o:
         indptr = topology.indptr
-        p = (g @ by_input.reshape(i * m, o).T).reshape(-1, i, m)  # p[r][:, k] = B_k g_r
-        xs = _zero_row(x)
-        z = np.empty((topology.n_out, i, m))
-        d_xe = np.zeros((topology.edge_count + 1, i))
+        by_input = params.basis.transpose(1, 0, 2).reshape(i * m, o)
+        # p[r][b*I + :, k] = B_k g_rb: contracting over its B*I rows sums the samples
+        p = (_sample_rows(g) @ by_input.T).reshape(topology.n_out, -1, m)
+        xs = _zero_row(_vertex_rows(x))
+        z = np.empty(p.shape)
+        d_xe = np.zeros((topology.edge_count + 1, xs.shape[1]))
         for r0, r1, edge, src, kept in _blocks(topology, "out"):
             s, e = indptr[r0], indptr[r1]
             xe, ce, pr = np.take(xs, src, axis=0), np.take(c, edge, axis=0), p[r0:r1]
             np.matmul(xe.transpose(0, 2, 1), ce, out=z[r0:r1])
             np.take((xe @ pr).reshape(-1, m), kept, axis=0, out=d_coeffs[s:e])
-            np.take((ce @ pr.transpose(0, 2, 1)).reshape(-1, i), kept, axis=0, out=d_xe[s:e])
-        d_basis = (z.reshape(-1, i * m).T @ g).reshape(i, m, o).transpose(1, 0, 2)
+            np.take((ce @ pr.transpose(0, 2, 1)).reshape(-1, xs.shape[1]), kept, axis=0,
+                    out=d_xe[s:e])
+        d_basis = (z.reshape(-1, i * m).T @ _sample_rows(g)).reshape(i, m, o).transpose(1, 0, 2)
         d_x = _row_sums(d_xe, topology, "in")
     else:
         # per input row j: w_j = sum of g_r c_e^T over its edges, then d_x = w B^T, d_B = x^T w
         perm, t_indptr = topology.transpose_order
-        t = (x @ by_input.reshape(i, m * o)).reshape(-1, m, o)
-        gs = _zero_row(g)
-        w = np.empty((topology.n_in, o, m))
+        t = _vertex_products(x, params)
+        gs = _zero_row(_vertex_rows(g))
+        w = np.empty((topology.n_in, gs.shape[1], m))
         for j0, j1, edge, dst, kept in _blocks(topology, "in"):
             ge, ce = np.take(gs, dst, axis=0), np.take(c, edge, axis=0)
             np.matmul(ge.transpose(0, 2, 1), ce, out=w[j0:j1])
@@ -286,9 +323,10 @@ def vc_conv_backward(
             d_coeffs[perm[t_indptr[j0]:t_indptr[j1]]] = np.take(per_row, kept, axis=0)
         w = w.reshape(-1, o * m)
         d_x = w @ params.basis.transpose(2, 0, 1).reshape(o * m, i)
-        d_basis = (x.T @ w).reshape(i, o, m).transpose(2, 0, 1)
-    return d_x, {
-        "basis": np.ascontiguousarray(d_basis), "coeffs": d_coeffs, "bias": g.sum(axis=0)
+        d_basis = (_sample_rows(x).T @ w).reshape(i, o, m).transpose(2, 0, 1)
+    return d_x.reshape(x.shape), {
+        "basis": np.ascontiguousarray(d_basis), "coeffs": d_coeffs,
+        "bias": _sample_rows(g).sum(axis=0),
     }
 
 
@@ -326,52 +364,76 @@ def _normalized_rho(
     return absr / sums[rows], sums
 
 
+def _aggregate(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
+    weights, _ = _normalized_rho(params, topology, topology.rows())
+    xe = _vertex_rows(x)[topology.indices]
+    xe *= weights[:, None]  # in the gathered copy: per-edge arrays are B*d wide
+    y = _segment_sums(xe, topology.indptr)
+    return y.reshape(_out_shape(x, topology.n_out, x.shape[-1]))
+
+
 def vd_aggregate(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     """Density-weighted pooling (vdPool when down, vdUnpool on the transpose)."""
-    x = _check_features(x, None, topology)
-    weights, _ = _normalized_rho(params, topology, topology.rows())
-    return _segment_sums(weights[:, None] * x[topology.indices], topology.indptr)
+    return _aggregate(params, topology, _check_features(x, None, topology))
 
 
-def _vd_aggregate_grads(params, topology, x, grad_out):
-    """(y, d_x, grads) of vd_aggregate: its output y alongside the gradients."""
-    x = _check_features(x, None, topology)
-    g = _check_grad(grad_out, topology.n_out)
+def _vd_aggregate_grads(params, topology, x, g):
+    """(y, d_x, grads) of vd_aggregate on checked x and g: its output y alongside the gradients.
+
+    Vertex rows hold B*d columns, so d_rho sums over the samples.
+    """
     rows = topology.rows()
     weights, sums = _normalized_rho(params, topology, rows)
-    xe = x[topology.indices]
+    xe = _vertex_rows(x)[topology.indices]
     y = _segment_sums(weights[:, None] * xe, topology.indptr)
-    ge = g[rows]
-    # d y_i / d |rho_e| = (x_e - y_i) / S_i; chain with sign(rho), subgradient 0 at 0
-    d_abs = np.einsum("ei,ei->e", ge, xe - y[rows]) / sums[rows]
+    ge = _vertex_rows(g)[rows]
+    # d y_i / d |rho_e| = (x_e - y_i) / S_i; chain with sign(rho), subgradient 0 at 0.
+    # The gathered copies xe and ge are updated in place, as in _aggregate.
+    xe -= y[rows]
+    d_abs = np.einsum("ei,ei->e", ge, xe) / sums[rows]
     d_rho = np.sign(params.rho) * d_abs
-    return y, _scatter_to_inputs(weights[:, None] * ge, topology), {"rho": d_rho}
+    ge *= weights[:, None]
+    d_x = _scatter_to_inputs(ge, topology).reshape(x.shape)
+    return y.reshape(g.shape), d_x, {"rho": d_rho}
 
 
 def vd_aggregate_backward(params, topology, x, grad_out):
-    _, d_x, grads = _vd_aggregate_grads(params, topology, x, grad_out)
+    x = _check_features(x, None, topology)
+    g = _check_grad(grad_out, _out_shape(x, topology.n_out, x.shape[-1]))
+    _, d_x, grads = _vd_aggregate_grads(params, topology, x, g)
     return d_x, grads
+
+
+def _check_matrix(params: VdParams, x: np.ndarray) -> None:
+    if params.matrix is not None and params.matrix.shape[1] != x.shape[-1]:
+        raise MeshError(
+            f"residual matrix shape {params.matrix.shape} does not accept "
+            f"{x.shape[-1]}-d features"
+        )
+
+
+def _map_features(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """a's feature axis multiplied by matrix (d, d'): one product over all n*B rows."""
+    return (_sample_rows(a) @ matrix).reshape(*a.shape[:-1], matrix.shape[1])
 
 
 def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     """Residual layer: density-weighted pooling followed by the shared map C."""
-    agg = vd_aggregate(params, topology, x)
-    if params.matrix is None:
-        return agg
-    if params.matrix.shape[1] != x.shape[1]:
-        raise MeshError(
-            f"residual matrix shape {params.matrix.shape} does not accept "
-            f"{x.shape[1]}-d features"
-        )
-    return agg @ params.matrix.T
+    x = _check_features(x, None, topology)
+    _check_matrix(params, x)
+    agg = _aggregate(params, topology, x)
+    return agg if params.matrix is None else _map_features(agg, params.matrix.T)
 
 
 def vd_res_backward(params, topology, x, grad_out):
-    g = _check_grad(grad_out, topology.n_out)
+    """(d_x, grads); on a batch, the rho and matrix gradients sum over the samples."""
     if params.matrix is None:
-        return vd_aggregate_backward(params, topology, x, g)
-    agg, d_x, grads = _vd_aggregate_grads(params, topology, x, g @ params.matrix)
-    grads["matrix"] = g.T @ agg
+        return vd_aggregate_backward(params, topology, x, grad_out)
+    x = _check_features(x, None, topology)
+    _check_matrix(params, x)
+    g = _check_grad(grad_out, _out_shape(x, topology.n_out, params.matrix.shape[0]))
+    agg, d_x, grads = _vd_aggregate_grads(params, topology, x, _map_features(g, params.matrix))
+    grads["matrix"] = _sample_rows(g).T @ _sample_rows(agg)
     return d_x, grads
 
 
@@ -381,12 +443,14 @@ def vd_res_backward(params, topology, x, grad_out):
 def reference_pool(topology: ConvTopology, x: np.ndarray, mode: str) -> np.ndarray:
     """Plain max or average pooling over each neighborhood."""
     x = _check_features(x, None, topology)
-    xe = x[topology.indices]
+    xe = _vertex_rows(x)[topology.indices]
     if mode == "max":
-        return np.maximum.reduceat(xe, topology.indptr[:-1], axis=0)
-    if mode == "avg":
-        return _segment_sums(xe, topology.indptr) / topology.sizes[:, None]
-    raise MeshError(f"unknown pooling mode {mode!r}")
+        y = np.maximum.reduceat(xe, topology.indptr[:-1], axis=0)
+    elif mode == "avg":
+        y = _segment_sums(xe, topology.indptr) / topology.sizes[:, None]
+    else:
+        raise MeshError(f"unknown pooling mode {mode!r}")
+    return y.reshape(_out_shape(x, topology.n_out, x.shape[-1]))
 
 
 def elu(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
@@ -397,7 +461,7 @@ def elu(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
 
 
 def elu_backward(x: np.ndarray, grad_out: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    g = _check_grad(grad_out, len(x))
+    g = _check_grad(grad_out, np.shape(x))
     return g * np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
 
 
@@ -406,7 +470,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    g = _check_grad(grad_out, len(x))
+    g = _check_grad(grad_out, np.shape(x))
     return g * (np.asarray(x) > 0)
 
 

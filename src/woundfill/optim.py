@@ -20,6 +20,7 @@ class AdamState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: dict[str, np.ndarray] = field(default_factory=dict, repr=False)  # per parameter
 
 
 def adam_init(params: dict[str, np.ndarray], lr=AdamState.lr, beta1=AdamState.beta1,
@@ -28,13 +29,20 @@ def adam_init(params: dict[str, np.ndarray], lr=AdamState.lr, beta1=AdamState.be
         lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
+        scratch={k: np.empty_like(p) for k, p in params.items()},
     )
 
 
 def adam_step(
     params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One update; returns fresh parameter arrays and mutates/returns the state."""
+    """One update; returns fresh parameter arrays and mutates/returns the state.
+
+    m and v are updated in place, and each parameter's intermediates go
+    through one scratch array kept in the state. The arithmetic is
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), in that operation order.
+    """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(
@@ -45,10 +53,17 @@ def adam_step(
     t = state.step
     out = {}
     for name, p in params.items():
-        g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        out[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        g, m, v, s = grads[name], state.m[name], state.v[name], state.scratch[name]
+        m *= state.beta1
+        m += np.multiply(g, 1 - state.beta1, out=s)
+        v *= state.beta2
+        np.multiply(g, 1 - state.beta2, out=s)
+        v += np.multiply(s, g, out=s)
+        den = np.divide(v, 1 - state.beta2 ** t, out=np.empty_like(p))
+        np.sqrt(den, out=den)
+        den += state.eps
+        np.divide(m, 1 - state.beta1 ** t, out=s)
+        s *= state.lr
+        s /= den
+        out[name] = np.subtract(p, s, out=den)
     return out, state

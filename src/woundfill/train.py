@@ -2,8 +2,12 @@
 
 The model always sees the wounded mesh; what the loss compares against is a
 config choice (the pre-injury mesh by default, or the input itself for a
-plain autoencoding regime). Batches accumulate gradients in a fixed order,
-so runs with the same seed are byte-reproducible.
+plain autoencoding regime). Every mesh of a dataset shares one topology
+(load_pairs checks it), so a batch of B pairs runs as one vertex-major
+(n, B, 3) stack: one forward, B per-sample losses whose gradients fill one
+(n, B, 3) array, and one backward, whose ops kernels sum each parameter's
+gradient over the samples. Batch composition and order are fixed by the
+seed, so runs with the same seed are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -79,13 +83,18 @@ def load_pairs(manifest: DatasetManifest, data_dir, split: str) -> list[tuple[st
     return pairs
 
 
-def _mean_loss(model: Autoencoder, pairs, spec: LossSpec) -> float:
+def _target(spec: LossSpec, wounded: Mesh, gt: Mesh) -> np.ndarray:
+    return gt.positions if spec.target == "ground_truth" else wounded.positions
+
+
+def _mean_loss(model: Autoencoder, pairs, spec: LossSpec, batch_size: int) -> float:
+    """Mean per-pair loss, with the pairs run through the model batch_size at a time."""
     total = 0.0
-    for _, wounded, gt in pairs:
-        out = model.forward(wounded.positions)
-        target = gt.positions if spec.target == "ground_truth" else wounded.positions
-        value, _ = reconstruction_loss(out, target, spec.metric)
-        total += value
+    for start in range(0, len(pairs), batch_size):
+        chunk = pairs[start:start + batch_size]
+        out = model.forward(np.stack([wounded.positions for _, wounded, _ in chunk], axis=1))
+        for b, (_, wounded, gt) in enumerate(chunk):
+            total += reconstruction_loss(out[:, b], _target(spec, wounded, gt), spec.metric)[0]
     return total / len(pairs)
 
 
@@ -128,25 +137,19 @@ def train(
         order = np.random.default_rng([settings.seed, 1, epoch]).permutation(len(train_pairs))
         epoch_losses = []
         for batch_start in range(0, len(order), settings.batch_size):
-            batch = order[batch_start:batch_start + settings.batch_size]
-            grads_sum: dict[str, np.ndarray] | None = None
+            batch = [train_pairs[i] for i in order[batch_start:batch_start + settings.batch_size]]
+            x = np.stack([wounded.positions for _, wounded, _ in batch], axis=1)
+            out, cache = model.forward(x, keep_cache=True)
+            grad_out = np.empty_like(out)
             batch_loss = 0.0
-            for idx in batch:  # fixed batch order keeps the reduction deterministic
-                _, wounded, gt = train_pairs[idx]
-                out, cache = model.forward(wounded.positions, keep_cache=True)
-                target = gt.positions if spec.target == "ground_truth" else wounded.positions
-                value, grad_out = reconstruction_loss(out, target, spec.metric)
+            for b, (_, wounded, gt) in enumerate(batch):
+                value, grad_out[:, b] = reconstruction_loss(
+                    out[:, b], _target(spec, wounded, gt), spec.metric)
                 if not np.isfinite(value):
                     raise NumericalError(f"training diverged: loss={value} at step {steps}")
                 batch_loss += value
-                g = model.backward(cache, grad_out)
-                if grads_sum is None:
-                    grads_sum = g
-                else:
-                    for k in grads_sum:
-                        grads_sum[k] = grads_sum[k] + g[k]
             scale = 1.0 / len(batch)
-            grads = {k: v * scale for k, v in grads_sum.items()}
+            grads = {k: v * scale for k, v in model.backward(cache, grad_out).items()}
             params, state = adam_step(params, grads, state)
             model.set_parameters(params)
             epoch_losses.append(batch_loss * scale)
@@ -157,7 +160,7 @@ def train(
         train_loss = float(np.mean(epoch_losses))
         history.append((epoch, "train", train_loss))
         if val_pairs:
-            val_loss = _mean_loss(model, val_pairs, spec)
+            val_loss = _mean_loss(model, val_pairs, spec, settings.batch_size)
             history.append((epoch, "val", val_loss))
             selection_loss = val_loss
         else:

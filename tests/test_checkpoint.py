@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import struct
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from woundfill import Architecture, Autoencoder, icosphere
+from woundfill import model as model_mod
 from woundfill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from woundfill.errors import DataError, WoundfillError
 from woundfill.hierarchy import ConvTopology, MeshHierarchy
@@ -160,6 +162,42 @@ def test_block_shape_must_match_architecture(tmp_path, model):
     bad.write_bytes(_with_header(json.dumps(header).encode(), body))
     with pytest.raises(DataError, match="do not match the architecture"):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("change", ["renamed", "reordered", "missing", "extra", "reshaped"])
+def test_block_list_must_equal_the_architecture(tmp_path, model, change):
+    raw, header, body = _saved(model, tmp_path)
+    blocks = header["blocks"]
+    if change == "renamed":
+        blocks[0]["name"] = "enc9.conv.basis"
+    elif change == "reordered":
+        blocks[0], blocks[1] = blocks[1], blocks[0]
+    elif change == "missing":
+        body = body[:-8 * math.prod(blocks.pop()["shape"])]
+    elif change == "extra":
+        blocks.append({"name": "dec0.res.extra", "shape": [1]})
+        body += bytes(8)
+    else:  # same float count, another shape
+        blocks[0]["shape"] = blocks[0]["shape"][::-1]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    with pytest.raises(DataError, match="do not match the architecture"):
+        load_checkpoint(bad)
+
+
+def test_loading_draws_no_parameters(tmp_path, model, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+
+    def refuse(*args):
+        raise AssertionError("load_checkpoint drew initial parameters")
+
+    monkeypatch.setattr(model_mod, "init_vc_conv", refuse)
+    monkeypatch.setattr(model_mod, "init_vd", refuse)
+    loaded, _ = load_checkpoint(path)
+    assert list(loaded.parameters()) == list(model.parameters())
+    for k, v in model.parameters().items():
+        assert np.array_equal(loaded.parameters()[k], v)
 
 
 # sha256 of the header below as the writer wrote it before it was derived from the fields

@@ -6,6 +6,7 @@ import pytest
 from conftest import finite_difference
 from woundfill import Architecture, Autoencoder, icosphere, reconstruction_loss
 from woundfill.errors import ConfigError, as_json, from_json
+from woundfill.model import parameter_shapes
 from woundfill.ops import reference_pool
 
 
@@ -56,7 +57,7 @@ def test_residual_path_starts_as_average_pooling():
     mesh = icosphere(1)
     arch = Architecture(ratios=(1.0, 0.3), widths=(3, 3))
     model = Autoencoder.build(mesh, arch, seed=0)
-    blk = model.encoder[0]
+    blk = model.blocks[0]  # the first encoder block
     from woundfill.ops import vd_res
 
     x = np.random.default_rng(1).normal(size=(42, 3))
@@ -142,3 +143,45 @@ def test_set_parameters_round_trip(small_model):
     for k, v in model.parameters().items():
         assert np.array_equal(v, params[k] + 0.5)
     model.set_parameters(params)
+
+
+def _stack(small_model, batch=3):
+    mesh, model = small_model
+    rng = np.random.default_rng(8)
+    return rng.normal(scale=0.05, size=(mesh.n_vertices, batch, 3)) + mesh.positions[:, None]
+
+
+def test_stacked_forward_equals_per_sample_forwards(small_model):
+    _, model = small_model
+    x = _stack(small_model)
+    y = model.forward(x)
+    assert y.shape == x.shape
+    for b in range(x.shape[1]):
+        y_b = model.forward(x[:, b])
+        np.testing.assert_allclose(y[:, b], y_b, rtol=0, atol=1e-12 * np.abs(y_b).max())
+
+
+def test_stacked_backward_is_the_sum_of_per_sample_backwards(small_model):
+    _, model = small_model
+    x = _stack(small_model)
+    g = np.random.default_rng(9).normal(size=x.shape)
+    _, cache = model.forward(x, keep_cache=True)
+    grads = model.backward(cache, g)
+    g_in = model.input_gradient(cache, g)
+    per_sample = []
+    for b in range(x.shape[1]):
+        _, cache_b = model.forward(x[:, b], keep_cache=True)
+        per_sample.append(model.backward(cache_b, g[:, b]))
+        np.testing.assert_allclose(g_in[:, b], model.input_gradient(cache_b, g[:, b]),
+                                   rtol=1e-12, atol=1e-14)
+    assert list(grads) == list(model.parameters())
+    for name, value in grads.items():
+        np.testing.assert_allclose(value, sum(p[name] for p in per_sample), rtol=1e-12,
+                                   atol=1e-14)
+
+
+def test_parameter_shapes_match_the_built_model():
+    for widths in ((3, 4), (3, 3)):  # equal widths leave out the residual matrices
+        model = Autoencoder.build(icosphere(1), Architecture(ratios=(1.0, 0.3), widths=widths), 0)
+        shapes = parameter_shapes(model.hierarchy, model.architecture)
+        assert list(shapes.items()) == [(k, v.shape) for k, v in model.parameters().items()]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from woundfill.ops import (
     init_vd,
     reference_pool,
     relu,
+    relu_backward,
     vc_conv,
     vc_conv_backward,
     vc_trans_conv,
@@ -275,16 +277,22 @@ def test_relu_values():
 # --- backward: finite-difference oracle --------------------------------------
 
 
+# Sample axes of the feature maps the finite-difference checks run on: the
+# single (n, d) map, then a vertex-major batch (n, 3, d).
+BATCHES = [(), (3,)]
+
+
 def test_vc_conv_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
-    for _ in range(5):
+    # (3, 2) takes the I > O kernels; on a batch, (2, 4) takes the I <= O ones
+    for batch, (i, o) in [((), (3, 2))] * 5 + [((3,), (3, 2)), ((3,), (2, 4))] * 2:
         topo = random_topology(rng, 7, 4)
-        params = init_vc_conv(rng, topo, 3, 2)
+        params = init_vc_conv(rng, topo, i, o)
         params.basis = rng.normal(size=params.basis.shape)
         params.coeffs = rng.normal(size=params.coeffs.shape)
         params.bias = rng.normal(size=params.bias.shape)
-        x = rng.normal(size=(7, 3))
-        w = rng.normal(size=(4, 2))
+        x = rng.normal(size=(7, *batch, i))
+        w = rng.normal(size=(4, *batch, o))
         dx, grads = vc_conv_backward(params, topo, x, w)
         worst = finite_difference(
             lambda: float((w * vc_conv(params, topo, x)).sum()),
@@ -296,11 +304,11 @@ def test_vc_conv_gradients_match_finite_differences():
 
 def test_vd_aggregate_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    for _ in range(5):
+    for batch in BATCHES[:1] * 5 + BATCHES[1:] * 3:
         topo = random_topology(rng, 8, 4)
         params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
-        x = rng.normal(size=(8, 3))
-        w = rng.normal(size=(4, 3))
+        x = rng.normal(size=(8, *batch, 3))
+        w = rng.normal(size=(4, *batch, 3))
         dx, grads = vd_aggregate_backward(params, topo, x, w)
         worst = finite_difference(
             lambda: float((w * vd_aggregate(params, topo, x)).sum()),
@@ -430,8 +438,7 @@ def _returned_bytes(value) -> int:
     return sum(_returned_bytes(v) for v in values)
 
 
-@pytest.mark.parametrize("subdivisions", [4, 5])
-def test_vc_conv_scratch_memory_is_bounded(subdivisions):
+def _check_scratch(subdivisions, batch, budget):
     hierarchy = build_hierarchy(synth_head(1, subdivisions), (1.0, 0.25, 0.0625))
     widths = (3, 16, 32)
     layers = [(hierarchy.conv_down[k], widths[k], widths[k + 1]) for k in range(2)]
@@ -439,8 +446,8 @@ def test_vc_conv_scratch_memory_is_bounded(subdivisions):
     rng = np.random.default_rng(25)
     for topo, in_dim, out_dim in layers:
         params = init_vc_conv(rng, topo, in_dim, out_dim)
-        x = rng.normal(size=(topo.n_in, in_dim))
-        g = rng.normal(size=(topo.n_out, out_dim))
+        x = rng.normal(size=(topo.n_in, *batch, in_dim))
+        g = rng.normal(size=(topo.n_out, *batch, out_dim))
         calls = ((vc_conv, (params, topo, x)), (vc_conv_backward, (params, topo, x, g)))
         for kernel, args in calls:
             kernel(*args)  # builds the topology's cached index plans
@@ -451,7 +458,18 @@ def test_vc_conv_scratch_memory_is_bounded(subdivisions):
             finally:
                 tracemalloc.stop()
             scratch = peak - _returned_bytes(out)
-            assert scratch < SCRATCH_BUDGET, (kernel.__name__, in_dim, out_dim, scratch)
+            assert scratch < budget, (kernel.__name__, in_dim, out_dim, scratch)
+
+
+@pytest.mark.parametrize("subdivisions", [4, 5])
+def test_vc_conv_scratch_memory_is_bounded(subdivisions):
+    _check_scratch(subdivisions, (), SCRATCH_BUDGET)
+
+
+@pytest.mark.parametrize("subdivisions", [4, 5])
+def test_vc_conv_batch_scratch_memory_is_bounded(subdivisions):
+    # the block and vertex arrays widen by B, and so may the scratch
+    _check_scratch(subdivisions, (4,), 4 * SCRATCH_BUDGET)
 
 
 def test_model_step_does_not_import_numpy_ma():
@@ -544,11 +562,101 @@ def test_backward_rejects_nonfinite_upstream():
 
 def test_elu_backward_matches_finite_differences():
     rng = np.random.default_rng(15)
-    x = rng.normal(size=(6, 3))
-    w = rng.normal(size=(6, 3))
-    dx = elu_backward(x, w, alpha=1.3)
-    worst = finite_difference(lambda: float((w * elu(x, 1.3)).sum()), [x], [dx])
+    for batch in BATCHES:
+        x = rng.normal(size=(6, *batch, 3))
+        w = rng.normal(size=(6, *batch, 3))
+        dx = elu_backward(x, w, alpha=1.3)
+        worst = finite_difference(lambda: float((w * elu(x, 1.3)).sum()), [x], [dx])
+        assert worst < 1e-4
+
+
+@pytest.mark.parametrize("op", ["vc_trans_conv", "vd_res", "vd_res-identity", "relu"])
+def test_batch_gradients_match_finite_differences(op):
+    # the ops without a check of their own above, on a (n, 3, d) batch
+    rng = np.random.default_rng([26, len(op)])
+    topo = random_topology(rng, 8, 5)
+    i, o = 3, 4
+    if op == "vc_trans_conv":
+        params = _random_params(rng, topo.transposed, i, o, topo.basis_count)
+        x, w = rng.normal(size=(5, 3, i)), rng.normal(size=(8, 3, o))
+        dx, grads = vc_trans_conv_backward(params, topo, x, w)
+        arrays = [x, params.basis, params.coeffs, params.bias]
+        worst = finite_difference(lambda: float((w * vc_trans_conv(params, topo, x)).sum()),
+                                  arrays, [dx, grads["basis"], grads["coeffs"], grads["bias"]])
+    elif op.startswith("vd_res"):
+        matrix = None if op.endswith("identity") else rng.normal(size=(o, i))
+        params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2, matrix=matrix)
+        x, w = rng.normal(size=(8, 3, i)), rng.normal(size=(5, 3, i if matrix is None else o))
+        dx, grads = vd_res_backward(params, topo, x, w)
+        arrays, analytic = [x, params.rho], [dx, grads["rho"]]
+        if matrix is not None:
+            arrays, analytic = arrays + [matrix], analytic + [grads["matrix"]]
+        worst = finite_difference(lambda: float((w * vd_res(params, topo, x)).sum()),
+                                  arrays, analytic)
+    else:
+        x = rng.normal(size=(6, 3, 2))
+        x[np.abs(x) < 1e-3] = 0.5  # keep central differences off the kink
+        w = rng.normal(size=x.shape)
+        worst = finite_difference(lambda: float((w * relu(x)).sum()), [x],
+                                  [relu_backward(x, w)])
     assert worst < 1e-4
+
+
+def _batch_cases(rng):
+    """(topology, cases): per op, (name, forward(x), backward(x, g) or None, output width)
+    on 3-wide input features."""
+    topo = random_topology(rng, 9, 5)
+    conv = _random_params(rng, topo, 3, 4, 2)
+    trans = _random_params(rng, topo.transposed, 3, 4, 2)
+    vd = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
+    res = VdParams(rho=vd.rho, matrix=rng.normal(size=(4, 3)))
+    fwd_bwd = [
+        ("vc_conv", partial(vc_conv, conv, topo), partial(vc_conv_backward, conv, topo), 4),
+        ("vc_trans_conv", partial(vc_trans_conv, trans, topo.transposed),
+         partial(vc_trans_conv_backward, trans, topo.transposed), 4),
+        ("vd_aggregate", partial(vd_aggregate, vd, topo),
+         partial(vd_aggregate_backward, vd, topo), 3),
+        ("vd_res", partial(vd_res, res, topo), partial(vd_res_backward, res, topo), 4),
+        ("reference_pool", lambda x: reference_pool(topo, x, "max"), None, 3),
+    ]
+    return topo, fwd_bwd
+
+
+def test_batch_runs_each_sample_as_its_own_map():
+    rng = np.random.default_rng(27)
+    topo, cases = _batch_cases(rng)
+    x = rng.normal(size=(topo.n_in, 4, 3))
+    for name, forward, backward, out_dim in cases:
+        y = forward(x)
+        assert y.shape == (topo.n_out, 4, out_dim), name
+        for b in range(4):
+            _assert_matches(y[:, b], forward(x[:, b]))
+        if backward is None:
+            continue
+        g = rng.normal(size=y.shape)
+        d_x, grads = backward(x, g)
+        per_sample = [backward(x[:, b], g[:, b]) for b in range(4)]
+        _assert_matches(d_x, np.stack([d for d, _ in per_sample], axis=1))
+        for key, value in grads.items():  # parameter gradients sum over the samples
+            _assert_matches(value, sum(p[key] for _, p in per_sample))
+
+
+def test_batch_shapes_are_checked():
+    rng = np.random.default_rng(28)
+    topo, cases = _batch_cases(rng)
+    x = rng.normal(size=(topo.n_in, 2, 3))
+    for name, forward, backward, out_dim in cases:
+        forward(x)
+        with pytest.raises(MeshError, match="feature map"):
+            forward(x[:, :, None])  # (n, B, 1, d): 4-d
+        if backward is None:
+            continue
+        for bad in ((topo.n_out, 3, out_dim), (topo.n_out, out_dim), (topo.n_out, 2, 7)):
+            with pytest.raises(MeshError, match="gradient"):
+                backward(x, np.zeros(bad))
+    for act_backward in (elu_backward, relu_backward):
+        with pytest.raises(MeshError, match="gradient"):
+            act_backward(x, np.zeros((topo.n_in, 3, 3)))
 
 
 # --- init ---------------------------------------------------------------------

@@ -65,3 +65,30 @@ def test_moments_shaped_like_params():
     for k, v in params.items():
         assert state.m[k].shape == v.shape
         assert state.v[k].shape == v.shape
+
+
+def test_steps_equal_the_written_out_formula():
+    # the update as plain expressions, each step allocating fresh m, v and params
+    rng = np.random.default_rng(4)
+    params = make_params(rng)
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    state = adam_init(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    moments = [(state.m[k], state.v[k]) for k in params]  # updated in place, never replaced
+    new = params
+    ref, m, v = dict(params), {}, {}
+    for k, p in params.items():
+        m[k], v[k] = np.zeros_like(p), np.zeros_like(p)
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        new, state = adam_step(new, grads, state)
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            m_hat = m[k] / (1 - b1 ** t)
+            v_hat = v[k] / (1 - b2 ** t)
+            ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for k in params:
+            assert np.array_equal(new[k], ref[k])
+            assert np.array_equal(state.m[k], m[k])
+            assert np.array_equal(state.v[k], v[k])
+    assert all(state.m[k] is mk and state.v[k] is vk for k, (mk, vk) in zip(params, moments))

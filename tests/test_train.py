@@ -5,6 +5,7 @@ import pytest
 
 from woundfill import (
     Architecture,
+    Autoencoder,
     LossSpec,
     TrainSettings,
     evaluate,
@@ -64,6 +65,28 @@ def test_train_deterministic(dataset, tmp_path):
     b = train(manifest, root, ARCH, settings, tmp_path / "b")
     assert a.checkpoint_path.read_bytes() == b.checkpoint_path.read_bytes()
     assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
+
+
+def test_train_runs_each_uneven_batch_as_one_stack(tmp_path, monkeypatch):
+    # 5 train and 3 val pairs in batches of 2: two full batches and one of 1
+    root = tmp_path / "data"
+    manifest = make_dataset(root, count=8, scars_per_mesh=1, seed=5,
+                            split_ratios=(0.625, 0.375, 0.0), subdivisions=1)
+    forwards, backwards = [], []
+    forward, backward = Autoencoder.forward, Autoencoder.backward
+    monkeypatch.setattr(Autoencoder, "forward", lambda self, x, keep_cache=False: (
+        forwards.append(np.shape(x)) or forward(self, x, keep_cache)))
+    monkeypatch.setattr(Autoencoder, "backward", lambda self, cache, g: (
+        backwards.append(np.shape(g)) or backward(self, cache, g)))
+    settings = TrainSettings(lr=1e-3, batch_size=2, epochs=2, patience=10, seed=4)
+    a = train(manifest, root, ARCH, settings, tmp_path / "a")
+    b = train(manifest, root, ARCH, settings, tmp_path / "b")
+    assert a.checkpoint_path.read_bytes() == b.checkpoint_path.read_bytes()
+    assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
+    assert a.steps == 6
+    train_batches = [(42, 2, 3), (42, 2, 3), (42, 1, 3)]
+    assert backwards == train_batches * 4  # two epochs of two runs
+    assert forwards == (train_batches + [(42, 2, 3), (42, 1, 3)]) * 4
 
 
 def test_train_input_target_mode(dataset, tmp_path):
