@@ -10,7 +10,8 @@ value as the annotation of the field it fills (errors.from_json), hierarchy
 included, so a damaged file raises DataError naming it. The block index and
 the byte count after the header must then equal exactly what
 model.parameter_shapes gives for that architecture and hierarchy, before any
-block is read; the model is built from the file's blocks, drawing nothing.
+block is read. A block holding a NaN or an infinity is refused by name; the
+model is built from the file's blocks, drawing nothing.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
     for name, shape in shapes.items():
         count = math.prod(shape)
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: parameter block {name} holds non-finite values")
         params[name] = arr.astype(np.float64)
         offset += count * 8
     model = Autoencoder.from_parameters(hierarchy, architecture, params)

@@ -6,8 +6,8 @@ runs as the batch of one through a reshape. With the batch axis between the
 vertex and feature axes, a vertex's B*d values are one contiguous row, so
 every gather is a row gather over B*d columns, and a parameter gradient sums
 over the samples inside the products that form it: the row-block matmuls
-contract over B*I (or B*O) columns, the basis, bias and residual-matrix
-gradients over n*B rows, and the density gradient over B*d columns.
+of the coefficient and density gradients contract over B*I (or B*O)
+columns, and the basis, bias and residual-matrix gradients over n*B rows.
 
 Each operator reads a ConvTopology in CSR form. vc_conv never builds the
 per-edge weights W_e = sum_k a_ek B_k, and its BLAS products run on vertex
@@ -25,6 +25,12 @@ orientation are summed there left to right, over the same kind of padded
 blocks. Each topology builds its block index plans once. Forward passes and
 gradients are bit-reproducible for a given numpy/BLAS build, thread count and
 batch size.
+
+The density layers are vc convolutions with one basis matrix (M = 1): the
+coefficients are the normalized densities r', the basis is C^T, or the
+identity when the layer has no matrix, and the bias is zero. They run on the
+same kernels; the rho gradient maps the coefficient gradient back through
+the normalization.
 
 Operators:
   vc_conv        y_i = sum_j (sum_k a_ijk B_k)^T x_ij + b
@@ -257,6 +263,11 @@ def _vertex_products(x: np.ndarray, params: VcConvParams) -> np.ndarray:
 def vc_conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     x = _check_features(x, params.in_dim, topology)
     _check_coeffs(params, topology)
+    return _conv(params, topology, x)
+
+
+def _conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
+    """vc_conv on a checked x and coeffs."""
     m, i, o = params.basis.shape
     c = params.coeffs
     if i <= o:
@@ -289,8 +300,14 @@ def vc_conv_backward(
     """(d_x, parameter gradients); on a batch, each parameter gradient sums over the samples."""
     x = _check_features(x, params.in_dim, topology)
     _check_coeffs(params, topology)
+    g = _check_grad(grad_out, _out_shape(x, topology.n_out, params.out_dim))
+    return _conv_backward(params, topology, x, g)
+
+
+def _conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
+                   g: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """vc_conv_backward on a checked x, coeffs and g."""
     m, i, o = params.basis.shape
-    g = _check_grad(grad_out, _out_shape(x, topology.n_out, o))
     c = params.coeffs
     d_coeffs = np.empty(c.shape)
     if i <= o:
@@ -342,16 +359,19 @@ def vc_trans_conv_backward(params, topology, x, grad_out):
 # --- vdPool / vdUnpool / vdRes -------------------------------------------
 
 
-def _scatter_to_inputs(values: np.ndarray, topology: ConvTopology) -> np.ndarray:
-    """Per-input sums of per-edge rows, in ascending edge order, over the cached transpose."""
-    perm, indptr = topology.transpose_order
-    return _segment_sums(values[perm], indptr)
+def _density_conv(
+    params: VdParams, topology: ConvTopology, x: np.ndarray
+) -> tuple[VcConvParams, np.ndarray]:
+    """(the layer as a one-basis vc convolution on x's features, |rho| row sums).
 
-
-def _normalized_rho(
-    params: VdParams, topology: ConvTopology, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(|rho| / row sum per edge, row sums); rows is topology.rows()."""
+    Its coefficients are r' = |rho| / row sum, its basis C^T (the identity
+    without a matrix) and its bias zero.
+    """
+    d = x.shape[-1]
+    if params.matrix is not None and params.matrix.shape[1] != d:
+        raise MeshError(
+            f"residual matrix shape {params.matrix.shape} does not accept {d}-d features"
+        )
     rho = np.asarray(params.rho, dtype=np.float64)
     if rho.shape != (topology.edge_count,):
         raise MeshError(f"rho shape {rho.shape} != (edges={topology.edge_count},)")
@@ -361,80 +381,41 @@ def _normalized_rho(
         raise NumericalError(
             f"all-zero density coefficients in neighborhood {int(np.argmin(sums))}"
         )
-    return absr / sums[rows], sums
-
-
-def _aggregate(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
-    weights, _ = _normalized_rho(params, topology, topology.rows())
-    xe = _vertex_rows(x)[topology.indices]
-    xe *= weights[:, None]  # in the gathered copy: per-edge arrays are B*d wide
-    y = _segment_sums(xe, topology.indptr)
-    return y.reshape(_out_shape(x, topology.n_out, x.shape[-1]))
+    basis = np.eye(d) if params.matrix is None else params.matrix.T
+    weights = absr / sums[topology.rows()]
+    return VcConvParams(basis[None], weights[:, None], np.zeros(basis.shape[1])), sums
 
 
 def vd_aggregate(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     """Density-weighted pooling (vdPool when down, vdUnpool on the transpose)."""
-    return _aggregate(params, topology, _check_features(x, None, topology))
-
-
-def _vd_aggregate_grads(params, topology, x, g):
-    """(y, d_x, grads) of vd_aggregate on checked x and g: its output y alongside the gradients.
-
-    Vertex rows hold B*d columns, so d_rho sums over the samples.
-    """
-    rows = topology.rows()
-    weights, sums = _normalized_rho(params, topology, rows)
-    xe = _vertex_rows(x)[topology.indices]
-    y = _segment_sums(weights[:, None] * xe, topology.indptr)
-    ge = _vertex_rows(g)[rows]
-    # d y_i / d |rho_e| = (x_e - y_i) / S_i; chain with sign(rho), subgradient 0 at 0.
-    # The gathered copies xe and ge are updated in place, as in _aggregate.
-    xe -= y[rows]
-    d_abs = np.einsum("ei,ei->e", ge, xe) / sums[rows]
-    d_rho = np.sign(params.rho) * d_abs
-    ge *= weights[:, None]
-    d_x = _scatter_to_inputs(ge, topology).reshape(x.shape)
-    return y.reshape(g.shape), d_x, {"rho": d_rho}
+    return vd_res(VdParams(params.rho), topology, x)
 
 
 def vd_aggregate_backward(params, topology, x, grad_out):
-    x = _check_features(x, None, topology)
-    g = _check_grad(grad_out, _out_shape(x, topology.n_out, x.shape[-1]))
-    _, d_x, grads = _vd_aggregate_grads(params, topology, x, g)
-    return d_x, grads
-
-
-def _check_matrix(params: VdParams, x: np.ndarray) -> None:
-    if params.matrix is not None and params.matrix.shape[1] != x.shape[-1]:
-        raise MeshError(
-            f"residual matrix shape {params.matrix.shape} does not accept "
-            f"{x.shape[-1]}-d features"
-        )
-
-
-def _map_features(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """a's feature axis multiplied by matrix (d, d'): one product over all n*B rows."""
-    return (_sample_rows(a) @ matrix).reshape(*a.shape[:-1], matrix.shape[1])
+    return vd_res_backward(VdParams(params.rho), topology, x, grad_out)
 
 
 def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     """Residual layer: density-weighted pooling followed by the shared map C."""
     x = _check_features(x, None, topology)
-    _check_matrix(params, x)
-    agg = _aggregate(params, topology, x)
-    return agg if params.matrix is None else _map_features(agg, params.matrix.T)
+    return _conv(_density_conv(params, topology, x)[0], topology, x)
 
 
 def vd_res_backward(params, topology, x, grad_out):
     """(d_x, grads); on a batch, the rho and matrix gradients sum over the samples."""
-    if params.matrix is None:
-        return vd_aggregate_backward(params, topology, x, grad_out)
     x = _check_features(x, None, topology)
-    _check_matrix(params, x)
-    g = _check_grad(grad_out, _out_shape(x, topology.n_out, params.matrix.shape[0]))
-    agg, d_x, grads = _vd_aggregate_grads(params, topology, x, _map_features(g, params.matrix))
-    grads["matrix"] = _sample_rows(g).T @ _sample_rows(agg)
-    return d_x, grads
+    conv, sums = _density_conv(params, topology, x)
+    g = _check_grad(grad_out, _out_shape(x, topology.n_out, conv.out_dim))
+    d_x, grads = _conv_backward(conv, topology, x, g)
+    # r'_e = |rho_e| / S_i, so d|rho_e| = (d r'_e - sum_f d r'_f r'_f) / S_i over
+    # e's row i; chain with sign(rho), subgradient 0 at 0.
+    weights, d_weights = conv.coeffs[:, 0], grads["coeffs"][:, 0]
+    rows = topology.rows()
+    centred = _segment_sums(d_weights * weights, topology.indptr)[rows]
+    d_rho = np.sign(params.rho) * ((d_weights - centred) / sums[rows])
+    if params.matrix is None:
+        return d_x, {"rho": d_rho}
+    return d_x, {"rho": d_rho, "matrix": grads["basis"][0].T}
 
 
 # --- reference pooling and activations ------------------------------------

@@ -185,6 +185,29 @@ def test_block_list_must_equal_the_architecture(tmp_path, model, change):
         load_checkpoint(bad)
 
 
+def _block_offset(header, name):
+    """Byte offset of block `name` in the body after the header."""
+    offset = 0
+    for block in header["blocks"]:
+        if block["name"] == name:
+            return offset
+        offset += 8 * math.prod(block["shape"])
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("block", ["enc0.conv.basis", "dec0.conv.bias", "dec0.res.rho"])
+def test_non_finite_parameter_is_data_error(tmp_path, model, value, block):
+    raw, header, body = _saved(model, tmp_path)
+    at = _block_offset(header, block) + 8  # the block's second value
+    body = body[:at] + struct.pack("<d", value) + body[at + 8:]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    with pytest.raises(DataError, match=f"block {block} holds non-finite") as exc:
+        load_checkpoint(bad)
+    assert str(bad) in str(exc.value)
+
+
 def test_loading_draws_no_parameters(tmp_path, model, monkeypatch):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model)

@@ -272,6 +272,28 @@ def test_damaged_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir, damage):
     assert str(bad) in capsys.readouterr().err
 
 
+def test_non_finite_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir):
+    run_dir = tmp_path / "run"
+    assert run(["train", "--data", gen_dir, "--out", run_dir, "--max-steps", "1",
+                "--arch-ratios", "1.0", "0.3", "--widths", "3", "8"]) == 0
+    raw = (run_dir / "model.ckpt").read_bytes()
+    start = len(MAGIC) + 8
+    header_len = int.from_bytes(raw[len(MAGIC):start], "little")
+    header = json.loads(raw[start:start + header_len])
+    at = start + header_len
+    for block in header["blocks"]:
+        if block["name"] == "dec0.conv.bias":
+            break
+        at += 8 * int(np.prod(block["shape"]))
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(raw[:at] + np.array([np.nan]).tobytes() + raw[at + 8:])
+    assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
+                "--checkpoint", bad, "--split", "test"]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "dec0.conv.bias" in err
+    assert not (tmp_path / "ev" / "eval_test.json").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_non_json_manifest_exits_2(tmp_path, capsys, gen_dir, command):
     data = tmp_path / "data"

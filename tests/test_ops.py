@@ -438,17 +438,23 @@ def _returned_bytes(value) -> int:
     return sum(_returned_bytes(v) for v in values)
 
 
-def _check_scratch(subdivisions, batch, budget):
+def _check_scratch(subdivisions, batch, budget, pool=False):
+    """Scratch of the conv layers, or with pool=True the density layers, of a
+    three-level model on a synth_head(1, subdivisions) mesh."""
     hierarchy = build_hierarchy(synth_head(1, subdivisions), (1.0, 0.25, 0.0625))
     widths = (3, 16, 32)
-    layers = [(hierarchy.conv_down[k], widths[k], widths[k + 1]) for k in range(2)]
-    layers += [(hierarchy.conv_up[k], widths[k + 1], widths[k]) for k in range(2)]
+    down, up = ((hierarchy.pool_down, hierarchy.pool_up) if pool
+                else (hierarchy.conv_down, hierarchy.conv_up))
+    init, forward, backward = ((init_vd, vd_res, vd_res_backward) if pool
+                               else (init_vc_conv, vc_conv, vc_conv_backward))
+    layers = [(down[k], widths[k], widths[k + 1]) for k in range(2)]
+    layers += [(up[k], widths[k + 1], widths[k]) for k in range(2)]
     rng = np.random.default_rng(25)
     for topo, in_dim, out_dim in layers:
-        params = init_vc_conv(rng, topo, in_dim, out_dim)
+        params = init(rng, topo, in_dim, out_dim)
         x = rng.normal(size=(topo.n_in, *batch, in_dim))
         g = rng.normal(size=(topo.n_out, *batch, out_dim))
-        calls = ((vc_conv, (params, topo, x)), (vc_conv_backward, (params, topo, x, g)))
+        calls = ((forward, (params, topo, x)), (backward, (params, topo, x, g)))
         for kernel, args in calls:
             kernel(*args)  # builds the topology's cached index plans
             tracemalloc.start()
@@ -470,6 +476,14 @@ def test_vc_conv_scratch_memory_is_bounded(subdivisions):
 def test_vc_conv_batch_scratch_memory_is_bounded(subdivisions):
     # the block and vertex arrays widen by B, and so may the scratch
     _check_scratch(subdivisions, (4,), 4 * SCRATCH_BUDGET)
+
+
+@pytest.mark.parametrize("subdivisions", [4, 5])
+@pytest.mark.parametrize("batch,budget", [((), SCRATCH_BUDGET), ((4,), 4 * SCRATCH_BUDGET)],
+                         ids=["map", "batch"])
+def test_vd_res_scratch_memory_is_bounded(subdivisions, batch, budget):
+    # vdPool on the pooling partitions and vdUnpool on their transposes
+    _check_scratch(subdivisions, batch, budget, pool=True)
 
 
 def test_model_step_does_not_import_numpy_ma():
@@ -522,6 +536,71 @@ def test_vd_res_backward_aggregates_once(monkeypatch):
     ref_dx, ref = vd_aggregate_backward(params, topo, x, g @ params.matrix)
     assert np.array_equal(d_x, ref_dx)
     assert np.array_equal(grads["rho"], ref["rho"])
+
+
+def partition_topology(rng, n_in: int, n_out: int) -> ConvTopology:
+    """Each input in exactly one output row of at least two: a pooling partition."""
+    owner = np.concatenate([np.repeat(np.arange(n_out), 2),
+                            rng.integers(0, n_out, n_in - 2 * n_out)])
+    rng.shuffle(owner)
+    indptr = np.zeros(n_out + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_out), out=indptr[1:])
+    return ConvTopology(n_in, n_out, indptr, np.argsort(owner, kind="stable"), basis_count=1)
+
+
+def _vd_res_oracle(params, topology, x, g):
+    """(y, d_x, grads) of vd_res by the per-edge formulas: a reduceat aggregate a over
+    vertex rows, then y = a C^T, and d|rho_e| = <g C, x_e - a_i> / S_i over e's row i."""
+    rows = topology.rows()
+    absr = np.abs(params.rho)
+    sums = np.add.reduceat(absr, topology.indptr[:-1])
+    weights = absr / sums[rows]
+    xe = x.reshape(len(x), -1)[topology.indices]
+    agg = np.add.reduceat(weights[:, None] * xe, topology.indptr[:-1], axis=0)
+    matrix = np.eye(x.shape[-1]) if params.matrix is None else params.matrix
+    y = agg.reshape(topology.n_out, *x.shape[1:]) @ matrix.T
+    ge = (g @ matrix).reshape(topology.n_out, -1)[rows]
+    d_abs = np.einsum("ei,ei->e", ge, xe - agg[rows]) / sums[rows]
+    d_x = np.zeros((len(x), xe.shape[1]))
+    np.add.at(d_x, topology.indices, weights[:, None] * ge)
+    grads = {"rho": np.sign(params.rho) * d_abs}
+    if params.matrix is not None:
+        grads["matrix"] = g.reshape(-1, len(matrix)).T @ agg.reshape(-1, x.shape[-1])
+    return y, d_x.reshape(x.shape), grads
+
+
+@pytest.mark.parametrize("block_edges", ["default", "1", "3", "below-longest-row"])
+@pytest.mark.parametrize("in_dim,out_dim", [(5, 5), (3, 8), (8, 3)],
+                         ids=["identity", "I<O", "I>O"])
+@pytest.mark.parametrize("shape", ["partition", "partition-transposed", "mixed"])
+def test_vd_res_matches_reduceat_reference(monkeypatch, block_edges, in_dim, out_dim, shape):
+    rng = np.random.default_rng([29, in_dim, out_dim, len(shape), len(block_edges)])
+    if shape == "mixed":
+        topo = random_topology(rng, 30, 20, max_degree=6)
+    else:  # the transpose of a partition has one edge per row
+        topo = partition_topology(rng, 30, 8)
+        topo = topo.transposed if shape == "partition-transposed" else topo
+    longest = max(int(topo.sizes.max()), int(topo.transposed.sizes.max()))
+    if block_edges != "default":
+        size = {"1": 1, "3": 3, "below-longest-row": longest - 1}[block_edges]
+        monkeypatch.setattr(ops, "BLOCK_EDGES", size)
+    rows = topo.rows()
+    rho = rng.normal(size=topo.edge_count)
+    rho[(topo.sizes[rows] > 1) & (np.arange(topo.edge_count) % 4 == 0)] = 0.0  # the kink
+    matrix = None if in_dim == out_dim else rng.normal(size=(out_dim, in_dim))
+    params = VdParams(rho=rho, matrix=matrix)
+    for batch in BATCHES:
+        x = rng.normal(size=(topo.n_in, *batch, in_dim))
+        g = rng.normal(size=(topo.n_out, *batch, out_dim))
+        y, ref_x, ref = _vd_res_oracle(params, topo, x, g)
+        _assert_matches(vd_res(params, topo, x), y)
+        d_x, grads = vd_res_backward(params, topo, x, g)
+        _assert_matches(d_x, ref_x)
+        assert sorted(grads) == sorted(ref)
+        for key in ref:
+            assert grads[key].shape == ref[key].shape
+            _assert_matches(grads[key], ref[key])
+        assert not grads["rho"][rho == 0].any()
 
 
 def test_rho_subgradient_zero_at_kink():
