@@ -177,11 +177,7 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
     in_patch = np.zeros(input_mesh.n_vertices, dtype=bool)
     in_patch[patch_faces] = True
     dilated = in_patch.copy()
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        touching = in_patch[faces[:, a]]
-        dilated[faces[touching, b]] = True
-        touching = in_patch[faces[:, b]]
-        dilated[faces[touching, a]] = True
+    dilated[faces[in_patch[faces].any(axis=1)]] = True
     dilated_faces = faces[dilated[faces].all(axis=1)]
 
     all_positions, all_faces, notes = [], [], []

@@ -9,7 +9,8 @@ graph of a filling patch) share one CSR layout: a pair ``(indptr, indices)``
 where the neighbors of row i are ``indices[indptr[i]:indptr[i + 1]]``, sorted
 and distinct. :func:`csr_from_pairs` builds it, :func:`bfs` and
 :func:`components` walk it, and :func:`edge_key` is the one integer key for an
-undirected edge.
+undirected edge: unique edges, boundary loops, filling face components and the
+icosphere subdivision of the synthetic heads all key their edges with it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ A scar is a radially symmetric inward dent: pick a focal vertex, gather its
 neighborhood out to a hop radius, and push vertices in along their normals
 with a quadratic falloff so the focal point is deepest. Heads are deformed
 icospheres, so everything here runs at desk scale and is reproducible from
-a single integer seed.
+a single integer seed. Subdivision keys edges with mesh.edge_key and numbers
+each pass's midpoints by their edge's first appearance in face order.
 
 manifest.json is the DatasetManifest dataclass written by errors.as_json and
 read back by errors.from_json, each value checked against its field's
@@ -25,6 +26,7 @@ from .mesh import (
     UNREACHED,
     Mesh,
     bfs_hops,
+    edge_key,
     is_watertight,
     mean_edge_length,
     vertex_adjacency,
@@ -169,29 +171,27 @@ def icosahedron() -> Mesh:
 def icosphere(subdivisions: int) -> Mesh:
     """Icosahedron subdivided `subdivisions` times and reprojected to the unit sphere.
 
-    Vertex count is 10 * 4**s + 2.
+    Vertex count is 10 * 4**s + 2. Each pass appends one midpoint per edge,
+    numbered by the edge's first appearance among the faces' ab, bc, ca edges
+    in face order, and splits every face into four.
     """
     mesh = icosahedron()
-    verts = [list(p) for p in mesh.positions]
-    faces = mesh.faces
+    verts, faces = mesh.positions, mesh.faces
     for _ in range(subdivisions):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                p = (np.array(verts[a]) + np.array(verts[b])) / 2.0
-                p /= np.linalg.norm(p)
-                midpoint[key] = len(verts)
-                verts.append(list(p))
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        faces = np.array(new_faces, dtype=np.int64)
-    return Mesh(np.array(verts), faces)
+        n = len(verts)
+        ends = np.stack([faces, faces[:, [1, 2, 0]]], axis=-1).reshape(-1, 2)
+        _, first, inverse = np.unique(
+            edge_key(ends[:, 0], ends[:, 1], n), return_index=True, return_inverse=True
+        )
+        new = ends[np.sort(first)]  # each edge once, in order of first appearance
+        p = (verts[new[:, 0]] + verts[new[:, 1]]) / 2.0
+        # one BLAS dot per row rounds like np.linalg.norm of a single vector
+        p /= np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
+        verts = np.concatenate([verts, p])
+        a, b, c = faces.T
+        ab, bc, ca = (n + np.argsort(np.argsort(first)))[inverse].reshape(-1, 3).T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return Mesh(verts, faces)
 
 
 def synth_head(seed: int, subdivisions: int = 2) -> Mesh:
@@ -275,15 +275,9 @@ def _split_assignment(count: int, ratios: tuple[float, float, float], seed: int)
     order = np.random.default_rng([seed, 1]).permutation(count)
     n_train = int(np.floor(ratios[0] * count))
     n_val = int(np.floor(ratios[1] * count))
-    split = [""] * count
-    for pos, head in enumerate(order):
-        if pos < n_train:
-            split[head] = "train"
-        elif pos < n_train + n_val:
-            split[head] = "val"
-        else:
-            split[head] = "test"
-    return split
+    split = np.empty(count, dtype=object)
+    split[order] = np.repeat(SPLITS, [n_train, n_val, count - n_train - n_val])
+    return split.tolist()
 
 
 def make_dataset(
@@ -304,10 +298,14 @@ def make_dataset(
     """
     if count < 1 or scars_per_mesh < 1:
         raise DataError("count and scars_per_mesh must be >= 1")
+    if len(split_ratios) != 3:
+        raise DataError(f"split_ratios must be (train, val, test), got {split_ratios}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     ranges.validate()
+    splits = _split_assignment(count, split_ratios, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    splits = _split_assignment(count, split_ratios, seed)
     entries = []
     for head in range(count):
         rng = np.random.default_rng([seed, 0, head])

@@ -220,6 +220,41 @@ def test_first_fill_does_not_import_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
+def ring_dilation_oracle(faces, in_patch):
+    """Per-corner-pair dilation: a patch vertex marks its neighbor across each face edge."""
+    dilated = in_patch.copy()
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        dilated[faces[in_patch[faces[:, a]], b]] = True
+        dilated[faces[in_patch[faces[:, b]], a]] = True
+    return dilated
+
+
+def test_filling_covers_the_one_ring_dilation_of_the_patch():
+    from woundfill import icosphere
+    from woundfill.mesh import bfs_hops, vertex_adjacency
+
+    rng = np.random.default_rng(404)
+    for subdivisions in (2, 3, 4):
+        base = icosphere(subdivisions)
+        faces = base.faces
+        for _ in range(12):
+            # a hop ball plus scattered single vertices, all under a fifth of the mesh,
+            # so a uniform inward push makes exactly these vertices the outliers
+            center = int(rng.integers(0, base.n_vertices))
+            hops = bfs_hops(vertex_adjacency(base), center)
+            mask = (hops <= rng.integers(1, subdivisions + 1)) | (rng.random(len(hops)) < 0.03)
+            positions = np.array(base.positions)
+            positions[mask] *= 0.7
+            report = extract_filling(Mesh(positions, faces), base)
+            assert np.array_equal(report.outliers, np.flatnonzero(mask))
+            in_patch = np.zeros(len(mask), dtype=bool)
+            in_patch[faces[mask[faces].all(axis=1)]] = True
+            ring = np.flatnonzero(ring_dilation_oracle(faces, in_patch))
+            expected = np.concatenate([positions[ring], base.positions[ring]])
+            assert np.array_equal(np.unique(report.filling.positions, axis=0),
+                                  np.unique(expected, axis=0))
+
+
 def test_single_vertex_dent_has_no_face_patch():
     from woundfill import icosphere
 

@@ -10,6 +10,7 @@ from woundfill import (
     ScarRanges,
     ScarSpec,
     generate_scar,
+    icosahedron,
     icosphere,
     is_watertight,
     k_ring,
@@ -21,7 +22,7 @@ from woundfill import (
     vertex_distance,
 )
 from woundfill.errors import ConfigError, DataError, WoundfillError
-from woundfill.scars import DatasetManifest, ManifestEntry
+from woundfill.scars import DatasetManifest, ManifestEntry, _split_assignment
 from woundfill.mesh import bfs_hops, vertex_adjacency
 
 
@@ -146,6 +147,50 @@ def test_icosphere_counts():
     assert icosphere(2).n_vertices == 162
 
 
+def icosphere_oracle(subdivisions):
+    """Per-edge dict-and-closure subdivision, one midpoint per new key in face order."""
+    mesh = icosahedron()
+    verts = [list(p) for p in mesh.positions]
+    faces = mesh.faces
+    for _ in range(subdivisions):
+        midpoint = {}
+
+        def mid(a, b):
+            key = (a, b) if a < b else (b, a)
+            if key not in midpoint:
+                p = (np.array(verts[a]) + np.array(verts[b])) / 2.0
+                p /= np.linalg.norm(p)
+                midpoint[key] = len(verts)
+                verts.append(list(p))
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        faces = np.array(new_faces, dtype=np.int64)
+    return np.array(verts), faces
+
+
+@pytest.mark.parametrize("subdivisions", range(6))
+def test_icosphere_is_bitwise_the_per_edge_oracle(subdivisions):
+    positions, faces = icosphere_oracle(subdivisions)
+    mesh = icosphere(subdivisions)
+    assert mesh.faces.dtype == np.int64
+    assert np.array_equal(mesh.faces, faces)
+    assert np.array_equal(mesh.positions, positions)  # bitwise: no tolerance
+
+
+# sha256 of icosphere(4).faces as little-endian int64, as the per-edge dict numbered them;
+# positions are not pinned because their last bits depend on the BLAS build
+ICOSPHERE4_FACES_SHA256 = "1d19353ebb1a280dd705a884e8db6ef144348417dd5324e62326249995dddb35"
+
+
+def test_icosphere_faces_are_pinned():
+    faces = icosphere(4).faces.astype("<i8")
+    assert hashlib.sha256(faces.tobytes()).hexdigest() == ICOSPHERE4_FACES_SHA256
+
+
 def test_synth_head_watertight_and_seed_behavior():
     a = synth_head(1, 2)
     b = synth_head(2, 2)
@@ -201,6 +246,42 @@ def test_manifest_is_valid_json(tmp_path):
 def test_make_dataset_bad_ratios(tmp_path):
     with pytest.raises(DataError, match="sum to 1"):
         make_dataset(tmp_path / "d", count=2, split_ratios=(0.5, 0.2, 0.2))
+    assert not (tmp_path / "d").exists()
+
+
+def test_make_dataset_rejects_two_split_ratios(tmp_path):
+    # the manifest field is a 3-tuple, so such a dataset could not be read back
+    with pytest.raises(DataError, match="split_ratios"):
+        make_dataset(tmp_path / "d", count=2, split_ratios=(0.5, 0.5))
+    assert not (tmp_path / "d").exists()
+
+
+def test_make_dataset_rejects_negative_seed(tmp_path):
+    with pytest.raises(DataError, match="seed"):
+        make_dataset(tmp_path / "d", count=2, seed=-1)
+    assert not (tmp_path / "d").exists()
+
+
+def split_assignment_oracle(count, ratios, seed):
+    order = np.random.default_rng([seed, 1]).permutation(count)
+    n_train = int(np.floor(ratios[0] * count))
+    n_val = int(np.floor(ratios[1] * count))
+    split = [""] * count
+    for pos, head in enumerate(order):
+        split[head] = "train" if pos < n_train else "val" if pos < n_train + n_val else "test"
+    return split
+
+
+def test_split_assignment_matches_per_head_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        count = int(rng.integers(1, 40))
+        train, val = rng.dirichlet([1.0, 1.0, 1.0])[:2]
+        ratios = (train, val, 1.0 - train - val)
+        seed = int(rng.integers(0, 2**32))
+        split = _split_assignment(count, ratios, seed)
+        assert split == split_assignment_oracle(count, ratios, seed)
+        assert all(type(s) is str for s in split)
 
 
 def test_wounded_meshes_match_specs(tmp_path):
