@@ -359,13 +359,16 @@ def k_ring(mesh: Mesh, center: int, k: int) -> np.ndarray:
 
 
 def vertex_normals(mesh: Mesh) -> np.ndarray:
-    """Area-weighted vertex normals, unit length where defined."""
+    """Area-weighted vertex normals, unit length where defined.
+
+    Each vertex sums its faces' cross products from 0.0: the faces where it is
+    corner 0 in face order, then corner 1, then corner 2.
+    """
     p = mesh.positions
     f = mesh.faces
     fn = np.cross(p[f[:, 1]] - p[f[:, 0]], p[f[:, 2]] - p[f[:, 0]])
-    vn = np.zeros_like(p)
-    for c in range(3):
-        np.add.at(vn, f[:, c], fn)
+    corners = f.ravel("F")  # corner 0 of every face, then corner 1, then corner 2
+    vn = np.column_stack([np.bincount(corners, np.tile(fn[:, c], 3), len(p)) for c in range(3)])
     norms = np.linalg.norm(vn, axis=1)
     ok = norms > 0
     vn[ok] /= norms[ok, None]

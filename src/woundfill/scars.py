@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import ConfigError, DataError, MeshError, as_json, from_json
 from .mesh import (
     UNREACHED,
     Mesh,
-    bfs_hops,
+    bfs,
     edge_key,
     is_watertight,
     mean_edge_length,
@@ -63,10 +64,12 @@ class ScarSpec:
     seed: int = 0
 
     def validate(self):
-        if self.radius <= 0:
-            raise DataError(f"scar radius must be > 0, got {self.radius}")
-        if self.max_depth <= 0:
-            raise DataError(f"scar max_depth must be > 0, got {self.max_depth}")
+        if not isinstance(self.center, Integral):
+            raise DataError(f"scar center must be an integer vertex index, got {self.center!r}")
+        if not isinstance(self.radius, Integral) or self.radius <= 0:
+            raise DataError(f"scar radius must be an integer hop count > 0, got {self.radius!r}")
+        if not isinstance(self.max_depth, Real) or not 0 < self.max_depth < np.inf:
+            raise DataError(f"scar max_depth must be finite and > 0, got {self.max_depth!r}")
         if self.profile != "quadratic":
             raise DataError(f"unknown scar profile {self.profile!r}")
 
@@ -89,8 +92,8 @@ class ScarRanges:
     def validate(self):
         if len(self.radius) != 2 or not 1 <= self.radius[0] <= self.radius[1]:
             raise ConfigError(f"bad radius range {self.radius}: need [lo, hi] with 1 <= lo <= hi")
-        if len(self.depth) != 2 or not 0 < self.depth[0] <= self.depth[1]:
-            raise ConfigError(f"bad depth range {self.depth}: need [lo, hi] with 0 < lo <= hi")
+        if len(self.depth) != 2 or not 0 < self.depth[0] <= self.depth[1] < np.inf:
+            raise ConfigError(f"bad depth range {self.depth}: need finite [lo, hi], 0 < lo <= hi")
 
 
 def generate_scar(mesh: Mesh, spec: ScarSpec) -> tuple[Mesh, ScarMask]:
@@ -98,32 +101,40 @@ def generate_scar(mesh: Mesh, spec: ScarSpec) -> tuple[Mesh, ScarMask]:
 
     Displacement is max_depth * (1 - (r/R)^2) inward along the vertex normal,
     with r the hop distance, so it peaks at the center and reaches zero at the
-    rim. Vertices outside the dent keep bit-identical coordinates.
+    rim. Vertices outside the dent keep bit-identical coordinates. The edge
+    graph and normals are derived here; make_dataset derives them once per
+    dataset and once per head, and dents with the same code.
     """
     spec.validate()
     if not 0 <= spec.center < mesh.n_vertices:
         raise DataError(f"scar center {spec.center} outside mesh of {mesh.n_vertices} vertices")
     if not is_watertight(mesh):
         raise MeshError("generate_scar requires a watertight mesh")
-    hops = bfs_hops(vertex_adjacency(mesh), spec.center)
-    reachable = hops[hops < UNREACHED]
+    return _dent(mesh, vertex_adjacency(mesh), vertex_normals(mesh), spec)
+
+
+def _dent(mesh: Mesh, adj, normals: np.ndarray, spec: ScarSpec) -> tuple[Mesh, ScarMask]:
+    """The scar of a checked spec on a watertight mesh, its edge graph adj and its normals.
+
+    The search stops at spec.radius hops, where the dent ends; one that empties
+    sooner has reached the center's eccentricity, the radius it clamps to.
+    """
+    hops, _ = bfs(adj, [spec.center], max_hops=spec.radius)
     radius = spec.radius
-    eccentricity = int(reachable.max())
-    if radius > eccentricity:
+    deepest = int(hops[hops < UNREACHED].max())
+    if radius > deepest:
         warnings.warn(
-            f"scar radius {radius} exceeds component eccentricity {eccentricity}; clamping",
-            stacklevel=2,
+            f"scar radius {radius} exceeds component eccentricity {deepest}; clamping",
+            stacklevel=3,
         )
-        radius = eccentricity
-    r = hops.astype(np.float64)
-    falloff = 1.0 - (r / radius) ** 2
-    displacement = np.where(hops < radius, spec.max_depth * falloff, 0.0)
+        radius = deepest
+    inside = hops < radius
+    displacement = np.zeros(len(hops))
+    displacement[inside] = spec.max_depth * (1.0 - (hops[inside] / radius) ** 2)
     affected = np.flatnonzero(displacement > 0)
-    normals = vertex_normals(mesh)
     positions = np.array(mesh.positions)
     positions[affected] -= displacement[affected, None] * normals[affected]
-    wounded = Mesh(positions, mesh.faces, dict(mesh.attributes))
-    return wounded, ScarMask(affected, displacement)
+    return mesh.with_positions(positions), ScarMask(affected, displacement)
 
 
 def sample_scar_spec(
@@ -202,7 +213,11 @@ def synth_head(seed: int, subdivisions: int = 2) -> Mesh:
     """
     if subdivisions < 1:
         raise DataError("subdivisions must be >= 1")
-    base = icosphere(subdivisions)
+    return _bump(icosphere(subdivisions), seed)
+
+
+def _bump(base: Mesh, seed: int) -> Mesh:
+    """The head of `seed` on the unit-sphere vertices of `base`."""
     rng = np.random.default_rng(seed)
     axes = rng.uniform(0.85, 1.15, size=3)
     n_lobes = 6
@@ -214,7 +229,7 @@ def synth_head(seed: int, subdivisions: int = 2) -> Mesh:
     factor = 1.0 + sum(
         amps[i] * np.exp((d @ dirs[i] - 1.0) / widths[i]) for i in range(n_lobes)
     )
-    return Mesh(d * factor[:, None] * axes[None, :], base.faces)
+    return base.with_positions(d * factor[:, None] * axes[None, :])
 
 
 # --- dataset ------------------------------------------------------------
@@ -294,10 +309,14 @@ def make_dataset(
     Every head draws from its own rng stream derived from (seed, head index),
     so results do not depend on generation order. All variants of one head
     land in the same split, which keeps ground truths from leaking across
-    splits.
+    splits. The heads share one closed icosphere, so its edge graph is built
+    once per dataset and vertex normals once per head. Arguments are checked
+    before anything is written.
     """
     if count < 1 or scars_per_mesh < 1:
         raise DataError("count and scars_per_mesh must be >= 1")
+    if subdivisions < 1:
+        raise DataError("subdivisions must be >= 1")
     if len(split_ratios) != 3:
         raise DataError(f"split_ratios must be (train, val, test), got {split_ratios}")
     if seed < 0:
@@ -306,16 +325,19 @@ def make_dataset(
     splits = _split_assignment(count, split_ratios, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    base = icosphere(subdivisions)
+    adj = vertex_adjacency(base)  # icospheres are closed, as _dent requires
     entries = []
     for head in range(count):
         rng = np.random.default_rng([seed, 0, head])
-        gt = synth_head(int(rng.integers(0, 2**63)), subdivisions)
+        gt = _bump(base, int(rng.integers(0, 2**63)))
         gt_file = f"{head:04d}_gt.ply"
         save_mesh_path(gt, out / gt_file)
         edge = mean_edge_length(gt)
+        normals = vertex_normals(gt)
         for scar in range(scars_per_mesh):
             spec = sample_scar_spec(rng, gt.n_vertices, edge, ranges)
-            wounded, _ = generate_scar(gt, spec)
+            wounded, _ = _dent(gt, adj, normals, spec)
             wounded_file = f"{head:04d}_{scar:02d}.ply"
             save_mesh_path(wounded, out / wounded_file)
             entries.append(ManifestEntry(head, scar, gt_file, wounded_file, splits[head], spec))

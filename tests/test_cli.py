@@ -181,6 +181,14 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert code == 1
 
 
+def test_infinite_depth_range_exits_1_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"dataset": {"depth_range": [0.5, 1e999]}}')  # json reads 1e999 as inf
+    assert run(["gen-data", "--out", tmp_path / "d", "--config", cfg, "--count", "1"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("args", [
     lambda tmp, data: ["stats", tmp / "nope.ply", tmp / "nope.ply"],
     lambda tmp, data: ["stats", tmp, tmp],

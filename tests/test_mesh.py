@@ -15,6 +15,8 @@ from woundfill import (
     k_ring,
     keep_largest_component,
     signed_volume,
+    synth_head,
+    vertex_normals,
 )
 from woundfill.errors import MeshError, NonManifoldError
 from woundfill.mesh import UNREACHED, bfs, components, csr_from_pairs
@@ -277,3 +279,35 @@ def test_graph_primitive_matches_reference(graph):
         assert all((label[w] == label[v]) == (reach[w] != float("inf")) for w in range(n))
     _, first = np.unique(label, return_index=True)
     assert label[np.sort(first)].tolist() == list(range(len(first)))  # ordered by lowest vertex
+
+
+def vertex_normals_oracle(mesh):
+    """Face cross products scattered with np.add.at, corner 0, then 1, then 2."""
+    p, f = mesh.positions, mesh.faces
+    fn = np.cross(p[f[:, 1]] - p[f[:, 0]], p[f[:, 2]] - p[f[:, 0]])
+    vn = np.zeros_like(p)
+    for c in range(3):
+        np.add.at(vn, f[:, c], fn)
+    norms = np.linalg.norm(vn, axis=1)
+    ok = norms > 0
+    vn[ok] /= norms[ok, None]
+    return vn
+
+
+def with_unreferenced_vertex():
+    sphere = icosphere(1)
+    return Mesh(np.vstack([sphere.positions, [[2.0, 0.0, 0.0]]]), sphere.faces)
+
+
+@pytest.mark.parametrize("name, make", [
+    *((f"icosphere{s}", lambda s=s: icosphere(s)) for s in range(5)),
+    *((f"head{seed}-{s}", lambda seed=seed, s=s: synth_head(seed, s))
+      for seed, s in [(1, 2), (7, 3), (11, 4)]),
+    ("unreferenced-vertex", with_unreferenced_vertex),
+])
+def test_vertex_normals_are_bitwise_the_add_at_oracle(name, make):
+    mesh = make()
+    normals = vertex_normals(mesh)
+    assert normals.tobytes() == vertex_normals_oracle(mesh).tobytes()  # bitwise: no tolerance
+    if name == "unreferenced-vertex":
+        assert np.array_equal(normals[-1], np.zeros(3))

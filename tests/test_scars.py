@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from woundfill import (
     make_dataset,
     mean_edge_length,
     sample_scar_spec,
+    save_mesh,
     synth_head,
     vertex_distance,
 )
@@ -96,6 +98,30 @@ def test_scar_radius_clamped_with_warning(head):
     assert is_watertight(wounded)
 
 
+def scar_warnings(mesh, spec):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        generate_scar(mesh, spec)
+    return [w for w in caught if "clamp" in str(w.message)]
+
+
+@pytest.mark.parametrize("center", [0, 77])
+def test_scar_clamp_starts_one_hop_past_the_eccentricity(head, center):
+    eccentricity = int(bfs_hops(vertex_adjacency(head), center).max())
+    assert scar_warnings(head, ScarSpec(center=center, radius=eccentricity, max_depth=0.1)) == []
+    (clamp,) = scar_warnings(head, ScarSpec(center=center, radius=eccentricity + 1, max_depth=0.1))
+    assert f"eccentricity {eccentricity};" in str(clamp.message)
+    assert clamp.filename == __file__  # names the caller, not woundfill's own frames
+
+
+def test_make_dataset_clamp_warning_names_its_caller(tmp_path):
+    # on icosphere(1) every eccentricity is below the radius range, so every scar clamps
+    with pytest.warns(UserWarning, match="clamp") as caught:
+        make_dataset(tmp_path / "d", count=1, scars_per_mesh=2, subdivisions=1,
+                     ranges=ScarRanges(radius=(8, 8)))
+    assert [w.filename for w in caught] == [__file__, __file__]
+
+
 def test_scar_center_out_of_range(head):
     with pytest.raises(DataError, match="center"):
         generate_scar(head, ScarSpec(center=9999, radius=3, max_depth=0.1))
@@ -108,6 +134,23 @@ def test_scar_spec_validation():
         ScarSpec(center=0, radius=3, max_depth=-1.0).validate()
     with pytest.raises(DataError):
         ScarSpec(center=0, radius=3, max_depth=0.1, profile="gaussian").validate()
+
+
+BAD_SPECS = {  # name: (the field the error names, spec)
+    "nan-depth": ("max_depth", ScarSpec(center=0, radius=3, max_depth=float("nan"))),
+    "inf-depth": ("max_depth", ScarSpec(center=0, radius=3, max_depth=float("inf"))),
+    "fractional-center": ("center", ScarSpec(center=1.5, radius=3, max_depth=0.1)),
+    "fractional-radius": ("radius", ScarSpec(center=0, radius=2.5, max_depth=0.1)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SPECS)
+def test_bad_scar_spec_is_data_error(head, name):
+    field, spec = BAD_SPECS[name]
+    with pytest.raises(DataError, match=field):
+        spec.validate()
+    with pytest.raises(DataError):
+        generate_scar(head, spec)
 
 
 def test_sample_scar_spec_degenerate_ranges():
@@ -262,6 +305,12 @@ def test_make_dataset_rejects_negative_seed(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
+def test_make_dataset_rejects_zero_subdivisions(tmp_path):
+    with pytest.raises(DataError, match="subdivisions"):
+        make_dataset(tmp_path / "d", count=2, subdivisions=0)
+    assert not (tmp_path / "d").exists()
+
+
 def split_assignment_oracle(count, ratios, seed):
     order = np.random.default_rng([seed, 1]).permutation(count)
     n_train = int(np.floor(ratios[0] * count))
@@ -284,21 +333,32 @@ def test_split_assignment_matches_per_head_oracle():
         assert all(type(s) is str for s in split)
 
 
+@pytest.mark.filterwarnings("ignore:scar radius .* clamping:UserWarning")
 def test_wounded_meshes_match_specs(tmp_path):
-    manifest = make_dataset(tmp_path / "d", count=2, scars_per_mesh=2, seed=13)
-    from woundfill import load_mesh_path
-
-    for entry in manifest.entries:
-        gt = load_mesh_path(tmp_path / "d" / entry.gt_file)
-        wounded = load_mesh_path(tmp_path / "d" / entry.wounded_file)
-        ring = k_ring(gt, entry.spec.center, entry.spec.radius)
-        moved = np.flatnonzero(vertex_distance(gt, wounded) > 1e-6)
-        assert set(moved.tolist()) <= set(ring.tolist())
+    # several scars per head, so make_dataset reuses its graph and normals; on
+    # icosphere(1) some radii exceed the eccentricity and clamp
+    seed = 13
+    for subdivisions, radius in [(1, (3, 8)), (2, (1, 6))]:
+        out = tmp_path / f"s{subdivisions}"
+        manifest = make_dataset(out, count=2, scars_per_mesh=4, seed=seed,
+                                subdivisions=subdivisions, ranges=ScarRanges(radius=radius))
+        heads = []
+        for head in range(manifest.count):
+            rng = np.random.default_rng([seed, 0, head])  # the stream make_dataset draws from
+            heads.append(synth_head(int(rng.integers(0, 2**63)), subdivisions))
+        for entry in manifest.entries:
+            gt = heads[entry.head]
+            assert (out / entry.gt_file).read_bytes() == save_mesh(gt, "ply")
+            wounded, mask = generate_scar(gt, entry.spec)
+            assert (out / entry.wounded_file).read_bytes() == save_mesh(wounded, "ply")
+            ring = k_ring(gt, entry.spec.center, entry.spec.radius)
+            assert set(mask.affected.tolist()) <= set(ring.tolist())
 
 
 def test_scar_ranges_validation():
     for ranges in (ScarRanges(radius=(3,)), ScarRanges(radius=(8, 3)), ScarRanges(radius=(0, 3)),
-                   ScarRanges(depth=(0.5, 1.0, 2.0)), ScarRanges(depth=(0.0, 1.0))):
+                   ScarRanges(depth=(0.5, 1.0, 2.0)), ScarRanges(depth=(0.0, 1.0)),
+                   ScarRanges(depth=(0.5, float("inf")))):
         with pytest.raises(ConfigError, match="range"):
             ranges.validate()
 
