@@ -1,8 +1,8 @@
 """Facial-wound mesh toolkit: synthetic scar datasets, a mesh autoencoder
 trained to recover the pre-injury surface, and print-ready filling extraction."""
 
-from .filling import FillReport, distance_set, extract_filling, outlier_indices
-from .hierarchy import ConvTopology, MeshHierarchy, build_hierarchy, transpose_topology
+from .filling import FillReport, extract_filling, outlier_indices
+from .hierarchy import ConvTopology, MeshHierarchy, build_hierarchy
 from .losses import LossSpec, reconstruction_loss, vertex_distance
 from .mesh import (
     Mesh,
@@ -55,7 +55,6 @@ __all__ = [
     "adam_step",
     "boundary_loops",
     "build_hierarchy",
-    "distance_set",
     "euler_characteristic",
     "evaluate",
     "extract_filling",
@@ -79,7 +78,6 @@ __all__ = [
     "signed_volume",
     "synth_head",
     "train",
-    "transpose_topology",
     "vertex_distance",
     "vertex_normals",
 ]

@@ -14,9 +14,9 @@ configures, so every default is written once, in the library:
 
 A value must have the JSON type of its field's annotation, as
 errors.read_json reads it for the manifest and the checkpoint header too: an
-integer for int, any number for float, a list of the given length and element
-type for a tuple, null only where None is allowed. Unknown sections or keys
-are errors, not warnings.
+integer for int, any finite number for float (NaN and Infinity are errors), a
+list of the given length and element type for a tuple, null only where None
+is allowed. Unknown sections or keys are errors, not warnings.
 """
 
 from __future__ import annotations
@@ -116,12 +116,12 @@ class RunConfig:
         if min(ds["count"], ds["scars_per_mesh"], ds["subdivisions"]) < 1 or ds["seed"] < 0:
             raise ConfigError("dataset.count/scars_per_mesh/subdivisions must be >= 1, seed >= 0")
         ratios = ds["split_ratios"]
-        if min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+        if not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
             raise ConfigError(f"dataset.split_ratios must be >= 0 and sum to 1, got {ratios}")
         self.scar_ranges()
         self.model_architecture()
         self.train_settings().validate()
-        if self.extraction["k_sigma"] <= 0:
+        if not self.extraction["k_sigma"] > 0:
             raise ConfigError("extraction.k_sigma must be > 0")
 
     def scar_ranges(self) -> ScarRanges:

@@ -11,6 +11,7 @@ file raises DataError naming it, and :func:`as_json` writes one back.
 
 from __future__ import annotations
 
+import sys
 import typing
 from dataclasses import fields, is_dataclass
 from functools import cache
@@ -76,12 +77,14 @@ def _json_fields(cls) -> tuple[tuple[str, str, object], ...]:
 def read_json(value, hint, path, what: str):
     """A JSON value read as the annotation `hint`; TypeError if it does not fit.
 
-    int, str, bool and None take their own JSON type, float any number, and
-    no other class a bool; `X | Y` takes what fits either; tuple[X, Y] a list
-    of that length and tuple[X, ...] one of any length, both read as tuples;
-    np.ndarray a flat list of JSON integers that fit int64, read as an int64
-    array; a dataclass an object, read by from_json, whose errors name path
-    and what. Any other class (dict, list) takes its instances as they are.
+    int, str, bool and None take their own JSON type, float any finite number
+    (not NaN or Infinity, which Python's json reads, nor an integer too large
+    for float64), and no other class a bool; `X | Y` takes what fits either;
+    tuple[X, Y] a list of that length and tuple[X, ...] one of any length,
+    both read as tuples; np.ndarray a flat list of JSON integers that fit
+    int64, read as an int64 array; a dataclass an object, read by from_json,
+    whose errors name path and what. Any other class (dict, list) takes its
+    instances as they are.
 
     Generic hints are matched on their origin before the plain-class branch:
     on Python 3.10, isinstance(tuple[int, ...], type) is True.
@@ -89,7 +92,8 @@ def read_json(value, hint, path, what: str):
     kinds = _SCALARS.get(hint)
     if kinds is not None:
         if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
-            return value
+            if hint is not float or abs(value) <= sys.float_info.max:  # False for NaN
+                return value
     elif hint is np.ndarray:
         # int64 conversion alone would also take "7", 7.7 and true
         if isinstance(value, list) and list(map(type, value)).count(int) == len(value):

@@ -1,11 +1,11 @@
 """Wound-filling extraction by per-vertex outlier statistics.
 
 The wounded input and the reconstructed output share vertex indexing, so the
-per-vertex distance set singles out the wound: distances there are far from
-the population mean. Vertices beyond k_sigma standard deviations (population
-formula, strict inequality) mark the wound; the filling solid is the volume
-between the two surfaces over the wound region dilated by one ring, closed
-by a quad strip along the shared rim.
+per-vertex distance set (losses.vertex_distance) singles out the wound:
+distances there are far from the population mean. Vertices beyond k_sigma
+standard deviations (population formula, strict inequality) mark the wound;
+the filling solid is the volume between the two surfaces over the wound
+region dilated by one ring, closed by a quad strip along the shared rim.
 """
 
 from __future__ import annotations
@@ -28,14 +28,9 @@ from .mesh import (
     signed_volume,
 )
 
-__all__ = ["FillReport", "distance_set", "extract_filling", "outlier_indices"]
+__all__ = ["FillReport", "extract_filling", "outlier_indices"]
 
 K_SIGMA_DEFAULT = 2.0
-
-
-def distance_set(input_mesh: Mesh, output_mesh: Mesh) -> np.ndarray:
-    """Per-vertex Euclidean distances between the index-corresponding meshes."""
-    return vertex_distance(input_mesh, output_mesh)
 
 
 def outlier_indices(distances: np.ndarray, k_sigma: float = K_SIGMA_DEFAULT) -> np.ndarray:
@@ -159,7 +154,7 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
     """
     if not np.array_equal(input_mesh.faces, output_mesh.faces):
         raise NoFillingError("input and output meshes must share face topology")
-    d = distance_set(input_mesh, output_mesh)
+    d = vertex_distance(input_mesh, output_mesh)
     outliers = outlier_indices(d, k_sigma)  # rejects an empty set before its mean is taken
     mu = float(d.mean())
     sigma = float(np.sqrt(np.mean((d - mu) ** 2)))

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import MeshError
 from .mesh import Mesh, bfs, components, csr_from_pairs, unique_edges, vertex_adjacency
 
-__all__ = ["ConvTopology", "MeshHierarchy", "build_hierarchy", "transpose_topology"]
+__all__ = ["ConvTopology", "MeshHierarchy", "build_hierarchy"]
 
 M_CLAMP_DEFAULT = (4, 17)
 MIN_LEVEL_VERTICES = 4
@@ -122,11 +122,6 @@ def _topology(n_in: int, csr: tuple[np.ndarray, np.ndarray], m_clamp) -> ConvTop
     n_out = len(indptr) - 1
     m = int(np.floor(indptr[-1] / max(n_out, 1) + 0.5))
     return ConvTopology(n_in, n_out, indptr, indices, min(max(m, m_clamp[0]), m_clamp[1]))
-
-
-def transpose_topology(topology: ConvTopology) -> ConvTopology:
-    """The topology's cached transpose (:attr:`ConvTopology.transposed`)."""
-    return topology.transposed
 
 
 @dataclass(frozen=True)

@@ -379,7 +379,12 @@ def mean_edge_length(mesh: Mesh) -> float:
     edges, _ = unique_edges(mesh)
     if len(edges) == 0:
         raise MeshError("mesh has no edges")
-    d = mesh.positions[edges[:, 0]] - mesh.positions[edges[:, 1]]
+    return _mean_length(mesh.positions, edges)
+
+
+def _mean_length(positions: np.ndarray, edges: np.ndarray) -> float:
+    """Mean length of the (e, 2) vertex pairs `edges`, summed in their order."""
+    d = positions[edges[:, 0]] - positions[edges[:, 1]]
     return float(np.linalg.norm(d, axis=1).mean())
 
 

@@ -73,12 +73,12 @@ class Architecture:
         if any(w < 1 for w in self.widths):
             raise ConfigError(f"widths must be >= 1, got {self.widths}")
         r = self.ratios
-        if r[0] != 1.0 or r[-1] <= 0 or any(b >= a for a, b in zip(r, r[1:])):
+        if r[0] != 1.0 or not r[-1] > 0 or not all(b < a for a, b in zip(r, r[1:])):
             raise ConfigError(f"ratios must start at 1.0 and strictly decrease to > 0, got {r}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.elu_alpha <= 0:
-            raise ConfigError(f"elu_alpha must be > 0, got {self.elu_alpha}")
+        if not 0 < self.elu_alpha < np.inf:
+            raise ConfigError(f"elu_alpha must be finite and > 0, got {self.elu_alpha}")
         if len(self.m_clamp) != 2 or not 1 <= self.m_clamp[0] <= self.m_clamp[1]:
             raise ConfigError(f"m_clamp must be [lo, hi] with 1 <= lo <= hi, got {self.m_clamp}")
 

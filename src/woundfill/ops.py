@@ -33,11 +33,12 @@ same kernels; the rho gradient maps the coefficient gradient back through
 the normalization.
 
 Operators:
-  vc_conv        y_i = sum_j (sum_k a_ijk B_k)^T x_ij + b
-  vc_trans_conv  same math on the transposed topology (up-sampling)
-  vd_aggregate   y_i = sum_j r'_ij x_ij with r' = |r| normalized per row
-  vd_res         y_i = sum_j r'_ij C x_ij (C optional, identity when absent)
-  reference_pool componentwise max / mean over each neighborhood
+  vc_conv        y_i = sum_j (sum_k a_ijk B_k)^T x_ij + b; vcTransConv is vc_conv
+                 on topology.transposed (up-sampling)
+  vd_res         y_i = sum_j r'_ij C x_ij with r' = |r| normalized per row;
+                 vdPool / vdUnpool are vd_res without a matrix (C the identity)
+                 on a pool topology / its transpose
+  reference_pool componentwise mean over each neighborhood (the average-pooling oracle)
   elu / relu     activations
 """
 
@@ -62,10 +63,6 @@ __all__ = [
     "relu_backward",
     "vc_conv",
     "vc_conv_backward",
-    "vc_trans_conv",
-    "vc_trans_conv_backward",
-    "vd_aggregate",
-    "vd_aggregate_backward",
     "vd_res",
     "vd_res_backward",
 ]
@@ -145,12 +142,11 @@ def _sample_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Row sums over CSR segments, summed left to right within each segment."""
-    out = np.add.reduceat(values, indptr[:-1], axis=0)
-    empty = indptr[:-1] == indptr[1:]
-    if empty.any():  # reduceat misreads zero-length segments; topologies forbid them anyway
-        out[empty] = 0.0
-    return out
+    """Row sums over CSR segments, summed left to right within each segment.
+
+    reduceat misreads zero-length segments; ConvTopology rejects empty rows.
+    """
+    return np.add.reduceat(values, indptr[:-1], axis=0)
 
 
 # --- vcConv / vcTransConv ------------------------------------------------
@@ -347,15 +343,6 @@ def _conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
     }
 
 
-def vc_trans_conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
-    """vc_conv evaluated on the transposed topology; coeffs use its edge order."""
-    return vc_conv(params, topology.transposed, x)
-
-
-def vc_trans_conv_backward(params, topology, x, grad_out):
-    return vc_conv_backward(params, topology.transposed, x, grad_out)
-
-
 # --- vdPool / vdUnpool / vdRes -------------------------------------------
 
 
@@ -386,15 +373,6 @@ def _density_conv(
     return VcConvParams(basis[None], weights[:, None], np.zeros(basis.shape[1])), sums
 
 
-def vd_aggregate(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
-    """Density-weighted pooling (vdPool when down, vdUnpool on the transpose)."""
-    return vd_res(VdParams(params.rho), topology, x)
-
-
-def vd_aggregate_backward(params, topology, x, grad_out):
-    return vd_res_backward(VdParams(params.rho), topology, x, grad_out)
-
-
 def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     """Residual layer: density-weighted pooling followed by the shared map C."""
     x = _check_features(x, None, topology)
@@ -421,16 +399,10 @@ def vd_res_backward(params, topology, x, grad_out):
 # --- reference pooling and activations ------------------------------------
 
 
-def reference_pool(topology: ConvTopology, x: np.ndarray, mode: str) -> np.ndarray:
-    """Plain max or average pooling over each neighborhood."""
+def reference_pool(topology: ConvTopology, x: np.ndarray) -> np.ndarray:
+    """Plain average pooling over each neighborhood."""
     x = _check_features(x, None, topology)
-    xe = _vertex_rows(x)[topology.indices]
-    if mode == "max":
-        y = np.maximum.reduceat(xe, topology.indptr[:-1], axis=0)
-    elif mode == "avg":
-        y = _segment_sums(xe, topology.indptr) / topology.sizes[:, None]
-    else:
-        raise MeshError(f"unknown pooling mode {mode!r}")
+    y = _segment_sums(_vertex_rows(x)[topology.indices], topology.indptr) / topology.sizes[:, None]
     return y.reshape(_out_shape(x, topology.n_out, x.shape[-1]))
 
 

@@ -26,10 +26,11 @@ from .errors import ConfigError, DataError, MeshError, as_json, from_json
 from .mesh import (
     UNREACHED,
     Mesh,
+    _mean_length,
     bfs,
     edge_key,
     is_watertight,
-    mean_edge_length,
+    unique_edges,
     vertex_adjacency,
     vertex_normals,
 )
@@ -283,9 +284,9 @@ def load_manifest(path) -> DatasetManifest:
 
 def _split_assignment(count: int, ratios: tuple[float, float, float], seed: int) -> list[str]:
     """Seeded shuffle of head ids, then contiguous train/val/test slices."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # also rejects NaN
         raise DataError(f"split ratios must sum to 1, got {ratios}")
-    if any(r < 0 for r in ratios):
+    if not all(r >= 0 for r in ratios):
         raise DataError(f"split ratios must be non-negative, got {ratios}")
     order = np.random.default_rng([seed, 1]).permutation(count)
     n_train = int(np.floor(ratios[0] * count))
@@ -309,9 +310,10 @@ def make_dataset(
     Every head draws from its own rng stream derived from (seed, head index),
     so results do not depend on generation order. All variants of one head
     land in the same split, which keeps ground truths from leaking across
-    splits. The heads share one closed icosphere, so its edge graph is built
-    once per dataset and vertex normals once per head. Arguments are checked
-    before anything is written.
+    splits. The heads share one closed icosphere, so its edge list and edge
+    graph are built once per dataset, and each head's mean edge length (over
+    that list, as mean_edge_length orders it) and vertex normals once per
+    head. Arguments are checked before anything is written.
     """
     if count < 1 or scars_per_mesh < 1:
         raise DataError("count and scars_per_mesh must be >= 1")
@@ -327,13 +329,14 @@ def make_dataset(
     out.mkdir(parents=True, exist_ok=True)
     base = icosphere(subdivisions)
     adj = vertex_adjacency(base)  # icospheres are closed, as _dent requires
+    edges, _ = unique_edges(base)
     entries = []
     for head in range(count):
         rng = np.random.default_rng([seed, 0, head])
         gt = _bump(base, int(rng.integers(0, 2**63)))
         gt_file = f"{head:04d}_gt.ply"
         save_mesh_path(gt, out / gt_file)
-        edge = mean_edge_length(gt)
+        edge = _mean_length(gt.positions, edges)
         normals = vertex_normals(gt)
         for scar in range(scars_per_mesh):
             spec = sample_scar_spec(rng, gt.n_vertices, edge, ranges)

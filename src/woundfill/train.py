@@ -50,8 +50,8 @@ class TrainSettings:
             raise ConfigError("training.max_steps must be >= 1 or null")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("training.beta1/beta2 must lie in [0, 1)")
-        if self.lr <= 0 or self.eps <= 0:
-            raise ConfigError("training.lr and training.eps must be > 0")
+        if not (0 < self.lr < np.inf and 0 < self.eps < np.inf):
+            raise ConfigError("training.lr and training.eps must be finite and > 0")
         if self.seed < 0:
             raise ConfigError(f"training.seed must be >= 0, got {self.seed}")
         self.loss.validate()
@@ -67,20 +67,24 @@ class TrainResult:
 
 
 def load_pairs(manifest: DatasetManifest, data_dir, split: str) -> list[tuple[str, Mesh, Mesh]]:
-    """(id, wounded, ground truth) triples for a split; topology must agree."""
+    """(id, wounded, ground truth) triples for a split; topology must agree.
+
+    Each distinct file is read and checked once, so the triples of one head
+    share its (immutable) ground-truth Mesh.
+    """
     data_dir = Path(data_dir)
-    pairs = []
-    reference_faces = None
-    for entry in manifest.split_entries(split):
-        wounded = load_mesh_path(data_dir / entry.wounded_file)
-        gt = load_mesh_path(data_dir / entry.gt_file)
-        for m, which in ((wounded, entry.wounded_file), (gt, entry.gt_file)):
-            if reference_faces is None:
-                reference_faces = m.faces
-            elif m.faces.shape != reference_faces.shape or not np.array_equal(m.faces, reference_faces):
-                raise DataError(f"{which}: face topology differs from the rest of the dataset")
-        pairs.append((Path(entry.wounded_file).stem, wounded, gt))
-    return pairs
+    meshes: dict[str, Mesh] = {}
+
+    def load(name: str) -> Mesh:
+        if name not in meshes:
+            mesh = load_mesh_path(data_dir / name)
+            if meshes and not np.array_equal(mesh.faces, next(iter(meshes.values())).faces):
+                raise DataError(f"{name}: face topology differs from the rest of the dataset")
+            meshes[name] = mesh
+        return meshes[name]
+
+    return [(Path(e.wounded_file).stem, load(e.wounded_file), load(e.gt_file))
+            for e in manifest.split_entries(split)]
 
 
 def _target(spec: LossSpec, wounded: Mesh, gt: Mesh) -> np.ndarray:

@@ -31,7 +31,6 @@ from woundfill import (
     sample_scar_spec,
     signed_volume,
     synth_head,
-    transpose_topology,
     vertex_distance,
 )
 from woundfill.ops import (
@@ -43,10 +42,6 @@ from woundfill.ops import (
     reference_pool,
     vc_conv,
     vc_conv_backward,
-    vc_trans_conv,
-    vc_trans_conv_backward,
-    vd_aggregate,
-    vd_aggregate_backward,
     vd_res,
     vd_res_backward,
 )
@@ -87,32 +82,32 @@ def test_criterion_1_gradient_correctness():
         ))
 
         # vcTransConv on the same topology
-        tr = transpose_topology(topo)
+        tr = topo.transposed
         pt = init_vc_conv(rng, tr, o_dim, i_dim)
         pt.basis = rng.normal(size=pt.basis.shape)
         pt.coeffs = rng.normal(size=pt.coeffs.shape)
         xt = rng.normal(size=(topo.n_out, o_dim))
         wt = rng.normal(size=(topo.n_in, i_dim))
-        dxt, gt = vc_trans_conv_backward(pt, topo, xt, wt)
+        dxt, gt = vc_conv_backward(pt, tr, xt, wt)
         worst_overall = max(worst_overall, finite_difference(
-            lambda: float((wt * vc_trans_conv(pt, topo, xt)).sum()),
+            lambda: float((wt * vc_conv(pt, tr, xt)).sum()),
             [xt, pt.basis, pt.coeffs, pt.bias],
             [dxt, gt["basis"], gt["coeffs"], gt["bias"]],
         ))
 
-        # vdPool / vdUnpool (aggregate on both orientations)
+        # vdPool / vdUnpool (vd_res without a matrix on both orientations)
         vd = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
         wp = rng.normal(size=(topo.n_out, i_dim))
-        dxp, gp = vd_aggregate_backward(vd, topo, x, wp)
+        dxp, gp = vd_res_backward(vd, topo, x, wp)
         worst_overall = max(worst_overall, finite_difference(
-            lambda: float((wp * vd_aggregate(vd, topo, x)).sum()),
+            lambda: float((wp * vd_res(vd, topo, x)).sum()),
             [x, vd.rho], [dxp, gp["rho"]],
         ))
         vdu = VdParams(rho=rng.normal(size=tr.edge_count) + 0.2)
         wu = rng.normal(size=(tr.n_out, o_dim))
-        dxu, gu = vd_aggregate_backward(vdu, tr, xt, wu)
+        dxu, gu = vd_res_backward(vdu, tr, xt, wu)
         worst_overall = max(worst_overall, finite_difference(
-            lambda: float((wu * vd_aggregate(vdu, tr, xt)).sum()),
+            lambda: float((wu * vd_res(vdu, tr, xt)).sum()),
             [xt, vdu.rho], [dxu, gu["rho"]],
         ))
 
@@ -174,7 +169,7 @@ def test_criterion_2_pooling_equivalence():
         x = rng.normal(size=(topo.n_in, int(rng.integers(1, 6))))
         const = float(rng.uniform(0.1, 5.0))
         equal = VdParams(rho=np.full(topo.edge_count, const))
-        diff = np.abs(vd_aggregate(equal, topo, x) - reference_pool(topo, x, "avg")).max()
+        diff = np.abs(vd_res(equal, topo, x) - reference_pool(topo, x)).max()
         worst_eq = max(worst_eq, float(diff))
 
         rho = rng.normal(size=topo.edge_count)

@@ -189,6 +189,39 @@ def test_infinite_depth_range_exits_1_before_writing(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+# (command, setting, its value as JSON text, the same value as flags or None without a flag)
+NON_FINITE = [
+    ("gen-data", "dataset.split_ratios", "[NaN, 0.5, 0.5]", ["--ratios", "nan", "0.5", "0.5"]),
+    ("train", "architecture.ratios", "[1.0, NaN]", ["--arch-ratios", "1.0", "nan"]),
+    ("train", "training.lr", "NaN", ["--lr", "nan"]),
+    ("train", "training.lr", "Infinity", ["--lr", "inf"]),
+    ("train", "architecture.elu_alpha", "NaN", None),
+    ("extract-fill", "extraction.k_sigma", "NaN", ["--k-sigma", "nan"]),
+]
+
+
+@pytest.mark.parametrize("command, setting, value, flags", [
+    pytest.param(command, setting, value, flags if source == "flag" else None,
+                 id=f"{setting}={value}-{source}")
+    for command, setting, value, flags in NON_FINITE
+    for source in ("flag", "file") if flags or source == "file"
+])
+def test_non_finite_setting_exits_1_before_writing(tmp_path, capsys, command, setting, value,
+                                                   flags):
+    args = {"gen-data": [], "train": ["--data", tmp_path / "data"],
+            "extract-fill": ["--input", tmp_path / "a.ply", "--output", tmp_path / "b.ply"]}
+    args = [command, *args[command], "--out", tmp_path / "out"]
+    if flags is None:
+        section, key = setting.split(".")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{section}": {{"{key}": {value}}}}}')  # json reads NaN and Infinity
+        args += ["--config", cfg]
+    assert run(args + (flags or [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and setting in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if flags else ["cfg.json"])
+
+
 @pytest.mark.parametrize("args", [
     lambda tmp, data: ["stats", tmp / "nope.ply", tmp / "nope.ply"],
     lambda tmp, data: ["stats", tmp, tmp],

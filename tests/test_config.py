@@ -114,6 +114,33 @@ def test_train_validates_its_settings(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["lr", "eps", "beta1", "beta2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_train_settings_reject_non_finite_values(key, value):
+    with pytest.raises(ConfigError, match=key):
+        TrainSettings(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("dataset", "split_ratios", (float("nan"), 0.5, 0.5)),
+    ("dataset", "split_ratios", (0.5, 0.5, float("nan"))),
+    ("extraction", "k_sigma", float("nan")),
+], ids=["first-split-nan", "last-split-nan", "k-sigma-nan"])
+def test_run_config_validate_rejects_nan(section, key, value):
+    cfg = RunConfig.load()
+    getattr(cfg, section)[key] = value
+    with pytest.raises(ConfigError, match=key):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+def test_non_finite_number_does_not_fit_float(value):
+    with pytest.raises(TypeError):
+        read_json(value, float, "cfg.json", "config")
+    assert read_json(1.5, float, "cfg.json", "config") == 1.5
+
+
 def test_readme_config_example_is_the_schema(tmp_path):
     text = README.read_text()
     example = re.search(r"`--config cfg\.json`.*?```json\n(.*?)```", text, re.S).group(1)

@@ -9,7 +9,6 @@ from woundfill import (
     Mesh,
     ScarRanges,
     ScarSpec,
-    distance_set,
     euler_characteristic,
     extract_filling,
     generate_scar,
@@ -19,6 +18,7 @@ from woundfill import (
     sample_scar_spec,
     signed_volume,
     synth_head,
+    vertex_distance,
 )
 from woundfill.errors import NoFillingError
 
@@ -40,18 +40,18 @@ def brute_force_outliers(values, k_sigma=2.0):
 
 
 def test_distance_set_identical(ico):
-    assert not distance_set(ico, ico).any()
+    assert not vertex_distance(ico, ico).any()
 
 
 def test_distance_set_translation(ico):
     moved = ico.with_positions(ico.positions + [0.0, 0.0, 2.0])
-    assert np.allclose(distance_set(ico, moved), 2.0)
+    assert np.allclose(vertex_distance(ico, moved), 2.0)
 
 
 def test_distance_set_hand_pairs():
     a = Mesh(np.array([[0.0, 0, 0], [1, 2, 2], [0, 0, 0]]), [[0, 1, 2]])
     b = Mesh(np.array([[1.0, 0, 0], [1, 2, 2], [3, 4, 0]]), [[0, 1, 2]])
-    assert distance_set(a, b).tolist() == [1.0, 0.0, 5.0]
+    assert vertex_distance(a, b).tolist() == [1.0, 0.0, 5.0]
 
 
 def test_outliers_hand_case():
@@ -165,7 +165,7 @@ def test_extract_filling_volume_bounded_by_patch_bbox():
 def test_extract_report_statistics_match_distance_set():
     head, wounded, _ = planted_case(7)
     report = extract_filling(wounded, head)
-    d = distance_set(wounded, head)
+    d = vertex_distance(wounded, head)
     assert np.array_equal(report.distances, d)
     assert report.mean == pytest.approx(d.mean())
     assert report.std == pytest.approx(np.sqrt(((d - d.mean()) ** 2).mean()))

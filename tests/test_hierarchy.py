@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from woundfill import Mesh, build_hierarchy, hierarchy, icosphere, synth_head, transpose_topology
+from woundfill import Mesh, build_hierarchy, hierarchy, icosphere, synth_head
 from woundfill.errors import MeshError
 from woundfill.hierarchy import ConvTopology, MeshHierarchy, _greedy_cover
 from woundfill.mesh import bfs, csr_from_pairs, vertex_adjacency
@@ -88,7 +88,7 @@ def test_hierarchy_deterministic(sphere2):
 def test_transpose_is_involution(sphere2):
     h = build_hierarchy(sphere2, (1.0, 0.25))
     for t in (h.conv_down[0], h.pool_down[0]):
-        tt = transpose_topology(transpose_topology(t))
+        tt = t.transposed.transposed
         assert np.array_equal(t.indptr, tt.indptr)
         assert np.array_equal(t.indices, tt.indices)
         assert t.basis_count == tt.basis_count
@@ -97,7 +97,7 @@ def test_transpose_is_involution(sphere2):
 def test_transpose_identity_topology():
     n = 5
     ident = ConvTopology(n, n, np.arange(n + 1), np.arange(n), basis_count=2)
-    t = transpose_topology(ident)
+    t = ident.transposed
     assert np.array_equal(t.indptr, ident.indptr)
     assert np.array_equal(t.indices, ident.indices)
     assert t.basis_count == 2
@@ -106,7 +106,7 @@ def test_transpose_identity_topology():
 def test_transpose_preserves_edge_count_and_edges(sphere2):
     h = build_hierarchy(sphere2, (1.0, 0.25))
     t = h.conv_down[0]
-    tr = transpose_topology(t)
+    tr = t.transposed
     assert tr.edge_count == t.edge_count
     fwd = {(i, int(j)) for i in range(t.n_out) for j in t.neighbors(i)}
     bwd = {(int(j), i) for i in range(tr.n_out) for j in tr.neighbors(i)}
@@ -120,8 +120,8 @@ def test_transpose_is_cached_and_matches_pair_transpose():
     rng = np.random.default_rng(21)
     for n_in, n_out, degree in ((30, 20, 6), (12, 25, 1), (9, 4, 4)):
         t = random_topology(rng, n_in, n_out, max_degree=degree)
-        tr = transpose_topology(t)
-        assert tr is t.transposed is transpose_topology(t)
+        tr = t.transposed
+        assert tr is t.transposed
         indptr, indices = csr_from_pairs(t.n_in, t.indices, t.rows())
         assert np.array_equal(tr.indptr, indptr)
         assert np.array_equal(tr.indices, indices)

@@ -62,7 +62,7 @@ def test_residual_path_starts_as_average_pooling():
 
     x = np.random.default_rng(1).normal(size=(42, 3))
     pool_t = model.hierarchy.pool_down[0]
-    assert np.allclose(vd_res(blk.res, pool_t, x), reference_pool(pool_t, x, "avg"),
+    assert np.allclose(vd_res(blk.res, pool_t, x), reference_pool(pool_t, x),
                        atol=1e-14)
 
 
@@ -126,6 +126,19 @@ def test_architecture_validation():
     for ratios in ((0.5, 0.25), (1.0, 1.0), (1.0, 0.9, 0.95), (1.0, 0.0), (1.0, -0.5)):
         with pytest.raises(ConfigError, match="ratios"):
             Architecture(ratios=ratios, widths=(3,) * len(ratios)).validate()
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"ratios": (1.0, np.nan)}, "ratios"),
+    ({"ratios": (np.nan, 0.25)}, "ratios"),
+    ({"ratios": (1.0, np.nan, 0.25), "widths": (3, 8, 16)}, "ratios"),
+    ({"elu_alpha": np.nan}, "elu_alpha"),
+    ({"elu_alpha": np.inf}, "elu_alpha"),
+], ids=["last-ratio-nan", "first-ratio-nan", "middle-ratio-nan", "elu-alpha-nan",
+        "elu-alpha-inf"])
+def test_architecture_rejects_non_finite_values(fields, match):
+    with pytest.raises(ConfigError, match=match):
+        Architecture(**fields)
 
 
 def test_architecture_dict_round_trip():

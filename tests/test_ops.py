@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference, random_topology
-from woundfill import ops, synth_head, transpose_topology
+from woundfill import ops, synth_head
 from woundfill.errors import MeshError, NumericalError
 from woundfill.hierarchy import ConvTopology, build_hierarchy
 from woundfill.ops import (
@@ -27,10 +27,6 @@ from woundfill.ops import (
     relu_backward,
     vc_conv,
     vc_conv_backward,
-    vc_trans_conv,
-    vc_trans_conv_backward,
-    vd_aggregate,
-    vd_aggregate_backward,
     vd_res,
     vd_res_backward,
 )
@@ -110,7 +106,7 @@ def test_vc_conv_rejects_nonfinite_input():
         vc_conv(params, topo, x)
 
 
-# --- vc_trans_conv ---------------------------------------------------------
+# --- vcTransConv: vc_conv on topology.transposed ---------------------------
 
 
 def test_trans_conv_equals_conv_on_identity_topology():
@@ -119,19 +115,19 @@ def test_trans_conv_equals_conv_on_identity_topology():
     topo = identity_topology(n, m=2)
     params = init_vc_conv(rng, topo, 3, 3)
     x = rng.normal(size=(n, 3))
-    assert np.allclose(vc_trans_conv(params, topo, x), vc_conv(params, topo, x))
+    assert np.allclose(vc_conv(params, topo.transposed, x), vc_conv(params, topo, x))
 
 
 def test_trans_conv_up_then_down_neighborhood_sums():
     # 4 fine vertices pooled into 2 coarse; identity-like params turn
-    # vc_trans_conv into "copy each coarse value to its members"
+    # vcTransConv into "copy each coarse value to its members"
     topo = ConvTopology(4, 2, np.array([0, 2, 4]), np.array([0, 1, 2, 3]), basis_count=1)
-    tr = transpose_topology(topo)
+    tr = topo.transposed
     params_up = VcConvParams(
         basis=np.array([[[1.0]]]), coeffs=np.ones((tr.edge_count, 1)), bias=np.zeros(1)
     )
     coarse = np.array([[2.0], [5.0]])
-    up = vc_trans_conv(params_up, topo, coarse)
+    up = vc_conv(params_up, tr, coarse)
     assert up.tolist() == [[2.0], [2.0], [5.0], [5.0]]
     params_down = VcConvParams(
         basis=np.array([[[1.0]]]), coeffs=np.ones((topo.edge_count, 1)), bias=np.zeros(1)
@@ -143,9 +139,9 @@ def test_trans_conv_up_then_down_neighborhood_sums():
 def test_trans_conv_zero_input_gives_bias():
     rng = np.random.default_rng(5)
     topo = random_topology(rng, 6, 3)
-    tr = transpose_topology(topo)
+    tr = topo.transposed
     params = init_vc_conv(rng, tr, 2, 4)
-    y = vc_trans_conv(params, topo, np.zeros((3, 2)))
+    y = vc_conv(params, tr, np.zeros((3, 2)))
     assert np.allclose(y, np.tile(params.bias, (6, 1)))
 
 
@@ -156,7 +152,7 @@ def test_vd_density_normalization_hand_case():
     topo = ConvTopology(3, 1, np.array([0, 3]), np.array([0, 1, 2]), basis_count=1)
     params = VdParams(rho=np.array([2.0, -2.0, 4.0]))
     x = np.eye(3)
-    y = vd_aggregate(params, topo, x)
+    y = vd_res(params, topo, x)
     assert np.allclose(y, [[0.25, 0.25, 0.5]])
 
 
@@ -165,7 +161,7 @@ def test_vd_equal_rho_is_average_pooling():
     topo = random_topology(rng, 9, 4)
     params = VdParams(rho=np.full(topo.edge_count, 3.7))
     x = rng.normal(size=(9, 5))
-    assert np.allclose(vd_aggregate(params, topo, x), reference_pool(topo, x, "avg"),
+    assert np.allclose(vd_res(params, topo, x), reference_pool(topo, x),
                        atol=1e-14)
 
 
@@ -174,7 +170,7 @@ def test_vd_preserves_constant_input():
     topo = random_topology(rng, 7, 3)
     params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.1)
     c = np.full((7, 2), 3.25)
-    assert np.allclose(vd_aggregate(params, topo, c), 3.25)
+    assert np.allclose(vd_res(params, topo, c), 3.25)
 
 
 def test_vd_output_in_convex_hull():
@@ -185,7 +181,7 @@ def test_vd_output_in_convex_hull():
                for s, e in zip(topo.indptr[:-1], topo.indptr[1:])]):
         params.rho += 0.01
     x = rng.normal(size=(10, 3))
-    y = vd_aggregate(params, topo, x)
+    y = vd_res(params, topo, x)
     lo = np.minimum.reduceat(x[topo.indices], topo.indptr[:-1], axis=0)
     hi = np.maximum.reduceat(x[topo.indices], topo.indptr[:-1], axis=0)
     assert np.all(y >= lo - 1e-12)
@@ -195,7 +191,7 @@ def test_vd_output_in_convex_hull():
 def test_vd_all_zero_rho_rejected():
     topo = ConvTopology(2, 1, np.array([0, 2]), np.array([0, 1]), basis_count=1)
     with pytest.raises(NumericalError, match="all-zero"):
-        vd_aggregate(VdParams(rho=np.zeros(2)), topo, np.ones((2, 1)))
+        vd_res(VdParams(rho=np.zeros(2)), topo, np.ones((2, 1)))
 
 
 def test_vd_res_identity_matrix_is_mean():
@@ -234,7 +230,7 @@ def test_vd_normalization_sums_to_one(rho_list):
     topo = ConvTopology(len(rho), 1, np.array([0, len(rho)]), np.arange(len(rho)),
                         basis_count=1)
     weights = np.abs(rho) / np.abs(rho).sum()
-    y = vd_aggregate(VdParams(rho=rho), topo, np.ones((len(rho), 1)))
+    y = vd_res(VdParams(rho=rho), topo, np.ones((len(rho), 1)))
     assert np.all(weights >= 0)
     assert abs(weights.sum() - 1.0) < 1e-12
     assert abs(float(y[0, 0]) - 1.0) < 1e-12
@@ -246,15 +242,13 @@ def test_vd_normalization_sums_to_one(rho_list):
 def test_reference_pool_hand_values():
     topo = ConvTopology(2, 1, np.array([0, 2]), np.array([0, 1]), basis_count=1)
     x = np.array([[2.0], [4.0]])
-    assert reference_pool(topo, x, "max").tolist() == [[4.0]]
-    assert reference_pool(topo, x, "avg").tolist() == [[3.0]]
+    assert reference_pool(topo, x).tolist() == [[3.0]]
 
 
 def test_reference_pool_singleton_identity():
     topo = identity_topology(3)
     x = np.array([[1.0], [-2.0], [5.0]])
-    for mode in ("max", "avg"):
-        assert np.array_equal(reference_pool(topo, x, mode), x)
+    assert np.array_equal(reference_pool(topo, x), x)
 
 
 def test_elu_values():
@@ -309,9 +303,9 @@ def test_vd_aggregate_gradients_match_finite_differences():
         params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
         x = rng.normal(size=(8, *batch, 3))
         w = rng.normal(size=(4, *batch, 3))
-        dx, grads = vd_aggregate_backward(params, topo, x, w)
+        dx, grads = vd_res_backward(params, topo, x, w)
         worst = finite_difference(
-            lambda: float((w * vd_aggregate(params, topo, x)).sum()),
+            lambda: float((w * vd_res(params, topo, x)).sum()),
             [x, params.rho],
             [dx, grads["rho"]],
         )
@@ -371,16 +365,14 @@ def _random_params(rng, topo, in_dim, out_dim, m):
     )
 
 
-def _check_against_oracle(rng, topo, in_dim, out_dim, m, forward=vc_conv,
-                          backward=vc_conv_backward, oracle_topo=None):
-    """forward/backward on topo against the einsum oracle on oracle_topo (default topo)."""
-    oracle_topo = oracle_topo or topo
-    params = _random_params(rng, oracle_topo, in_dim, out_dim, m)
-    x = rng.normal(size=(oracle_topo.n_in, in_dim))
-    g = rng.normal(size=(oracle_topo.n_out, out_dim))
-    _assert_matches(forward(params, topo, x), _vc_conv_oracle(params, oracle_topo, x))
-    d_x, grads = backward(params, topo, x, g)
-    ref_x, ref = _vc_conv_backward_oracle(params, oracle_topo, x, g)
+def _check_against_oracle(rng, topo, in_dim, out_dim, m):
+    """vc_conv and vc_conv_backward on topo against the einsum oracle."""
+    params = _random_params(rng, topo, in_dim, out_dim, m)
+    x = rng.normal(size=(topo.n_in, in_dim))
+    g = rng.normal(size=(topo.n_out, out_dim))
+    _assert_matches(vc_conv(params, topo, x), _vc_conv_oracle(params, topo, x))
+    d_x, grads = vc_conv_backward(params, topo, x, g)
+    ref_x, ref = _vc_conv_backward_oracle(params, topo, x, g)
     _assert_matches(d_x, ref_x)
     for key in ("basis", "coeffs", "bias"):
         assert grads[key].shape == ref[key].shape
@@ -404,11 +396,7 @@ def test_vc_conv_matches_einsum_reference_in_small_row_blocks(
         blocks = ops._blocks(run_on, rows)
         assert len(blocks) >= 5
         assert all(edge.size <= size or r1 - r0 == 1 for r0, r1, edge, _, _ in blocks)
-    if kernel == "conv":
-        _check_against_oracle(rng, topo, in_dim, out_dim, m)
-    else:
-        _check_against_oracle(rng, topo, in_dim, out_dim, m, vc_trans_conv,
-                              vc_trans_conv_backward, oracle_topo=topo.transposed)
+    _check_against_oracle(rng, run_on, in_dim, out_dim, m)
 
 
 @pytest.mark.parametrize("in_dim,out_dim", [(3, 16), (16, 3)])
@@ -512,7 +500,7 @@ def test_vd_aggregate_input_gradient_matches_add_at():
         params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
         x = rng.normal(size=(n_in, 5))
         g = rng.normal(size=(n_out, 5))
-        d_x, _ = vd_aggregate_backward(params, topo, x, g)
+        d_x, _ = vd_res_backward(params, topo, x, g)
         absr = np.abs(params.rho)
         sums = np.zeros(n_out)
         np.add.at(sums, topo.rows(), absr)
@@ -521,19 +509,16 @@ def test_vd_aggregate_input_gradient_matches_add_at():
         _assert_matches(d_x, ref)
 
 
-def test_vd_res_backward_aggregates_once(monkeypatch):
+def test_vd_res_backward_aggregates_once():
     rng = np.random.default_rng(22)
     topo = random_topology(rng, 14, 6, max_degree=5)
     params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2, matrix=rng.normal(size=(4, 3)))
     x = rng.normal(size=(14, 3))
     g = rng.normal(size=(6, 4))
-    calls = []
-    real = ops.vd_aggregate
-    monkeypatch.setattr(ops, "vd_aggregate", lambda *args: calls.append(args) or real(*args))
+    pool = VdParams(params.rho)  # the same densities without the matrix: vdPool
     d_x, grads = vd_res_backward(params, topo, x, g)
-    assert calls == []
-    assert np.array_equal(grads["matrix"], g.T @ real(params, topo, x))
-    ref_dx, ref = vd_aggregate_backward(params, topo, x, g @ params.matrix)
+    assert np.array_equal(grads["matrix"], g.T @ vd_res(pool, topo, x))
+    ref_dx, ref = vd_res_backward(pool, topo, x, g @ params.matrix)
     assert np.array_equal(d_x, ref_dx)
     assert np.array_equal(grads["rho"], ref["rho"])
 
@@ -606,8 +591,7 @@ def test_vd_res_matches_reduceat_reference(monkeypatch, block_edges, in_dim, out
 def test_rho_subgradient_zero_at_kink():
     topo = ConvTopology(2, 1, np.array([0, 2]), np.array([0, 1]), basis_count=1)
     params = VdParams(rho=np.array([0.0, 1.0]))
-    _, grads = vd_aggregate_backward(params, topo, np.array([[1.0], [2.0]]),
-                                     np.array([[1.0]]))
+    _, grads = vd_res_backward(params, topo, np.array([[1.0], [2.0]]), np.array([[1.0]]))
     assert grads["rho"][0] == 0.0
 
 
@@ -658,9 +642,9 @@ def test_batch_gradients_match_finite_differences(op):
     if op == "vc_trans_conv":
         params = _random_params(rng, topo.transposed, i, o, topo.basis_count)
         x, w = rng.normal(size=(5, 3, i)), rng.normal(size=(8, 3, o))
-        dx, grads = vc_trans_conv_backward(params, topo, x, w)
+        dx, grads = vc_conv_backward(params, topo.transposed, x, w)
         arrays = [x, params.basis, params.coeffs, params.bias]
-        worst = finite_difference(lambda: float((w * vc_trans_conv(params, topo, x)).sum()),
+        worst = finite_difference(lambda: float((w * vc_conv(params, topo.transposed, x)).sum()),
                                   arrays, [dx, grads["basis"], grads["coeffs"], grads["bias"]])
     elif op.startswith("vd_res"):
         matrix = None if op.endswith("identity") else rng.normal(size=(o, i))
@@ -691,12 +675,12 @@ def _batch_cases(rng):
     res = VdParams(rho=vd.rho, matrix=rng.normal(size=(4, 3)))
     fwd_bwd = [
         ("vc_conv", partial(vc_conv, conv, topo), partial(vc_conv_backward, conv, topo), 4),
-        ("vc_trans_conv", partial(vc_trans_conv, trans, topo.transposed),
-         partial(vc_trans_conv_backward, trans, topo.transposed), 4),
-        ("vd_aggregate", partial(vd_aggregate, vd, topo),
-         partial(vd_aggregate_backward, vd, topo), 3),
+        # vcTransConv of the transposed topology, back onto topo's rows
+        ("vcTransConv", partial(vc_conv, trans, topo.transposed.transposed),
+         partial(vc_conv_backward, trans, topo.transposed.transposed), 4),
+        ("vdPool", partial(vd_res, vd, topo), partial(vd_res_backward, vd, topo), 3),
         ("vd_res", partial(vd_res, res, topo), partial(vd_res_backward, res, topo), 4),
-        ("reference_pool", lambda x: reference_pool(topo, x, "max"), None, 3),
+        ("reference_pool", partial(reference_pool, topo), None, 3),
     ]
     return topo, fwd_bwd
 
@@ -747,7 +731,7 @@ def test_init_vd_starts_as_average_pooling():
     params = init_vd(rng, topo, 3, 3)
     x = rng.normal(size=(9, 3))
     assert params.matrix is None
-    assert np.allclose(vd_aggregate(params, topo, x), reference_pool(topo, x, "avg"),
+    assert np.allclose(vd_res(params, topo, x), reference_pool(topo, x),
                        atol=1e-14)
 
 

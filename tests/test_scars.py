@@ -292,6 +292,28 @@ def test_make_dataset_bad_ratios(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("ratios", [(np.nan, 0.5, 0.5), (0.5, 0.5, np.nan),
+                                    (np.inf, -np.inf, 1.0)], ids=["first", "last", "inf"])
+def test_make_dataset_rejects_non_finite_ratios(tmp_path, ratios):
+    with pytest.raises(DataError, match="split ratios"):
+        make_dataset(tmp_path / "d", count=2, split_ratios=ratios)
+    assert not (tmp_path / "d").exists()
+
+
+def test_manifest_specs_replay_each_heads_rng(tmp_path):
+    # each head draws its bump seed, then its scars with the head's own mean edge length
+    seed, count, scars, subdivisions = 17, 3, 3, 3
+    ranges = ScarRanges(radius=(2, 5))
+    manifest = make_dataset(tmp_path / "d", count=count, scars_per_mesh=scars, seed=seed,
+                            subdivisions=subdivisions, ranges=ranges)
+    for head in range(count):
+        rng = np.random.default_rng([seed, 0, head])
+        gt = synth_head(int(rng.integers(0, 2**63)), subdivisions)
+        edge = mean_edge_length(gt)
+        replayed = [sample_scar_spec(rng, gt.n_vertices, edge, ranges) for _ in range(scars)]
+        assert [e.spec for e in manifest.entries if e.head == head] == replayed
+
+
 def test_make_dataset_rejects_two_split_ratios(tmp_path):
     # the manifest field is a 3-tuple, so such a dataset could not be read back
     with pytest.raises(DataError, match="split_ratios"):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -7,14 +8,18 @@ from woundfill import (
     Architecture,
     Autoencoder,
     LossSpec,
+    Mesh,
     TrainSettings,
     evaluate,
     make_dataset,
+    save_mesh_path,
     train,
 )
 from woundfill.checkpoint import load_checkpoint
 from woundfill.errors import DataError
 from woundfill.train import EvalReport, load_pairs
+
+train_module = importlib.import_module("woundfill.train")  # the name `train` is the function
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +39,34 @@ def test_load_pairs_by_split(dataset):
     assert len(train_pairs) == 4  # 2 heads x 2 scars
     for _, wounded, gt in train_pairs:
         assert wounded.n_vertices == gt.n_vertices == 42
+
+
+def test_load_pairs_reads_each_file_once(dataset, monkeypatch):
+    manifest, root = dataset
+    reads = []
+    real = train_module.load_mesh_path
+    monkeypatch.setattr(train_module, "load_mesh_path",
+                        lambda path: reads.append(path) or real(path))
+    entries = manifest.split_entries("train")
+    pairs = load_pairs(manifest, root, "train")
+    files = {e.wounded_file for e in entries} | {e.gt_file for e in entries}
+    assert len(reads) == len(files) < 2 * len(entries)
+    assert sorted(reads) == sorted(root / f for f in files)
+    for (_, _, gt), entry in zip(pairs, entries):
+        same_head = [g for (_, _, g), e in zip(pairs, entries) if e.head == entry.head]
+        assert all(g is gt for g in same_head)
+        assert np.array_equal(gt.positions, real(root / entry.gt_file).positions)
+
+
+def test_load_pairs_rejects_a_file_of_other_topology(dataset, tmp_path):
+    manifest, root = dataset
+    for f in root.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    entry = manifest.split_entries("train")[-1]
+    gt = train_module.load_mesh_path(tmp_path / entry.gt_file)
+    save_mesh_path(Mesh(gt.positions, gt.faces[:, [1, 2, 0]]), tmp_path / entry.wounded_file)
+    with pytest.raises(DataError, match=f"{entry.wounded_file}: face topology differs"):
+        load_pairs(manifest, tmp_path, "train")
 
 
 def test_train_improves_and_checkpoints(dataset, tmp_path):
