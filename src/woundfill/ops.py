@@ -20,11 +20,11 @@ w_j = sum_e g_e a_e^T over each input row, so that d_x = w B^T and d_B = x^T w.
 Per-edge work runs in blocks of whole CSR rows, padded to the block's longest
 row, at most BLOCK_EDGES entries each, and contracted by batched matmuls, so
 the scratch a call holds is bounded by the block and the vertex-sized arrays,
-not by the edge count; both grow with B*d. Per-edge rows needed in the other
-orientation are summed there left to right, over the same kind of padded
-blocks. Each topology builds its block index plans once. Forward passes and
-gradients are bit-reproducible for a given numpy/BLAS build, thread count and
-batch size.
+not by the edge count; both grow with B*d. Per-edge scratch arrays are
+indexed by edge id (CSR position), and one that is summed ends in a zero row
+at index edge_count, where the padding points. Each topology builds its
+block index plans once. Forward passes and gradients are bit-reproducible
+for a given numpy/BLAS build, thread count and batch size.
 
 The density layers are vc convolutions with one basis matrix (M = 1): the
 coefficients are the normalized densities r', the basis is C^T, or the
@@ -142,10 +142,9 @@ def _sample_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Row sums over CSR segments, summed left to right within each segment.
-
-    reduceat misreads zero-length segments; ConvTopology rejects empty rows.
-    """
+    """Row sums over CSR segments by np.add.reduceat: deterministic per numpy build, not
+    left to right within a segment. It misreads zero-length segments, which ConvTopology
+    rejects."""
     return np.add.reduceat(values, indptr[:-1], axis=0)
 
 
@@ -159,18 +158,18 @@ def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 BLOCK_EDGES = 1024
 
 
-def _row_blocks(indptr: np.ndarray, targets: np.ndarray, sentinel: int,
-                edges: np.ndarray | None = None) -> list[tuple]:
+def _row_blocks(indptr: np.ndarray, targets: np.ndarray, sentinel: int) -> list[tuple]:
     """Blocks of whole CSR rows padded to their longest row, each BLOCK_EDGES entries or one row.
 
     One (r0, r1, edge, target, kept) per block of rows r0..r1-1. edge[r, d]
-    is the edge id of row r's d-th entry (its CSR position, mapped through
-    `edges` when given); past the row's end it repeats some edge of the
-    block. target is targets at those positions, with `sentinel` at the
-    padding, so a gather from an array whose row `sentinel` is zero adds
+    is the edge id (CSR position) of row r's d-th entry, and edge_count past
+    the row's end. target is targets at those positions, with `sentinel` at
+    the padding, so a gather from an array whose row `sentinel` is zero adds
     nothing there. kept lists the real entries of the flattened
     (rows, width) grid, in CSR order.
     """
+    count = int(indptr[-1])
+    targets = np.append(targets, sentinel)
     blocks = []
     sizes = np.diff(indptr)
     r0 = 0
@@ -178,13 +177,10 @@ def _row_blocks(indptr: np.ndarray, targets: np.ndarray, sentinel: int,
         width = np.maximum.accumulate(sizes[r0:r0 + BLOCK_EDGES])
         fits = np.count_nonzero(width * np.arange(1, len(width) + 1) <= BLOCK_EDGES)
         r1 = r0 + max(int(fits), 1)
-        start = indptr[r0:r1, None]
         step = np.arange(int(width[r1 - r0 - 1]))
         real = step < sizes[r0:r1, None]
-        slot = np.minimum(start + step, indptr[r1] - 1)
-        edge = slot if edges is None else edges[slot]
-        target = np.where(real, targets[slot], sentinel)
-        blocks.append((r0, r1, edge, target, np.flatnonzero(real)))
+        slot = np.where(real, indptr[r0:r1, None] + step, count)
+        blocks.append((r0, r1, slot, targets[slot], np.flatnonzero(real)))
         r0 = r1
     return blocks
 
@@ -194,41 +190,34 @@ def _blocks(topology: ConvTopology, rows: str) -> list[tuple]:
 
     A block's target is the feature row across each edge: the input vertex
     (sentinel n_in) over output rows, the output vertex (sentinel n_out) over
-    input rows. Its edge ids index the topology's coeffs either way. Built
-    once per topology and BLOCK_EDGES.
+    input rows, which are the transpose's output rows and take its blocks with
+    this topology's edge ids. Edge ids index the coeffs (clipped at the
+    padding) and per-edge arrays. Built once per topology and BLOCK_EDGES.
     """
     key = ("blocks", rows, BLOCK_EDGES)
     if key not in topology.memo:
         if rows == "out":
-            args = (topology.indptr, topology.indices, topology.n_in)
+            plans = _row_blocks(topology.indptr, topology.indices, topology.n_in)
         else:
-            perm, t_indptr = topology.transpose_order
-            args = (t_indptr, topology.transposed.indices, topology.n_out, perm)
-        topology.memo[key] = _row_blocks(*args)
+            ids = np.append(topology.transpose_order[0], topology.edge_count)
+            plans = [(r0, r1, ids[edge], target, kept)
+                     for r0, r1, edge, target, kept in _blocks(topology.transposed, "out")]
+        topology.memo[key] = plans
     return topology.memo[key]
 
 
 def _row_sums(per_edge: np.ndarray, topology: ConvTopology, rows: str) -> np.ndarray:
-    """Sums over the output rows ("out") or input rows ("in") of per-edge rows.
+    """Sums of per-edge rows over the output rows ("out") or input rows ("in").
 
-    per_edge is stored in the other orientation's edge order (transposed
-    order for "out", CSR order for "in") and ends in one zero row. Each sum
-    runs left to right along its row.
+    per_edge is indexed by edge id and ends in one zero row, the padding's
+    gather target. Each sum runs left to right along its row of the block
+    the kernels gather with, except that with one column a one-row block is
+    summed by numpy's pairwise sum.
     """
-    key = ("sums", rows, BLOCK_EDGES)
-    if key not in topology.memo:
-        perm, t_indptr = topology.transpose_order
-        if rows == "out":  # the transpose's transpose order: each edge's transposed position
-            args = (topology.indptr, topology.transposed.transpose_order[0], topology.edge_count)
-        else:
-            args = (t_indptr, perm, topology.edge_count)
-        topology.memo[key] = [
-            (r0, r1, np.ascontiguousarray(pos.T)) for r0, r1, _, pos, _ in _row_blocks(*args)
-        ]
     n = topology.n_out if rows == "out" else topology.n_in
     out = np.empty((n, per_edge.shape[1]))
-    for r0, r1, pos in topology.memo[key]:
-        np.sum(np.take(per_edge, pos, axis=0), axis=0, out=out[r0:r1])
+    for r0, r1, edge, _, _ in _blocks(topology, rows):
+        np.sum(np.take(per_edge, edge.T, axis=0), axis=0, out=out[r0:r1])
     return out
 
 
@@ -272,18 +261,17 @@ def _conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.nda
         z = np.empty((topology.n_out, xs.shape[1], m))
         for r0, r1, edge, src, _ in _blocks(topology, "out"):
             xe = np.take(xs, src, axis=0)
-            np.matmul(xe.transpose(0, 2, 1), np.take(c, edge, axis=0), out=z[r0:r1])
+            np.matmul(xe.transpose(0, 2, 1), np.take(c, edge, axis=0, mode="clip"), out=z[r0:r1])
         y = z.reshape(-1, i * m) @ params.basis.transpose(1, 0, 2).reshape(i * m, o)
     else:
-        # per input row j: t_j = (x_j^T B_k)_k, then each edge's c_e^T t_j in
-        # transposed edge order, summed over the output rows
-        t_indptr = topology.transpose_order[1]
+        # per input row j: t_j = (x_j^T B_k)_k, then c_e^T t_j at each edge id (the
+        # padding's in row edge_count, zeroed after), summed over the output rows
         t = _vertex_products(x, params)
-        contrib = np.zeros((topology.edge_count + 1, t.shape[2]))
-        for j0, j1, edge, _, kept in _blocks(topology, "in"):
-            per_row = np.take(c, edge, axis=0) @ t[j0:j1]
-            np.take(per_row.reshape(-1, t.shape[2]), kept, axis=0,
-                    out=contrib[t_indptr[j0]:t_indptr[j1]])
+        contrib = np.empty((topology.edge_count + 1, t.shape[2]))
+        for j0, j1, edge, _, _ in _blocks(topology, "in"):
+            per_row = np.take(c, edge, axis=0, mode="clip") @ t[j0:j1]
+            contrib[edge.ravel()] = per_row.reshape(-1, t.shape[2])
+        contrib[-1] = 0.0
         y = _row_sums(contrib, topology, "out")
     y = y.reshape(_out_shape(x, topology.n_out, o))
     y += params.bias
@@ -307,7 +295,6 @@ def _conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
     c = params.coeffs
     d_coeffs = np.empty(c.shape)
     if i <= o:
-        indptr = topology.indptr
         by_input = params.basis.transpose(1, 0, 2).reshape(i * m, o)
         # p[r][b*I + :, k] = B_k g_rb: contracting over its B*I rows sums the samples
         p = (_sample_rows(g) @ by_input.T).reshape(topology.n_out, -1, m)
@@ -315,8 +302,8 @@ def _conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
         z = np.empty(p.shape)
         d_xe = np.zeros((topology.edge_count + 1, xs.shape[1]))
         for r0, r1, edge, src, kept in _blocks(topology, "out"):
-            s, e = indptr[r0], indptr[r1]
-            xe, ce, pr = np.take(xs, src, axis=0), np.take(c, edge, axis=0), p[r0:r1]
+            s, e = topology.indptr[r0], topology.indptr[r1]
+            xe, ce, pr = np.take(xs, src, axis=0), np.take(c, edge, axis=0, mode="clip"), p[r0:r1]
             np.matmul(xe.transpose(0, 2, 1), ce, out=z[r0:r1])
             np.take((xe @ pr).reshape(-1, m), kept, axis=0, out=d_coeffs[s:e])
             np.take((ce @ pr.transpose(0, 2, 1)).reshape(-1, xs.shape[1]), kept, axis=0,
@@ -325,15 +312,14 @@ def _conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
         d_x = _row_sums(d_xe, topology, "in")
     else:
         # per input row j: w_j = sum of g_r c_e^T over its edges, then d_x = w B^T, d_B = x^T w
-        perm, t_indptr = topology.transpose_order
         t = _vertex_products(x, params)
         gs = _zero_row(_vertex_rows(g))
         w = np.empty((topology.n_in, gs.shape[1], m))
         for j0, j1, edge, dst, kept in _blocks(topology, "in"):
-            ge, ce = np.take(gs, dst, axis=0), np.take(c, edge, axis=0)
+            ge, ce = np.take(gs, dst, axis=0), np.take(c, edge, axis=0, mode="clip")
             np.matmul(ge.transpose(0, 2, 1), ce, out=w[j0:j1])
             per_row = (ge @ t[j0:j1].transpose(0, 2, 1)).reshape(-1, m)
-            d_coeffs[perm[t_indptr[j0]:t_indptr[j1]]] = np.take(per_row, kept, axis=0)
+            d_coeffs[edge.ravel()[kept]] = per_row[kept]
         w = w.reshape(-1, o * m)
         d_x = w @ params.basis.transpose(2, 0, 1).reshape(o * m, i)
         d_basis = (_sample_rows(x).T @ w).reshape(i, o, m).transpose(2, 0, 1)
@@ -407,13 +393,15 @@ def reference_pool(topology: ConvTopology, x: np.ndarray) -> np.ndarray:
 
 
 def elu(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    if alpha <= 0:
-        raise MeshError(f"elu alpha must be > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise MeshError(f"elu alpha must be finite and > 0, got {alpha}")
     x = np.asarray(x, dtype=np.float64)
     return np.where(x > 0, x, alpha * np.expm1(np.minimum(x, 0.0)))
 
 
 def elu_backward(x: np.ndarray, grad_out: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    if not 0 < alpha < np.inf:
+        raise MeshError(f"elu alpha must be finite and > 0, got {alpha}")
     g = _check_grad(grad_out, np.shape(x))
     return g * np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
 

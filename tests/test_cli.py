@@ -335,6 +335,20 @@ def test_non_finite_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir):
     assert not (tmp_path / "ev" / "eval_test.json").exists()
 
 
+def test_zero_density_checkpoint_eval_exits_3(tmp_path, capsys, gen_dir):
+    model = Autoencoder.build(load_mesh_path(gen_dir / "0000_gt.ply"),
+                              Architecture((1.0, 0.3), (3, 8)), 0)
+    model.parameters()["enc0.res.rho"][:] = 0.0
+    bad = tmp_path / "zero.ckpt"
+    save_checkpoint(bad, model)
+    assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
+                "--checkpoint", bad, "--split", "test"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: all-zero density coefficients in neighborhood 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev" / "eval_test.json").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_non_json_manifest_exits_2(tmp_path, capsys, gen_dir, command):
     data = tmp_path / "data"

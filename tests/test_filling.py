@@ -20,6 +20,7 @@ from woundfill import (
     synth_head,
     vertex_distance,
 )
+from woundfill import filling
 from woundfill.errors import NoFillingError
 
 
@@ -152,6 +153,28 @@ def test_extract_filling_is_watertight_closed_solid():
     assert report.n_components == 1
     assert euler_characteristic(report.filling) == 2
     assert signed_volume(report.filling) > 0
+
+
+def test_swapped_pair_is_reoriented_to_positive_volume(monkeypatch):
+    # with the ground truth as input, the closed component comes out inside-out
+    # and extract_filling flips its faces
+    head = synth_head(5, 3)
+    wounded, _ = generate_scar(head, ScarSpec(center=100, radius=4, max_depth=0.2))
+    closed = filling._close_component
+    before = []
+
+    def spy(*args):
+        pos, fcs, is_closed, notes = closed(*args)
+        before.append(signed_volume(Mesh(pos, fcs)))
+        return pos, fcs, is_closed, notes
+
+    monkeypatch.setattr(filling, "_close_component", spy)
+    report = extract_filling(head, wounded)
+    assert before == [pytest.approx(-0.0884, abs=1e-4)]
+    assert report.watertight and is_watertight(report.filling)
+    volume = signed_volume(extract_filling(wounded, head).filling)
+    assert volume == pytest.approx(0.0884, abs=1e-4)
+    assert signed_volume(report.filling) == pytest.approx(volume, rel=1e-12)
 
 
 def test_extract_filling_volume_bounded_by_patch_bbox():

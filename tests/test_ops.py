@@ -259,8 +259,12 @@ def test_elu_values():
 
 
 def test_elu_alpha_validated():
-    with pytest.raises(MeshError):
-        elu(np.zeros((1, 1)), alpha=0.0)
+    x = np.array([[-1.0, 2.0]])
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(MeshError):
+            elu(x, alpha=alpha)
+        with pytest.raises(MeshError):
+            elu_backward(x, np.ones_like(x), alpha=alpha)
 
 
 def test_relu_values():
@@ -397,6 +401,31 @@ def test_vc_conv_matches_einsum_reference_in_small_row_blocks(
         assert len(blocks) >= 5
         assert all(edge.size <= size or r1 - r0 == 1 for r0, r1, edge, _, _ in blocks)
     _check_against_oracle(rng, run_on, in_dim, out_dim, m)
+
+
+@pytest.mark.parametrize("block_edges", ["1", "3", "default"])
+@pytest.mark.parametrize("rows", ["out", "in"])
+def test_row_sums_run_left_to_right_in_csr_order(monkeypatch, block_edges, rows):
+    # each row's per-edge values, summed one at a time in the order of that
+    # orientation's CSR (the transpose's CSR for "in"), bit for bit
+    if block_edges != "default":
+        monkeypatch.setattr(ops, "BLOCK_EDGES", int(block_edges))
+    rng = np.random.default_rng([33, len(rows), len(block_edges)])
+    for _ in range(4):
+        topo = random_topology(rng, 30, 20, max_degree=9)
+        for cols in (2, 5, 64):
+            per_edge = np.vstack([rng.normal(size=(topo.edge_count, cols)), np.zeros(cols)])
+            if rows == "out":
+                indptr, edge_ids = topo.indptr, np.arange(topo.edge_count)
+            else:
+                edge_ids, indptr = topo.transpose_order
+            ref = np.empty((len(indptr) - 1, cols))
+            for r in range(len(ref)):
+                ids = edge_ids[indptr[r]:indptr[r + 1]]
+                ref[r] = per_edge[ids[0]]
+                for e in ids[1:]:
+                    ref[r] += per_edge[e]
+            assert ops._row_sums(per_edge, topo, rows).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("in_dim,out_dim", [(3, 16), (16, 3)])
