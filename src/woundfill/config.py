@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, read_json
-from .filling import extract_filling
+from .filling import check_k_sigma, extract_filling
 from .losses import LossSpec
 from .model import Architecture
 from .scars import ScarRanges, make_dataset
@@ -121,8 +121,7 @@ class RunConfig:
         self.scar_ranges()
         self.model_architecture()
         self.train_settings().validate()
-        if not self.extraction["k_sigma"] > 0:
-            raise ConfigError("extraction.k_sigma must be > 0")
+        check_k_sigma(self.extraction["k_sigma"])
 
     def scar_ranges(self) -> ScarRanges:
         ranges = ScarRanges(self.dataset["radius_range"], self.dataset["depth_range"])

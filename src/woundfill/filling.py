@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeshError, NoFillingError
+from .errors import ConfigError, MeshError, NoFillingError
 from .losses import vertex_distance
 from .mesh import (
     Mesh,
@@ -33,6 +33,12 @@ __all__ = ["FillReport", "extract_filling", "outlier_indices"]
 K_SIGMA_DEFAULT = 2.0
 
 
+def check_k_sigma(k_sigma: float) -> None:
+    """The outlier threshold must be finite and positive: 0 < k_sigma < inf."""
+    if not 0 < k_sigma < np.inf:
+        raise ConfigError(f"extraction.k_sigma must be finite and > 0, got {k_sigma}")
+
+
 def outlier_indices(distances: np.ndarray, k_sigma: float = K_SIGMA_DEFAULT) -> np.ndarray:
     """Indices whose distance deviates from the mean by more than k_sigma stddevs.
 
@@ -44,6 +50,7 @@ def outlier_indices(distances: np.ndarray, k_sigma: float = K_SIGMA_DEFAULT) -> 
     unscaled set would, but the squared deviations of tiny distances no
     longer underflow, and the selection does not change with the scale.
     """
+    check_k_sigma(k_sigma)
     d = np.asarray(distances, dtype=np.float64)
     if d.size == 0:
         raise NoFillingError("empty distance set")
@@ -152,6 +159,7 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
     to positive signed volume. A pinched rim downgrades that component to its
     two open shells, with a note in the report.
     """
+    check_k_sigma(k_sigma)
     if not np.array_equal(input_mesh.faces, output_mesh.faces):
         raise NoFillingError("input and output meshes must share face topology")
     d = vertex_distance(input_mesh, output_mesh)

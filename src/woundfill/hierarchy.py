@@ -14,12 +14,14 @@ they overlap but still cover the level.
 
 Every level graph, cell partition and neighborhood is a CSR graph built by
 :func:`woundfill.mesh.csr_from_pairs`. A :class:`MeshHierarchy` stores only
-the down topologies; the up ones are their cached transposes, and every
+the down topologies; the up ones are their cached transposes (transposition
+is an involution, so an up topology's transpose is its down one), and every
 hierarchy, built or loaded, checks that its topologies join its levels.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,7 +41,8 @@ class ConvTopology:
     """Per-output-vertex neighborhoods in CSR form.
 
     Output vertex i draws from input vertices indices[indptr[i]:indptr[i+1]],
-    stored ascending. basis_count is the layer's kernel-basis size M.
+    stored strictly ascending, which construction checks. basis_count is the
+    layer's kernel-basis size M.
     """
 
     n_in: int
@@ -60,6 +63,11 @@ class ConvTopology:
             raise MeshError(f"empty neighborhood for output vertex {int(np.argmin(sizes))}")
         if len(indices) and (indices.min() < 0 or indices.max() >= self.n_in):
             raise MeshError("neighbor index out of range")
+        steps = np.diff(indices)
+        steps[indptr[1:-1] - 1] = 1  # a row's first index follows the previous row's last
+        if (steps <= 0).any():
+            row = int(np.searchsorted(indptr, np.argmin(steps), side="right")) - 1
+            raise MeshError(f"neighbors of output vertex {row} are not strictly ascending")
         if self.n_in > len(indices):  # each input vertex needs an edge; bounds `covered`
             raise MeshError(f"{len(indices)} edges cannot cover {self.n_in} input vertices")
         covered = np.zeros(self.n_in, dtype=bool)
@@ -109,11 +117,28 @@ class ConvTopology:
         """Per-topology store for index arrays that kernels derive from the CSR once."""
         return {}
 
-    @cached_property
+    @property
     def transposed(self) -> "ConvTopology":
-        """Exact edge transpose: j in N'(i) iff i in N(j). basis_count carries over."""
-        perm, indptr = self.transpose_order
-        return ConvTopology(self.n_out, self.n_in, indptr, self.rows()[perm], self.basis_count)
+        """Exact edge transpose: j in N'(i) iff i in N(j). basis_count carries over.
+
+        An involution: a topology keeps the transpose it builds, and that
+        transpose keeps a weak reference back, so t.transposed.transposed is t
+        while t lives and no reference cycle holds either one (or its plans)
+        past its last user. The transpose's transpose_order is (the inverse of
+        perm, this indptr): ascending per row because rows are stored ascending.
+        """
+        t = vars(self).get("_transposed")
+        if isinstance(t, weakref.ref):
+            t = t()
+        if t is None:
+            perm, indptr = self.transpose_order
+            t = ConvTopology(self.n_out, self.n_in, indptr, self.rows()[perm], self.basis_count)
+            inverse = np.empty_like(perm)
+            inverse[perm] = np.arange(len(perm))
+            inverse.flags.writeable = False
+            vars(t).update(_transposed=weakref.ref(self), transpose_order=(inverse, self.indptr))
+            vars(self)["_transposed"] = t
+        return t
 
 
 def _topology(n_in: int, csr: tuple[np.ndarray, np.ndarray], m_clamp) -> ConvTopology:

@@ -10,21 +10,21 @@ of the coefficient and density gradients contract over B*I (or B*O)
 columns, and the basis, bias and residual-matrix gradients over n*B rows.
 
 Each operator reads a ConvTopology in CSR form. vc_conv never builds the
-per-edge weights W_e = sum_k a_ek B_k, and its BLAS products run on vertex
-rows. When I <= O, each output row r sums z_r = sum_e x_e a_e^T over its edges
-and y = z B; the backward pass takes d_B = z^T g, and d_a and the per-edge
-rows of d_x from p = g B^T. Otherwise t = x B per input vertex, each input row
-mixes t_j with its edges' coefficients, and the backward pass sums
-w_j = sum_e g_e a_e^T over each input row, so that d_x = w B^T and d_B = x^T w.
-
-Per-edge work runs in blocks of whole CSR rows, padded to the block's longest
-row, at most BLOCK_EDGES entries each, and contracted by batched matmuls, so
-the scratch a call holds is bounded by the block and the vertex-sized arrays,
-not by the edge count; both grow with B*d. Per-edge scratch arrays are
-indexed by edge id (CSR position), and one that is summed ends in a zero row
-at index edge_count, where the padding points. Each topology builds its
-block index plans once. Forward passes and gradients are bit-reproducible
-for a given numpy/BLAS build, thread count and batch size.
+per-edge weights W_e = sum_k a_ek B_k: its per-edge work is three passes over
+the rows r of one side (output or input rows) and the edges e of each row:
+  _contract       sum_e f_e^T a_e per row: z from x on output rows (I <= O; then
+                  y = z B, d_B = z^T g), w from g on input rows (I > O backward;
+                  then d_x = w B^T, d_B = x^T w)
+  _edge_products  f_e^T q_r, which is d_a: from x and p = g B^T on output rows
+                  (I <= O), from g and t = x B on input rows (I > O)
+  _spread         a_e q_r summed over the other side's rows: y from t on input
+                  rows (I > O forward), d_x from p on output rows (I <= O backward)
+Passes run in blocks of whole CSR rows, padded to the block's longest row, at
+most BLOCK_EDGES entries each, so the scratch a call holds is bounded by the
+block and the vertex-sized arrays, not by the edge count; both grow with B*d.
+A pass writes whole blocks at their edge ids, the padding into one scratch row
+at index edge_count. Each topology builds its block plans once. Forward passes
+and gradients are bit-reproducible per numpy/BLAS build, thread count and B.
 
 The density layers are vc convolutions with one basis matrix (M = 1): the
 coefficients are the normalized densities r', the basis is C^T, or the
@@ -161,12 +161,11 @@ BLOCK_EDGES = 1024
 def _row_blocks(indptr: np.ndarray, targets: np.ndarray, sentinel: int) -> list[tuple]:
     """Blocks of whole CSR rows padded to their longest row, each BLOCK_EDGES entries or one row.
 
-    One (r0, r1, edge, target, kept) per block of rows r0..r1-1. edge[r, d]
-    is the edge id (CSR position) of row r's d-th entry, and edge_count past
-    the row's end. target is targets at those positions, with `sentinel` at
-    the padding, so a gather from an array whose row `sentinel` is zero adds
-    nothing there. kept lists the real entries of the flattened
-    (rows, width) grid, in CSR order.
+    One (r0, r1, edge, target) per block of rows r0..r1-1. edge[r, d] is the
+    edge id (CSR position) of row r's d-th entry, and edge_count past the
+    row's end. target is targets at those positions, with `sentinel` at the
+    padding, so a gather from an array whose row `sentinel` is zero adds
+    nothing there.
     """
     count = int(indptr[-1])
     targets = np.append(targets, sentinel)
@@ -178,9 +177,8 @@ def _row_blocks(indptr: np.ndarray, targets: np.ndarray, sentinel: int) -> list[
         fits = np.count_nonzero(width * np.arange(1, len(width) + 1) <= BLOCK_EDGES)
         r1 = r0 + max(int(fits), 1)
         step = np.arange(int(width[r1 - r0 - 1]))
-        real = step < sizes[r0:r1, None]
-        slot = np.where(real, indptr[r0:r1, None] + step, count)
-        blocks.append((r0, r1, slot, targets[slot], np.flatnonzero(real)))
+        slot = np.where(step < sizes[r0:r1, None], indptr[r0:r1, None] + step, count)
+        blocks.append((r0, r1, slot, targets[slot]))
         r0 = r1
     return blocks
 
@@ -200,8 +198,8 @@ def _blocks(topology: ConvTopology, rows: str) -> list[tuple]:
             plans = _row_blocks(topology.indptr, topology.indices, topology.n_in)
         else:
             ids = np.append(topology.transpose_order[0], topology.edge_count)
-            plans = [(r0, r1, ids[edge], target, kept)
-                     for r0, r1, edge, target, kept in _blocks(topology.transposed, "out")]
+            plans = [(r0, r1, ids[edge], target)
+                     for r0, r1, edge, target in _blocks(topology.transposed, "out")]
         topology.memo[key] = plans
     return topology.memo[key]
 
@@ -216,9 +214,37 @@ def _row_sums(per_edge: np.ndarray, topology: ConvTopology, rows: str) -> np.nda
     """
     n = topology.n_out if rows == "out" else topology.n_in
     out = np.empty((n, per_edge.shape[1]))
-    for r0, r1, edge, _, _ in _blocks(topology, rows):
+    for r0, r1, edge, _ in _blocks(topology, rows):
         np.sum(np.take(per_edge, edge.T, axis=0), axis=0, out=out[r0:r1])
     return out
+
+
+def _contract(f: np.ndarray, c: np.ndarray, topology: ConvTopology, rows: str) -> np.ndarray:
+    """Per row r, sum_e f_e^T c_e over its edges, as (n, D, M); f ends in a zero row."""
+    n = topology.n_out if rows == "out" else topology.n_in
+    out = np.empty((n, f.shape[1], c.shape[1]))
+    for r0, r1, edge, target in _blocks(topology, rows):
+        np.matmul(np.take(f, target, axis=0).transpose(0, 2, 1),
+                  np.take(c, edge, axis=0, mode="clip"), out=out[r0:r1])
+    return out
+
+
+def _edge_products(f: np.ndarray, q: np.ndarray, topology: ConvTopology, rows: str) -> np.ndarray:
+    """f_e^T q_r for each edge e of each row r, as (edge_count, M); q is (n, D, M)."""
+    out = np.empty((topology.edge_count + 1, q.shape[2]))
+    for r0, r1, edge, target in _blocks(topology, rows):
+        out[edge.ravel()] = (np.take(f, target, axis=0) @ q[r0:r1]).reshape(-1, q.shape[2])
+    return out[:-1]
+
+
+def _spread(q: np.ndarray, c: np.ndarray, topology: ConvTopology, rows: str) -> np.ndarray:
+    """c_e q_r for each edge e of each row r, summed over the other side's rows; q is (n, M, D)."""
+    per_edge = np.empty((topology.edge_count + 1, q.shape[2]))
+    for r0, r1, edge, _ in _blocks(topology, rows):
+        products = np.take(c, edge, axis=0, mode="clip") @ q[r0:r1]
+        per_edge[edge.ravel()] = products.reshape(-1, q.shape[2])
+    per_edge[-1] = 0.0
+    return _row_sums(per_edge, topology, "in" if rows == "out" else "out")
 
 
 def _zero_row(a: np.ndarray) -> np.ndarray:
@@ -254,25 +280,13 @@ def vc_conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.n
 def _conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     """vc_conv on a checked x and coeffs."""
     m, i, o = params.basis.shape
-    c = params.coeffs
     if i <= o:
         # per output row r: z_r = sum of x_e c_e^T over its edges (B*I rows), then y = z B
-        xs = _zero_row(_vertex_rows(x))
-        z = np.empty((topology.n_out, xs.shape[1], m))
-        for r0, r1, edge, src, _ in _blocks(topology, "out"):
-            xe = np.take(xs, src, axis=0)
-            np.matmul(xe.transpose(0, 2, 1), np.take(c, edge, axis=0, mode="clip"), out=z[r0:r1])
+        z = _contract(_zero_row(_vertex_rows(x)), params.coeffs, topology, "out")
         y = z.reshape(-1, i * m) @ params.basis.transpose(1, 0, 2).reshape(i * m, o)
     else:
-        # per input row j: t_j = (x_j^T B_k)_k, then c_e^T t_j at each edge id (the
-        # padding's in row edge_count, zeroed after), summed over the output rows
-        t = _vertex_products(x, params)
-        contrib = np.empty((topology.edge_count + 1, t.shape[2]))
-        for j0, j1, edge, _, _ in _blocks(topology, "in"):
-            per_row = np.take(c, edge, axis=0, mode="clip") @ t[j0:j1]
-            contrib[edge.ravel()] = per_row.reshape(-1, t.shape[2])
-        contrib[-1] = 0.0
-        y = _row_sums(contrib, topology, "out")
+        # per input row j: t_j = (x_j^T B_k)_k, then c_e^T t_j summed over the output rows
+        y = _spread(_vertex_products(x, params), params.coeffs, topology, "in")
     y = y.reshape(_out_shape(x, topology.n_out, o))
     y += params.bias
     return y
@@ -293,34 +307,20 @@ def _conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
     """vc_conv_backward on a checked x, coeffs and g."""
     m, i, o = params.basis.shape
     c = params.coeffs
-    d_coeffs = np.empty(c.shape)
     if i <= o:
         by_input = params.basis.transpose(1, 0, 2).reshape(i * m, o)
         # p[r][b*I + :, k] = B_k g_rb: contracting over its B*I rows sums the samples
         p = (_sample_rows(g) @ by_input.T).reshape(topology.n_out, -1, m)
         xs = _zero_row(_vertex_rows(x))
-        z = np.empty(p.shape)
-        d_xe = np.zeros((topology.edge_count + 1, xs.shape[1]))
-        for r0, r1, edge, src, kept in _blocks(topology, "out"):
-            s, e = topology.indptr[r0], topology.indptr[r1]
-            xe, ce, pr = np.take(xs, src, axis=0), np.take(c, edge, axis=0, mode="clip"), p[r0:r1]
-            np.matmul(xe.transpose(0, 2, 1), ce, out=z[r0:r1])
-            np.take((xe @ pr).reshape(-1, m), kept, axis=0, out=d_coeffs[s:e])
-            np.take((ce @ pr.transpose(0, 2, 1)).reshape(-1, xs.shape[1]), kept, axis=0,
-                    out=d_xe[s:e])
+        z = _contract(xs, c, topology, "out")
+        d_coeffs = _edge_products(xs, p, topology, "out")
+        d_x = _spread(p.transpose(0, 2, 1), c, topology, "out")
         d_basis = (z.reshape(-1, i * m).T @ _sample_rows(g)).reshape(i, m, o).transpose(1, 0, 2)
-        d_x = _row_sums(d_xe, topology, "in")
     else:
-        # per input row j: w_j = sum of g_r c_e^T over its edges, then d_x = w B^T, d_B = x^T w
-        t = _vertex_products(x, params)
         gs = _zero_row(_vertex_rows(g))
-        w = np.empty((topology.n_in, gs.shape[1], m))
-        for j0, j1, edge, dst, kept in _blocks(topology, "in"):
-            ge, ce = np.take(gs, dst, axis=0), np.take(c, edge, axis=0, mode="clip")
-            np.matmul(ge.transpose(0, 2, 1), ce, out=w[j0:j1])
-            per_row = (ge @ t[j0:j1].transpose(0, 2, 1)).reshape(-1, m)
-            d_coeffs[edge.ravel()[kept]] = per_row[kept]
-        w = w.reshape(-1, o * m)
+        w = _contract(gs, c, topology, "in").reshape(-1, o * m)
+        d_coeffs = _edge_products(gs, _vertex_products(x, params).transpose(0, 2, 1),
+                                  topology, "in")
         d_x = w @ params.basis.transpose(2, 0, 1).reshape(o * m, i)
         d_basis = (_sample_rows(x).T @ w).reshape(i, o, m).transpose(2, 0, 1)
     return d_x.reshape(x.shape), {

@@ -155,6 +155,21 @@ def test_damaged_checkpoint_is_data_error(tmp_path, model, kind):
     assert peak < 2**24  # nothing is sized by a header number before it is checked
 
 
+@pytest.mark.parametrize("change", ["reversed", "repeated"])
+def test_unordered_neighbors_in_a_checkpoint_are_data_error(tmp_path, model, change):
+    raw, header, body = _saved(model, tmp_path)
+    topology = header["hierarchy"]["conv_down"][0]
+    first, second = topology["indptr"][:2]
+    assert second - first >= 2
+    row = topology["indices"][first:second]
+    topology["indices"][first:second] = row[::-1] if change == "reversed" else [row[0], *row[:-1]]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    with pytest.raises(DataError, match="not strictly ascending") as exc:
+        load_checkpoint(bad)
+    assert str(bad) in str(exc.value)
+
+
 def test_block_shape_must_match_architecture(tmp_path, model):
     raw, header, body = _saved(model, tmp_path)
     header["hierarchy"]["conv_down"][0]["basis_count"] += 1

@@ -21,7 +21,7 @@ from woundfill import (
     vertex_distance,
 )
 from woundfill import filling
-from woundfill.errors import NoFillingError
+from woundfill.errors import ConfigError, NoFillingError
 
 
 def brute_force_outliers(values, k_sigma=2.0):
@@ -200,6 +200,15 @@ def test_extract_respects_k_sigma_flag():
     narrow = extract_filling(wounded, head, k_sigma=0.5)
     wide = extract_filling(wounded, head, k_sigma=2.0)
     assert len(narrow.outliers) >= len(wide.outliers)
+
+
+@pytest.mark.parametrize("k_sigma", [-1.0, 0.0, math.nan, math.inf])
+def test_outlier_threshold_must_be_finite_and_positive(k_sigma):
+    with pytest.raises(ConfigError, match="k_sigma"):
+        outlier_indices([0.1, 0.2, 0.3, 5.0], k_sigma)
+    head, wounded, _ = planted_case(9)
+    with pytest.raises(ConfigError, match="k_sigma"):
+        extract_filling(wounded, head, k_sigma=k_sigma)
 
 
 def test_extract_deep_dent_on_plain_sphere():

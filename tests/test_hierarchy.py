@@ -131,6 +131,31 @@ def test_transpose_is_cached_and_matches_pair_transpose():
         assert np.array_equal(t.rows()[perm], tr.indices)
 
 
+def test_transpose_of_the_transpose_is_the_topology_itself(sphere2):
+    from conftest import random_topology
+
+    rng = np.random.default_rng(34)
+    h = build_hierarchy(sphere2, (1.0, 0.25))
+    for t in (h.conv_down[0], h.pool_down[0],
+              *(random_topology(rng, *shape) for shape in ((30, 20, 6), (12, 25, 1), (9, 4, 4)))):
+        up = t.transposed
+        assert up.transposed is t
+        # the order up would derive from its own CSR: its edges per input row, ascending
+        perm, indptr = up.transpose_order
+        assert np.array_equal(perm, np.argsort(up.indices, kind="stable"))
+        assert indptr is t.indptr
+        assert not perm.flags.writeable
+
+
+@pytest.mark.parametrize("indptr, indices", [
+    ([0, 2, 3], [2, 1, 0]),
+    ([0, 3, 4], [1, 1, 2, 0]),
+], ids=["reversed", "repeated"])
+def test_topology_rows_must_be_strictly_ascending(indptr, indices):
+    with pytest.raises(MeshError, match="output vertex 0 are not strictly ascending"):
+        ConvTopology(3, 2, np.array(indptr), np.array(indices), basis_count=1)
+
+
 def test_hierarchy_up_topologies_are_the_cached_transposes(sphere2):
     h = build_hierarchy(sphere2, (1.0, 0.25, 0.0625))
     for down, up in ((h.conv_down, h.conv_up), (h.pool_down, h.pool_up)):

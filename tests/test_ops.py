@@ -399,8 +399,44 @@ def test_vc_conv_matches_einsum_reference_in_small_row_blocks(
     for rows in ("out", "in"):  # both orientations run in several bounded blocks
         blocks = ops._blocks(run_on, rows)
         assert len(blocks) >= 5
-        assert all(edge.size <= size or r1 - r0 == 1 for r0, r1, edge, _, _ in blocks)
+        assert all(edge.size <= size or r1 - r0 == 1 for r0, r1, edge, _ in blocks)
     _check_against_oracle(rng, run_on, in_dim, out_dim, m)
+
+
+@pytest.mark.parametrize("block_edges", ["1", "default"])
+@pytest.mark.parametrize("batch", BATCHES, ids=["map", "batch"])
+@pytest.mark.parametrize("in_dim,out_dim", [(3, 8), (8, 3)], ids=["I<O", "I>O"])
+def test_vc_conv_input_gradient_is_the_transposed_conv(monkeypatch, block_edges, batch, in_dim,
+                                                       out_dim):
+    # d_x = sum over the edges e into x_j of a_e B g_i: vc_conv on the transpose of g, with
+    # each basis matrix transposed, the coeffs in the transpose's edge order and no bias
+    if block_edges != "default":
+        monkeypatch.setattr(ops, "BLOCK_EDGES", int(block_edges))
+    rng = np.random.default_rng([36, in_dim, out_dim, len(batch)])
+    topo = random_topology(rng, 30, 20, max_degree=6)
+    params = _random_params(rng, topo, in_dim, out_dim, 4)
+    dual = VcConvParams(params.basis.transpose(0, 2, 1), params.coeffs[topo.transpose_order[0]],
+                        np.zeros(in_dim))
+    x = rng.normal(size=(topo.n_in, *batch, in_dim))
+    g = rng.normal(size=(topo.n_out, *batch, out_dim))
+    d_x, _ = vc_conv_backward(params, topo, x, g)
+    _assert_matches(d_x, vc_conv(dual, topo.transposed, g))
+
+
+@pytest.mark.parametrize("block_edges", ["3", "default"])
+def test_up_topology_input_rows_reuse_the_down_output_blocks(monkeypatch, block_edges):
+    if block_edges != "default":
+        monkeypatch.setattr(ops, "BLOCK_EDGES", int(block_edges))
+    rng = np.random.default_rng(37)
+    down = random_topology(rng, 30, 20, max_degree=6)
+    up = down.transposed
+    out_blocks, in_blocks = ops._blocks(down, "out"), ops._blocks(up, "in")
+    assert len(in_blocks) == len(out_blocks)
+    for (r0, r1, edge, target), (j0, j1, up_edge, up_target) in zip(out_blocks, in_blocks):
+        assert (j0, j1) == (r0, r1) and up_target is target
+        real = edge < down.edge_count  # the same entries under up's edge ids
+        assert np.array_equal(down.transpose_order[0][up_edge[real]], edge[real])
+        assert (up_edge[~real] == up.edge_count).all()
 
 
 @pytest.mark.parametrize("block_edges", ["1", "3", "default"])
