@@ -7,10 +7,8 @@ from .losses import LossSpec, reconstruction_loss, vertex_distance
 from .mesh import (
     Mesh,
     boundary_loops,
-    euler_characteristic,
     fill_holes,
     is_watertight,
-    k_ring,
     keep_largest_component,
     mean_edge_length,
     signed_volume,
@@ -55,7 +53,6 @@ __all__ = [
     "adam_step",
     "boundary_loops",
     "build_hierarchy",
-    "euler_characteristic",
     "evaluate",
     "extract_filling",
     "fill_holes",
@@ -63,7 +60,6 @@ __all__ = [
     "icosahedron",
     "icosphere",
     "is_watertight",
-    "k_ring",
     "keep_largest_component",
     "load_manifest",
     "load_mesh",

@@ -1,13 +1,15 @@
 """Single-file checkpoints: magic, JSON header, raw little-endian float64 blocks.
 
-The header carries the architecture, the hierarchy's four fields (levels,
-parents and the down topologies; the hierarchy derives the up topologies by
-transposition and checks that its topologies join its levels) and the ordered
-block index, so inference never has to rebuild the hierarchy from a mesh.
-Writes go to a temp file in the same directory followed by an atomic rename.
-Loading checks the header's length and JSON syntax, then reads every header
-value as the annotation of the field it fills (errors.from_json), hierarchy
-included, so a damaged file raises DataError naming it. The block index and
+The header (format 2) carries the architecture, the hierarchy's stored fields
+(levels, parents, the down topologies, and faces_sha256: the digest of the
+faces it was built on, which train.evaluate checks against a dataset; the
+hierarchy derives the up topologies by transposition and checks that its
+topologies join its levels) and the ordered block index, so inference never
+has to rebuild the hierarchy from a mesh. Writes go to a temp file in the
+same directory followed by an atomic rename.
+Loading refuses every format version but 2, then reads the header as the
+_Header dataclass (errors.from_json), so a damaged file, or one with a key
+the reader does not know, raises DataError naming it. The block index and
 the byte count after the header must then equal exactly what
 model.parameter_shapes gives for that architecture and hierarchy, before any
 block is read. A block holding a NaN or an infinity is refused by name; the
@@ -20,34 +22,41 @@ import json
 import math
 import os
 import struct
-from functools import partial
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MeshError, as_json, json_field
+from .errors import ConfigError, DataError, MeshError, as_json, from_json
 from .hierarchy import MeshHierarchy
 from .model import Architecture, Autoencoder, parameter_shapes
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
 MAGIC = b"WNDFILL1"
+FORMAT_VERSION = 2
 
 
-_HEADER = "checkpoint header"
-_field = partial(json_field, what=_HEADER)
+@dataclass(frozen=True)
+class _BlockEntry:
+    name: str
+    shape: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Header:
+    format_version: int
+    architecture: Architecture
+    hierarchy: MeshHierarchy
+    blocks: tuple[_BlockEntry, ...]  # in Autoencoder.parameters() order
+    extra: dict
 
 
 def save_checkpoint(path, model: Autoencoder, extra: dict | None = None) -> None:
     params = model.parameters()
-    header = {
-        "format_version": 1,
-        "architecture": as_json(model.architecture),
-        "hierarchy": as_json(model.hierarchy),
-        "blocks": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
-        "extra": extra or {},
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header = _Header(FORMAT_VERSION, model.architecture, model.hierarchy,
+                     tuple(_BlockEntry(k, v.shape) for k, v in params.items()), extra or {})
+    header_bytes = json.dumps(as_json(header), sort_keys=True).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
@@ -80,19 +89,18 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
         raise DataError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from None
     if not isinstance(header, dict):
         raise DataError(f"{path}: checkpoint header is not a JSON object")
-    if header.get("format_version") != 1:
-        raise DataError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+    if (version := header.get("format_version")) != FORMAT_VERSION:
+        raise DataError(f"{path}: checkpoint format version {version!r} is not supported; "
+                        f"this build reads version {FORMAT_VERSION} only")
     try:
-        architecture = _field(header, "architecture", Architecture, path)
-        hierarchy = _field(header, "hierarchy", MeshHierarchy, path)
+        header = from_json(_Header, header, path, "checkpoint header")
     except (ConfigError, MeshError) as exc:
         raise DataError(f"{path}: invalid checkpoint: {exc}") from exc
+    architecture, hierarchy = header.architecture, header.hierarchy
     if len(architecture.widths) != hierarchy.n_levels:
         raise DataError(f"{path}: architecture widths do not match the hierarchy levels")
     shapes = parameter_shapes(hierarchy, architecture)
-    blocks = [(_field(block, "name", str, path), _field(block, "shape", tuple[int, ...], path))
-              for block in _field(header, "blocks", list, path)]
-    if blocks != list(shapes.items()):
+    if [(b.name, b.shape) for b in header.blocks] != list(shapes.items()):
         raise DataError(f"{path}: parameter blocks do not match the architecture")
     offset = start + header_len
     body = 8 * sum(math.prod(shape) for shape in shapes.values())
@@ -109,4 +117,4 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
         params[name] = arr.astype(np.float64)
         offset += count * 8
     model = Autoencoder.from_parameters(hierarchy, architecture, params)
-    return model, header.get("extra", {})
+    return model, header.extra

@@ -17,7 +17,6 @@ from .filling import extract_filling
 from .losses import METRICS, TARGETS, vertex_distance
 from .mesh import fill_holes, is_watertight, keep_largest_component
 from .meshio import load_mesh_path, save_mesh, save_mesh_path
-from .model import ACTIVATIONS
 from .scars import SPLITS, load_manifest, make_dataset
 from .train import evaluate, train
 
@@ -183,7 +182,6 @@ def build_parser() -> _Parser:
     _setting(p, "--loss-metric", "training.loss_metric", choices=METRICS)
     _setting(p, "--arch-ratios", "architecture.ratios", type=float, nargs="+")
     _setting(p, "--widths", "architecture.widths", type=int, nargs="+")
-    _setting(p, "--activation", "architecture.activation", choices=ACTIVATIONS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")

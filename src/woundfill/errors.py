@@ -6,7 +6,8 @@ The CLI maps these onto exit codes: config problems -> 1, data problems
 The config, manifest.json and the checkpoint header are read by
 :func:`read_json`, which checks each JSON value against the annotation of the
 field it fills; :func:`from_json` builds a dataclass that way, so a damaged
-file raises DataError naming it, and :func:`as_json` writes one back.
+file, or one with a key the dataclass does not declare at any depth, raises
+DataError naming it, and :func:`as_json` writes one back.
 """
 
 from __future__ import annotations
@@ -122,17 +123,10 @@ def read_json(value, hint, path, what: str):
     raise TypeError(hint)
 
 
-def json_field(doc, key: str, hint, path, what: str):
-    """doc[key] read as `hint` if doc is a JSON object that has it, else DataError."""
-    return _read_fields(doc, ((key, key, hint),), path, what)[0]
-
-
 def from_json(cls, doc, path, what: str):
-    """The dataclass `cls` from a JSON object, each field read as its annotation."""
-    return cls(*_read_fields(doc, _json_fields(cls), path, what))
-
-
-def _read_fields(doc, specs, path, what: str) -> list:
+    """The dataclass `cls` from a JSON object holding exactly its fields, each read as its
+    annotation; a missing, mistyped or unknown key is a DataError naming it and path."""
+    specs = _json_fields(cls)
     values = []
     for _, key, hint in specs:
         if not isinstance(doc, dict) or key not in doc:
@@ -141,7 +135,10 @@ def _read_fields(doc, specs, path, what: str) -> list:
             values.append(read_json(doc[key], hint, path, what))
         except TypeError:
             raise DataError(f"{path}: {what} {key!r} has the wrong type") from None
-    return values
+    if len(doc) > len(specs):  # every declared key is present, so the others are unknown
+        unknown = min(doc.keys() - {key for _, key, _ in specs})
+        raise DataError(f"{path}: {what} has unknown key {unknown!r} in {cls.__name__}")
+    return cls(*values)
 
 
 def as_json(value):

@@ -21,6 +21,7 @@ hierarchy, built or loaded, checks that its topologies join its levels.
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import MeshError
 from .mesh import Mesh, bfs, components, csr_from_pairs, unique_edges, vertex_adjacency
 
-__all__ = ["ConvTopology", "MeshHierarchy", "build_hierarchy"]
+__all__ = ["ConvTopology", "MeshHierarchy", "build_hierarchy", "faces_digest"]
 
 M_CLAMP_DEFAULT = (4, 17)
 MIN_LEVEL_VERTICES = 4
@@ -90,9 +91,6 @@ class ConvTopology:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def rows(self) -> np.ndarray:
         """Output-vertex index of every CSR edge."""
@@ -158,12 +156,15 @@ class MeshHierarchy:
     finer level; conv_down[l] and pool_down[l] join levels l and l+1 (n_in is
     the size of level l, n_out that of level l+1), which construction checks.
     The up topologies are not stored: they are the down ones' cached transposes.
+    faces_sha256 is the faces_digest of the level-0 mesh, which binds the
+    hierarchy (and a checkpoint that carries it) to that face list.
     """
 
     levels: tuple[np.ndarray, ...]
     parents: tuple[np.ndarray, ...]  # per fine vertex: owning coarse (local) index
     conv_down: tuple[ConvTopology, ...]
     pool_down: tuple[ConvTopology, ...]
+    faces_sha256: str
 
     def __post_init__(self):
         sizes = self.level_sizes()
@@ -192,6 +193,11 @@ class MeshHierarchy:
 
     def level_sizes(self) -> list[int]:
         return [len(lv) for lv in self.levels]
+
+
+def faces_digest(mesh: Mesh) -> str:
+    """sha256 hex digest of the faces as little-endian int64: the topology, not the shape."""
+    return hashlib.sha256(mesh.faces.astype("<i8", copy=False).tobytes()).hexdigest()
 
 
 def _greedy_cover(adj: tuple[np.ndarray, np.ndarray], target: int) -> np.ndarray:
@@ -297,5 +303,6 @@ def build_hierarchy(
         parents=tuple(parents),
         conv_down=tuple(conv_down),
         pool_down=tuple(pool_down),
+        faces_sha256=faces_digest(mesh),
     )
 

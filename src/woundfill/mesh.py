@@ -30,10 +30,8 @@ __all__ = [
     "components",
     "csr_from_pairs",
     "edge_key",
-    "euler_characteristic",
     "fill_holes",
     "is_watertight",
-    "k_ring",
     "keep_largest_component",
     "mean_edge_length",
     "signed_volume",
@@ -112,11 +110,6 @@ class Mesh:
     def with_positions(self, positions: np.ndarray) -> "Mesh":
         """Same topology and attributes, new coordinates."""
         return Mesh(positions, self.faces, dict(self.attributes))
-
-    def with_attribute(self, name: str, values: np.ndarray) -> "Mesh":
-        attrs = dict(self.attributes)
-        attrs[name] = values
-        return Mesh(self.positions, self.faces, attrs)
 
 
 def edge_key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -243,12 +236,6 @@ def is_watertight(mesh: Mesh) -> bool:
     return bool(np.all(counts == 2))
 
 
-def euler_characteristic(mesh: Mesh) -> int:
-    """V - E + F over the whole mesh."""
-    edges, _ = unique_edges(mesh)
-    return mesh.n_vertices - len(edges) + mesh.n_faces
-
-
 def boundary_loops(mesh: Mesh) -> list[np.ndarray]:
     """Closed vertex cycles along hole rims, in face-winding order.
 
@@ -346,16 +333,6 @@ def keep_largest_component(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
         {name: vals[keep] for name, vals in mesh.attributes.items()},
     )
     return out, keep
-
-
-def k_ring(mesh: Mesh, center: int, k: int) -> np.ndarray:
-    """Sorted vertex indices with edge-graph distance <= k from center."""
-    if not 0 <= center < mesh.n_vertices:
-        raise MeshError(f"center {center} out of range [0, {mesh.n_vertices})")
-    if k < 0:
-        raise MeshError("k must be >= 0")
-    dist, _ = bfs(vertex_adjacency(mesh), [center], max_hops=k)
-    return np.flatnonzero(dist <= k)
 
 
 def vertex_normals(mesh: Mesh) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The mesh autoencoder: residual down blocks to a coarse latent and back.
 
-Each down block feeds the input through a down-sampling convolution and the
-activation, then adds the density-weighted residual path:
+Each down block feeds the input through a down-sampling convolution and ELU
+(alpha = 1, the activation of Zhou et al.'s vcConv/vdPool network), then adds
+the density-weighted residual path:
 
-    x_{l+1} = act(vc_conv(x_l)) + vd_res(x_l)
+    x_{l+1} = elu(vc_conv(x_l)) + vd_res(x_l)
 
 Up blocks mirror this with the transposed topologies (vcTransConv / vdUpRes).
 The encoder halts at the coarsest hierarchy level; widths are per level and
@@ -37,8 +38,6 @@ from .ops import (
     elu_backward,
     init_vc_conv,
     init_vd,
-    relu,
-    relu_backward,
     vc_conv,
     vc_conv_backward,
     vd_res,
@@ -47,8 +46,6 @@ from .ops import (
 
 __all__ = ["Architecture", "Autoencoder", "parameter_shapes"]
 
-ACTIVATIONS = ("elu", "relu")
-
 
 @dataclass(frozen=True)
 class Architecture:
@@ -56,8 +53,6 @@ class Architecture:
 
     ratios: tuple[float, ...] = (1.0, 0.25)
     widths: tuple[int, ...] = (3, 16)
-    activation: str = "elu"
-    elu_alpha: float = 1.0
     m_clamp: tuple[int, int] = M_CLAMP_DEFAULT
 
     def __post_init__(self):
@@ -75,10 +70,6 @@ class Architecture:
         r = self.ratios
         if r[0] != 1.0 or not r[-1] > 0 or not all(b < a for a, b in zip(r, r[1:])):
             raise ConfigError(f"ratios must start at 1.0 and strictly decrease to > 0, got {r}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if not 0 < self.elu_alpha < np.inf:
-            raise ConfigError(f"elu_alpha must be finite and > 0, got {self.elu_alpha}")
         if len(self.m_clamp) != 2 or not 1 <= self.m_clamp[0] <= self.m_clamp[1]:
             raise ConfigError(f"m_clamp must be [lo, hi] with 1 <= lo <= hi, got {self.m_clamp}")
 
@@ -192,20 +183,7 @@ class Autoencoder:
         for name, owner, key in self._slots():
             setattr(owner, key, params[name])
 
-    def parameter_count(self) -> int:
-        return sum(int(np.prod(a.shape)) for a in self.parameters().values())
-
     # -- forward / backward --------------------------------------------------
-
-    def _act(self, h: np.ndarray) -> np.ndarray:
-        if self.architecture.activation == "elu":
-            return elu(h, self.architecture.elu_alpha)
-        return relu(h)
-
-    def _act_backward(self, h: np.ndarray, g: np.ndarray) -> np.ndarray:
-        if self.architecture.activation == "elu":
-            return elu_backward(h, g, self.architecture.elu_alpha)
-        return relu_backward(h, g)
 
     def forward(self, x: np.ndarray, keep_cache: bool = False):
         """Run positions (n, 3), or a batch (n, B, 3), through the autoencoder.
@@ -216,7 +194,7 @@ class Autoencoder:
         cache = []
         for blk in self.blocks:
             h = vc_conv(blk.conv, blk.conv_topology, x)
-            a = self._act(h)
+            a = elu(h)
             r = vd_res(blk.res, blk.pool_topology, x)
             if keep_cache:
                 cache.append((x, h))
@@ -228,7 +206,7 @@ class Autoencoder:
         grads: dict[str, np.ndarray] = {}
         g = grad_out
         for blk, (x, h) in zip(reversed(self.blocks), reversed(cache)):
-            dh = self._act_backward(h, g)
+            dh = elu_backward(h, g)
             dx_conv, conv_grads = vc_conv_backward(blk.conv, blk.conv_topology, x, dh)
             dx_res, res_grads = vd_res_backward(blk.res, blk.pool_topology, x, g)
             for part, part_grads in (("conv", conv_grads), ("res", res_grads)):

@@ -38,8 +38,7 @@ Operators:
   vd_res         y_i = sum_j r'_ij C x_ij with r' = |r| normalized per row;
                  vdPool / vdUnpool are vd_res without a matrix (C the identity)
                  on a pool topology / its transpose
-  reference_pool componentwise mean over each neighborhood (the average-pooling oracle)
-  elu / relu     activations
+  elu            the model's activation, alpha = 1
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ __all__ = [
     "elu_backward",
     "init_vc_conv",
     "init_vd",
-    "reference_pool",
-    "relu",
-    "relu_backward",
     "vc_conv",
     "vc_conv_backward",
     "vd_res",
@@ -382,40 +378,20 @@ def vd_res_backward(params, topology, x, grad_out):
     return d_x, {"rho": d_rho, "matrix": grads["basis"][0].T}
 
 
-# --- reference pooling and activations ------------------------------------
+# --- activation ----------------------------------------------------------
 
 
-def reference_pool(topology: ConvTopology, x: np.ndarray) -> np.ndarray:
-    """Plain average pooling over each neighborhood."""
-    x = _check_features(x, None, topology)
-    y = _segment_sums(_vertex_rows(x)[topology.indices], topology.indptr) / topology.sizes[:, None]
-    return y.reshape(_out_shape(x, topology.n_out, x.shape[-1]))
-
-
-def elu(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    if not 0 < alpha < np.inf:
-        raise MeshError(f"elu alpha must be finite and > 0, got {alpha}")
+def elu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, x, alpha * np.expm1(np.minimum(x, 0.0)))
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
 
 
-def elu_backward(x: np.ndarray, grad_out: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    if not 0 < alpha < np.inf:
-        raise MeshError(f"elu alpha must be finite and > 0, got {alpha}")
+def elu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     g = _check_grad(grad_out, np.shape(x))
-    return g * np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
+    return g * np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    g = _check_grad(grad_out, np.shape(x))
-    return g * (np.asarray(x) > 0)
-
-
-# --- init and dispatch -----------------------------------------------------
+# --- init ----------------------------------------------------------------
 
 
 def init_vc_conv(

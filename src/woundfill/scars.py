@@ -9,7 +9,8 @@ each pass's midpoints by their edge's first appearance in face order.
 
 manifest.json is the DatasetManifest dataclass written by errors.as_json and
 read back by errors.from_json, each value checked against its field's
-annotation, so a damaged manifest raises DataError naming the file.
+annotation, so a damaged manifest, or one with a key the dataclasses do not
+declare, raises DataError naming the file.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError, NumericalError, as_json
+from .hierarchy import faces_digest
 from .losses import LossSpec, reconstruction_loss, vertex_distance
 from .mesh import Mesh
 from .meshio import load_mesh_path, save_mesh_path
@@ -209,13 +210,19 @@ def evaluate(
 ) -> EvalReport:
     """Run inference on a split and aggregate distances against ground truth.
 
-    model=None evaluates the identity wiring (output = input). With out_dir
+    model=None evaluates the identity wiring (output = input). A model runs
+    only on the faces its hierarchy was built from: a split whose faces have
+    another digest is a DataError before the first forward. With out_dir
     set, each reconstruction is written as PLY with a per-vertex `error`
     channel for distance color maps.
     """
     pairs = load_pairs(manifest, data_dir, split)
     if not pairs:
         raise DataError(f"split {split!r} is empty")
+    trained_on = None if model is None else model.hierarchy.faces_sha256
+    if trained_on is not None and (digest := faces_digest(pairs[0][1])) != trained_on:
+        raise DataError(f"{data_dir}: the {split} meshes' faces (sha256 {digest}) are not the "
+                        f"ones the model was trained on ({trained_on})")
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -59,6 +59,38 @@ def random_topology(rng: np.random.Generator, n_in: int, n_out: int,
     return ConvTopology(n_in, n_out, indptr, np.concatenate(neigh), basis_count=3)
 
 
+# --- plain-numpy oracles: a check does not run through the code it checks ----------------
+
+
+def _face_edges(mesh: Mesh) -> np.ndarray:
+    """(3F, 2) vertex pairs of every face's three edges, each pair sorted."""
+    f = mesh.faces
+    return np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+
+
+def reference_pool(topology: ConvTopology, x: np.ndarray) -> np.ndarray:
+    """Plain average pooling: output row i is the mean of x over its neighborhood's rows."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.stack([x[topology.indices[topology.indptr[i]:topology.indptr[i + 1]]].mean(axis=0)
+                     for i in range(topology.n_out)])
+
+
+def k_ring(mesh: Mesh, center: int, k: int) -> np.ndarray:
+    """Sorted vertices within k edge hops of center, by a set-based breadth-first walk."""
+    edges = _face_edges(mesh)
+    ring = frontier = {center}
+    for _ in range(k):
+        touched = np.isin(edges, list(frontier)).any(axis=1)
+        frontier = set(edges[touched].ravel().tolist()) - ring
+        ring = ring | frontier
+    return np.array(sorted(ring), dtype=np.int64)
+
+
+def euler_characteristic(mesh: Mesh) -> int:
+    """V - E + F, the edges counted as distinct sorted vertex pairs."""
+    return mesh.n_vertices - len(np.unique(_face_edges(mesh), axis=0)) + mesh.n_faces
+
+
 def finite_difference(fn, arrays, grads, h=1e-5, rng=None, samples=None):
     """Worst relative error between analytic grads and central differences.
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import finite_difference, random_topology
+from conftest import euler_characteristic, finite_difference, random_topology, reference_pool
 from woundfill import (
     Architecture,
     Autoencoder,
@@ -17,7 +17,6 @@ from woundfill import (
     ScarRanges,
     boundary_loops,
     build_hierarchy,
-    euler_characteristic,
     extract_filling,
     fill_holes,
     generate_scar,
@@ -39,7 +38,6 @@ from woundfill.ops import (
     elu_backward,
     init_vc_conv,
     init_vd,
-    reference_pool,
     vc_conv,
     vc_conv_backward,
     vd_res,
@@ -124,9 +122,9 @@ def test_criterion_1_gradient_correctness():
         # ELU
         xe = rng.normal(size=(6, 3))
         we = rng.normal(size=(6, 3))
-        dxe = elu_backward(xe, we, 1.0)
+        dxe = elu_backward(xe, we)
         worst_overall = max(worst_overall, finite_difference(
-            lambda: float((we * elu(xe, 1.0)).sum()), [xe], [dxe],
+            lambda: float((we * elu(xe)).sum()), [xe], [dxe],
         ))
 
     # end-to-end 2-level autoencoder with the mean-distance loss
@@ -265,7 +263,7 @@ def test_criterion_4_overfit_surrogate(tmp_path):
     manifest = make_dataset(data_dir, count=8, scars_per_mesh=1, seed=42,
                             split_ratios=(1.0, 0.0, 0.0), subdivisions=2)
 
-    arch = Architecture(ratios=(1.0, 0.25), widths=(3, 16), activation="elu")
+    arch = Architecture(ratios=(1.0, 0.25), widths=(3, 16))
     settings = TrainSettings(lr=1e-3, batch_size=4, epochs=10**6, patience=10**6,
                              max_steps=1000, seed=0)
     result = train(manifest, data_dir, arch, settings, tmp_path / "run")

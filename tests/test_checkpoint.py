@@ -200,6 +200,43 @@ def test_block_list_must_equal_the_architecture(tmp_path, model, change):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("where, key", [
+    ("architecture", "activation"),  # as a header from before ELU was fixed carries it
+    ("hierarchy", "extra_field"),
+    ("topology", "memo"),
+    ("header", "notes"),
+    ("block", "dtype"),
+])
+def test_unknown_header_key_is_data_error(tmp_path, model, where, key):
+    raw, header, body = _saved(model, tmp_path)
+    owner = {"architecture": header["architecture"], "hierarchy": header["hierarchy"],
+             "topology": header["hierarchy"]["conv_down"][0], "header": header,
+             "block": header["blocks"][0]}[where]
+    owner[key] = "relu"
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    with pytest.raises(DataError, match=f"unknown key '{key}'") as exc:
+        load_checkpoint(bad)
+    assert str(bad) in str(exc.value)
+
+
+def test_format_version_1_is_data_error(tmp_path, model):
+    raw, header, body = _saved(model, tmp_path)
+    assert header["format_version"] == 2
+    header["format_version"] = 1
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    with pytest.raises(DataError, match="format version 1 is not supported") as exc:
+        load_checkpoint(bad)
+    assert str(bad) in str(exc.value)
+
+
+def test_header_records_the_faces_digest(tmp_path, model):
+    _, header, _ = _saved(model, tmp_path)
+    faces = icosphere(1).faces.astype("<i8").tobytes()
+    assert header["hierarchy"]["faces_sha256"] == hashlib.sha256(faces).hexdigest()
+
+
 def _block_offset(header, name):
     """Byte offset of block `name` in the body after the header."""
     offset = 0
@@ -238,8 +275,8 @@ def test_loading_draws_no_parameters(tmp_path, model, monkeypatch):
         assert np.array_equal(loaded.parameters()[k], v)
 
 
-# sha256 of the header below as the writer wrote it before it was derived from the fields
-HEADER_SHA256 = "5444899ab6813fb0b5da9b252637382e90da018fb80417858b1b6d0b7d702f2c"
+# sha256 of the format-2 header below
+HEADER_SHA256 = "87fff49b20bcdbd4cf7610638c69e5df8db97eb2ddf49bd668196067bbe8fa63"
 
 
 def test_header_json_is_pinned(tmp_path):
@@ -249,9 +286,9 @@ def test_header_json_is_pinned(tmp_path):
     pool = ConvTopology(6, 2, np.array([0, 3, 6]), np.arange(6), 3)
     hierarchy = MeshHierarchy(
         levels=(np.arange(6), np.array([0, 3])), parents=(np.array([0, 0, 0, 1, 1, 1]),),
-        conv_down=(conv,), pool_down=(pool,),
+        conv_down=(conv,), pool_down=(pool,), faces_sha256="0" * 64,
     )
-    arch = Architecture(ratios=(1.0, 0.5), widths=(3, 4), activation="relu", m_clamp=(3, 9))
+    arch = Architecture(ratios=(1.0, 0.5), widths=(3, 4), m_clamp=(3, 9))
     save_checkpoint(tmp_path / "m.ckpt", Autoencoder.init(hierarchy, arch, seed=0),
                     extra={"epoch": 3, "loss": 0.125})
     raw = (tmp_path / "m.ckpt").read_bytes()

@@ -195,7 +195,6 @@ NON_FINITE = [
     ("train", "architecture.ratios", "[1.0, NaN]", ["--arch-ratios", "1.0", "nan"]),
     ("train", "training.lr", "NaN", ["--lr", "nan"]),
     ("train", "training.lr", "Infinity", ["--lr", "inf"]),
-    ("train", "architecture.elu_alpha", "NaN", None),
     ("extract-fill", "extraction.k_sigma", "NaN", ["--k-sigma", "nan"]),
 ]
 
@@ -347,6 +346,68 @@ def test_zero_density_checkpoint_eval_exits_3(tmp_path, capsys, gen_dir):
     assert "numerical error: all-zero density coefficients in neighborhood 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev" / "eval_test.json").exists()
+
+
+def _header(raw: bytes) -> tuple[dict, bytes]:
+    """(header, parameter bytes) of a checkpoint file's contents."""
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(raw[len(MAGIC):start], "little")
+    return json.loads(raw[start:end]), raw[end:]
+
+
+def test_parent_format_relu_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir):
+    # the header as format 1 wrote it for a ReLU model: never run as ELU
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, Autoencoder.build(load_mesh_path(gen_dir / "0000_gt.ply"),
+                                            Architecture((1.0, 0.3), (3, 8)), 0))
+    header, body = _header(good.read_bytes())
+    header["format_version"] = 1
+    header["architecture"].update(activation="relu", elu_alpha=1.0)
+    del header["hierarchy"]["faces_sha256"]
+    text = json.dumps(header, sort_keys=True).encode()
+    bad = tmp_path / "relu.ckpt"
+    bad.write_bytes(MAGIC + len(text).to_bytes(8, "little") + text + body)
+    assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
+                "--checkpoint", bad, "--split", "test"]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "version 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev" / "eval_test.json").exists()
+
+
+def test_eval_on_relabelled_vertices_exits_2(tmp_path, capsys, gen_dir):
+    # same vertex count and a consistent face list, but not the faces the model was trained on
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, Autoencoder.build(load_mesh_path(gen_dir / "0000_gt.ply"),
+                                            Architecture((1.0, 0.3), (3, 8)), 0))
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    (moved / "manifest.json").write_bytes((gen_dir / "manifest.json").read_bytes())
+    perm = None
+    for path in sorted(gen_dir.glob("*.ply")):
+        mesh = load_mesh_path(path)
+        if perm is None:
+            perm = np.random.default_rng(0).permutation(mesh.n_vertices)
+        positions = np.empty_like(mesh.positions)
+        positions[perm] = mesh.positions  # vertex i becomes vertex perm[i]
+        save_mesh_path(Mesh(positions, perm[mesh.faces]), moved / path.name)
+    assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
+                "--checkpoint", ckpt, "--split", "test"]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--data", moved, "--out", tmp_path / "ev2",
+                "--checkpoint", ckpt, "--split", "test"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {moved}: the test meshes' faces" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev2" / "eval_test.json").exists()
+
+
+def test_removed_activation_key_exits_1(tmp_path, capsys, gen_dir):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"architecture": {"activation": "relu"}}))
+    assert run(["train", "--data", gen_dir, "--out", tmp_path / "run", "--config", cfg]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

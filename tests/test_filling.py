@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import euler_characteristic, k_ring
 from woundfill import (
     Mesh,
     ScarRanges,
     ScarSpec,
-    euler_characteristic,
     extract_filling,
     generate_scar,
     is_watertight,
@@ -214,7 +214,7 @@ def test_outlier_threshold_must_be_finite_and_positive(k_sigma):
 def test_extract_deep_dent_on_plain_sphere():
     # deterministic dent without the scar machinery: a vertex and its ring
     # pushed inward so the ring's faces are fully outlying
-    from woundfill import icosphere, k_ring
+    from woundfill import icosphere
 
     base = icosphere(2)
     positions = np.array(base.positions)
@@ -239,10 +239,10 @@ def test_first_fill_does_not_import_numpy_ma():
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from woundfill import Mesh, extract_filling, icosphere, k_ring\n"
+        "from woundfill import Mesh, extract_filling, icosphere\n"
         "base = icosphere(2)\n"
         "positions = np.array(base.positions)\n"
-        "positions[k_ring(base, 0, 1)] *= 0.5\n"
+        "positions[sorted(set(base.faces[(base.faces == 0).any(axis=1)].ravel()))] *= 0.5\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported before the fill'\n"
         "extract_filling(Mesh(positions, base.faces), base)\n"
         "assert 'numpy.ma' not in sys.modules, 'extract_filling imported numpy.ma'\n"

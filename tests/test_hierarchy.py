@@ -33,7 +33,7 @@ def test_three_levels(sphere2):
 def test_pool_topology_partitions_fine_level(sphere2):
     h = build_hierarchy(sphere2, (1.0, 0.25))
     pool = h.pool_down[0]
-    seen = np.concatenate([pool.neighbors(i) for i in range(pool.n_out)])
+    seen = pool.indices
     assert len(seen) == 162  # each fine vertex in exactly one cell
     assert set(seen.tolist()) == set(range(162))
     assert np.array_equal(np.sort(seen), np.unique(seen))
@@ -42,7 +42,7 @@ def test_pool_topology_partitions_fine_level(sphere2):
 def test_conv_topology_covers_and_overlaps(sphere2):
     h = build_hierarchy(sphere2, (1.0, 0.25))
     conv = h.conv_down[0]
-    seen = np.concatenate([conv.neighbors(i) for i in range(conv.n_out)])
+    seen = conv.indices
     assert set(seen.tolist()) == set(range(162))
     assert len(seen) > 162  # one-ring dilation makes neighborhoods overlap
 
@@ -52,7 +52,8 @@ def test_parents_agree_with_pool_cells(sphere2):
     pool = h.pool_down[0]
     parents = h.parents[0]
     for i in range(pool.n_out):
-        assert np.array_equal(pool.neighbors(i), np.flatnonzero(parents == i))
+        assert np.array_equal(pool.indices[pool.indptr[i]:pool.indptr[i + 1]],
+                              np.flatnonzero(parents == i))
 
 
 def test_selected_vertices_own_their_cell(sphere2):
@@ -108,8 +109,8 @@ def test_transpose_preserves_edge_count_and_edges(sphere2):
     t = h.conv_down[0]
     tr = t.transposed
     assert tr.edge_count == t.edge_count
-    fwd = {(i, int(j)) for i in range(t.n_out) for j in t.neighbors(i)}
-    bwd = {(int(j), i) for i in range(tr.n_out) for j in tr.neighbors(i)}
+    fwd = set(zip(t.rows().tolist(), t.indices.tolist()))
+    bwd = set(zip(tr.indices.tolist(), tr.rows().tolist()))
     assert fwd == bwd
 
 
@@ -213,18 +214,19 @@ def test_hierarchy_checks_level_counts_and_joins():
     conv = ConvTopology(6, 2, np.array([0, 4, 8]), np.array([0, 1, 2, 3, 2, 3, 4, 5]), 4)
     pool = ConvTopology(6, 2, np.array([0, 3, 6]), np.arange(6), 3)
     levels, parents = (np.arange(6), np.array([0, 3])), (np.array([0, 0, 0, 1, 1, 1]),)
-    h = MeshHierarchy(levels, parents, (conv,), (pool,))
+    digest = "0" * 64  # hand-built: no mesh behind it
+    h = MeshHierarchy(levels, parents, (conv,), (pool,), digest)
     assert h.conv_up[0] is conv.transposed and h.pool_up[0] is pool.transposed
     with pytest.raises(MeshError, match="level counts"):
-        MeshHierarchy(levels + (np.array([0]),), parents, (conv,), (pool,))
+        MeshHierarchy(levels + (np.array([0]),), parents, (conv,), (pool,), digest)
     with pytest.raises(MeshError, match="level counts"):
-        MeshHierarchy(levels, parents, (conv, conv), (pool,))
+        MeshHierarchy(levels, parents, (conv, conv), (pool,), digest)
     with pytest.raises(MeshError, match="join"):
-        MeshHierarchy((np.arange(6), np.array([0, 3, 4])), parents, (conv,), (pool,))
+        MeshHierarchy((np.arange(6), np.array([0, 3, 4])), parents, (conv,), (pool,), digest)
     with pytest.raises(MeshError, match="join"):
-        MeshHierarchy(levels, parents, (conv,), (conv.transposed,))
+        MeshHierarchy(levels, parents, (conv,), (conv.transposed,), digest)
     with pytest.raises(MeshError, match=r"parents\[0\] has 5 entries"):
-        MeshHierarchy(levels, (np.zeros(5, dtype=np.int64),), (conv,), (pool,))
+        MeshHierarchy(levels, (np.zeros(5, dtype=np.int64),), (conv,), (pool,), digest)
 
 
 def test_hierarchy_works_on_synth_heads():

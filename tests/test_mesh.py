@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import euler_characteristic, k_ring
 from woundfill import (
     Mesh,
     boundary_loops,
-    euler_characteristic,
     fill_holes,
     icosphere,
     is_watertight,
-    k_ring,
     keep_largest_component,
     signed_volume,
     synth_head,
@@ -203,11 +202,6 @@ def test_k_ring_icosahedron_one(ico):
 def test_k_ring_saturates(ico):
     full = k_ring(ico, 0, 100)
     assert len(full) == ico.n_vertices
-
-
-def test_k_ring_center_out_of_range(ico):
-    with pytest.raises(MeshError, match="out of range"):
-        k_ring(ico, 99, 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -48,7 +48,8 @@ def test_obj_round_trip(ico):
 
 
 def test_ply_round_trip_with_error_attribute(sphere2):
-    mesh = sphere2.with_attribute("error", np.linspace(0, 1, sphere2.n_vertices))
+    error = np.linspace(0, 1, sphere2.n_vertices)
+    mesh = Mesh(sphere2.positions, sphere2.faces, {"error": error})
     data = save_mesh(mesh, "ply")
     again = load_mesh(data, "ply")
     assert "error" in again.attributes
@@ -132,7 +133,7 @@ def test_stl_deterministic(ico):
 
 
 def test_stl_rejects_attributes(ico):
-    mesh = ico.with_attribute("error", np.zeros(ico.n_vertices))
+    mesh = Mesh(ico.positions, ico.faces, {"error": np.zeros(ico.n_vertices)})
     with pytest.raises(MeshError, match="STL carries no attributes"):
         save_mesh(mesh, "stl")
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference, random_topology
+from conftest import finite_difference, random_topology, reference_pool
 from woundfill import ops, synth_head
 from woundfill.errors import MeshError, NumericalError
 from woundfill.hierarchy import ConvTopology, build_hierarchy
@@ -22,9 +22,6 @@ from woundfill.ops import (
     elu_backward,
     init_vc_conv,
     init_vd,
-    reference_pool,
-    relu,
-    relu_backward,
     vc_conv,
     vc_conv_backward,
     vd_res,
@@ -236,7 +233,7 @@ def test_vd_normalization_sums_to_one(rho_list):
     assert abs(float(y[0, 0]) - 1.0) < 1e-12
 
 
-# --- reference pooling and activations --------------------------------------
+# --- reference pooling (the test oracle) and the activation ---------------------
 
 
 def test_reference_pool_hand_values():
@@ -255,21 +252,7 @@ def test_elu_values():
     assert elu(np.array([[1.0]]))[0, 0] == 1.0
     assert elu(np.array([[0.0]]))[0, 0] == 0.0
     assert elu(np.array([[-1.0]]))[0, 0] == pytest.approx(math.exp(-1) - 1, abs=1e-12)
-    assert elu(np.array([[-745.0]]), alpha=1.4)[0, 0] == pytest.approx(-1.4, abs=1e-12)
-
-
-def test_elu_alpha_validated():
-    x = np.array([[-1.0, 2.0]])
-    for alpha in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(MeshError):
-            elu(x, alpha=alpha)
-        with pytest.raises(MeshError):
-            elu_backward(x, np.ones_like(x), alpha=alpha)
-
-
-def test_relu_values():
-    x = np.array([[-2.0, 0.0, 3.0]])
-    assert relu(x).tolist() == [[0.0, 0.0, 3.0]]
+    assert elu(np.array([[-745.0]]))[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
 
 # --- backward: finite-difference oracle --------------------------------------
@@ -693,14 +676,14 @@ def test_elu_backward_matches_finite_differences():
     for batch in BATCHES:
         x = rng.normal(size=(6, *batch, 3))
         w = rng.normal(size=(6, *batch, 3))
-        dx = elu_backward(x, w, alpha=1.3)
-        worst = finite_difference(lambda: float((w * elu(x, 1.3)).sum()), [x], [dx])
+        dx = elu_backward(x, w)
+        worst = finite_difference(lambda: float((w * elu(x)).sum()), [x], [dx])
         assert worst < 1e-4
 
 
-@pytest.mark.parametrize("op", ["vc_trans_conv", "vd_res", "vd_res-identity", "relu"])
+@pytest.mark.parametrize("op", ["vc_trans_conv", "vd_res", "vd_res-identity", "elu"])
 def test_batch_gradients_match_finite_differences(op):
-    # the ops without a check of their own above, on a (n, 3, d) batch
+    # vcTransConv, the density layers and the activation, on a (n, 3, d) batch
     rng = np.random.default_rng([26, len(op)])
     topo = random_topology(rng, 8, 5)
     i, o = 3, 4
@@ -723,15 +706,15 @@ def test_batch_gradients_match_finite_differences(op):
                                   arrays, analytic)
     else:
         x = rng.normal(size=(6, 3, 2))
-        x[np.abs(x) < 1e-3] = 0.5  # keep central differences off the kink
+        x[np.abs(x) < 1e-3] = 0.5  # keep central differences off x = 0, where elu'' jumps
         w = rng.normal(size=x.shape)
-        worst = finite_difference(lambda: float((w * relu(x)).sum()), [x],
-                                  [relu_backward(x, w)])
+        worst = finite_difference(lambda: float((w * elu(x)).sum()), [x],
+                                  [elu_backward(x, w)])
     assert worst < 1e-4
 
 
 def _batch_cases(rng):
-    """(topology, cases): per op, (name, forward(x), backward(x, g) or None, output width)
+    """(topology, cases): per op, (name, forward(x), backward(x, g), output width)
     on 3-wide input features."""
     topo = random_topology(rng, 9, 5)
     conv = _random_params(rng, topo, 3, 4, 2)
@@ -745,7 +728,6 @@ def _batch_cases(rng):
          partial(vc_conv_backward, trans, topo.transposed.transposed), 4),
         ("vdPool", partial(vd_res, vd, topo), partial(vd_res_backward, vd, topo), 3),
         ("vd_res", partial(vd_res, res, topo), partial(vd_res_backward, res, topo), 4),
-        ("reference_pool", partial(reference_pool, topo), None, 3),
     ]
     return topo, fwd_bwd
 
@@ -759,8 +741,6 @@ def test_batch_runs_each_sample_as_its_own_map():
         assert y.shape == (topo.n_out, 4, out_dim), name
         for b in range(4):
             _assert_matches(y[:, b], forward(x[:, b]))
-        if backward is None:
-            continue
         g = rng.normal(size=y.shape)
         d_x, grads = backward(x, g)
         per_sample = [backward(x[:, b], g[:, b]) for b in range(4)]
@@ -777,14 +757,11 @@ def test_batch_shapes_are_checked():
         forward(x)
         with pytest.raises(MeshError, match="feature map"):
             forward(x[:, :, None])  # (n, B, 1, d): 4-d
-        if backward is None:
-            continue
         for bad in ((topo.n_out, 3, out_dim), (topo.n_out, out_dim), (topo.n_out, 2, 7)):
             with pytest.raises(MeshError, match="gradient"):
                 backward(x, np.zeros(bad))
-    for act_backward in (elu_backward, relu_backward):
-        with pytest.raises(MeshError, match="gradient"):
-            act_backward(x, np.zeros((topo.n_in, 3, 3)))
+    with pytest.raises(MeshError, match="gradient"):
+        elu_backward(x, np.zeros((topo.n_in, 3, 3)))
 
 
 # --- init ---------------------------------------------------------------------

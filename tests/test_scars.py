@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import k_ring
 from woundfill import (
     ScarRanges,
     ScarSpec,
@@ -14,7 +15,6 @@ from woundfill import (
     icosahedron,
     icosphere,
     is_watertight,
-    k_ring,
     load_manifest,
     make_dataset,
     mean_edge_length,
@@ -443,6 +443,18 @@ def test_damaged_manifest_is_data_error(manifest_path, damage):
     bad = manifest_path.with_name(f"{damage}.json")
     bad.write_bytes(raw)
     with pytest.raises(DataError) as exc:
+        load_manifest(bad)
+    assert str(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize("where", ["manifest", "entry", "spec"])
+def test_manifest_with_an_added_key_is_data_error(manifest_path, where):
+    doc = json.loads(manifest_path.read_bytes())
+    owner = {"manifest": doc, "entry": doc["entries"][0], "spec": doc["entries"][0]["spec"]}
+    owner[where]["added"] = 1
+    bad = manifest_path.with_name(f"added-{where}.json")
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="unknown key 'added'") as exc:
         load_manifest(bad)
     assert str(bad) in str(exc.value)
 
