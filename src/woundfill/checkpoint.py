@@ -1,19 +1,25 @@
-"""Single-file checkpoints: magic, JSON header, raw little-endian float64 blocks.
+"""Single-file checkpoints: magic, scalar JSON header, float64 then int64 blocks.
 
-The header (format 2) carries the architecture, the hierarchy's stored fields
-(levels, parents, the down topologies, and faces_sha256: the digest of the
-faces it was built on, which train.evaluate checks against a dataset; the
-hierarchy derives the up topologies by transposition and checks that its
-topologies join its levels) and the ordered block index, so inference never
-has to rebuild the hierarchy from a mesh. Writes go to a temp file in the
-same directory followed by an atomic rename.
-Loading refuses every format version but 2, then reads the header as the
+Format 3 lays a file out as: MAGIC; the header length as <Q; the JSON
+header; the parameter blocks as <f8, in Autoencoder.parameters() order;
+the hierarchy's index blocks as <i8: levels, parents, then each down
+topology's indptr and indices, conv_down before pool_down. The header
+holds scalars only: the architecture, `extra`, the block index and the
+hierarchy's faces_sha256 (the digest of the faces it was built on, which
+train.evaluate checks against a dataset), level sizes and each down
+topology's n_in, n_out, edge_count and basis_count, from which every index
+block's length follows. Writes go to a temp file in the same directory
+followed by an atomic rename; a failed write removes the temp file.
+
+Loading refuses every format version but 3, then reads the header as the
 _Header dataclass (errors.from_json), so a damaged file, or one with a key
-the reader does not know, raises DataError naming it. The block index and
-the byte count after the header must then equal exactly what
-model.parameter_shapes gives for that architecture and hierarchy, before any
-block is read. A block holding a NaN or an infinity is refused by name; the
-model is built from the file's blocks, drawing nothing.
+the reader does not know, raises DataError naming it. The byte count after
+the header must equal what the header declares before any array is made;
+the index blocks then build the hierarchy, whose own checks (ascending
+rows, coverage, level joins) become DataErrors, and the block index must
+equal exactly what model.parameter_shapes gives for it. A block holding a
+NaN or an infinity is refused by name; the model is built from the file's
+blocks, drawing nothing.
 """
 
 from __future__ import annotations
@@ -28,13 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, MeshError, as_json, from_json
-from .hierarchy import MeshHierarchy
+from .hierarchy import ConvTopology, MeshHierarchy
 from .model import Architecture, Autoencoder, parameter_shapes
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
 MAGIC = b"WNDFILL1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -44,77 +50,131 @@ class _BlockEntry:
 
 
 @dataclass(frozen=True)
+class _TopologyEntry:
+    n_in: int
+    n_out: int
+    edge_count: int
+    basis_count: int
+
+
+@dataclass(frozen=True)
+class _HierarchyEntry:
+    faces_sha256: str
+    level_sizes: tuple[int, ...]
+    conv_down: tuple[_TopologyEntry, ...]
+    pool_down: tuple[_TopologyEntry, ...]
+
+    def index_lengths(self) -> list[int]:
+        """Element count of every index block, in file order."""
+        topologies = self.conv_down + self.pool_down
+        return [*self.level_sizes, *self.level_sizes[:-1],
+                *(n for t in topologies for n in (t.n_out + 1, t.edge_count))]
+
+
+@dataclass(frozen=True)
 class _Header:
     format_version: int
     architecture: Architecture
-    hierarchy: MeshHierarchy
+    hierarchy: _HierarchyEntry
     blocks: tuple[_BlockEntry, ...]  # in Autoencoder.parameters() order
     extra: dict
 
 
 def save_checkpoint(path, model: Autoencoder, extra: dict | None = None) -> None:
     params = model.parameters()
-    header = _Header(FORMAT_VERSION, model.architecture, model.hierarchy,
+    h = model.hierarchy
+    topologies = [tuple(_TopologyEntry(t.n_in, t.n_out, t.edge_count, t.basis_count) for t in ts)
+                  for ts in (h.conv_down, h.pool_down)]
+    header = _Header(FORMAT_VERSION, model.architecture,
+                     _HierarchyEntry(h.faces_sha256, tuple(h.level_sizes()), *topologies),
                      tuple(_BlockEntry(k, v.shape) for k, v in params.items()), extra or {})
     header_bytes = json.dumps(as_json(header), sort_keys=True).encode("utf-8")
+    index_blocks = [*h.levels, *h.parents,
+                    *(a for t in h.conv_down + h.pool_down for a in (t.indptr, t.indices))]
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for v in params.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for v in params.values():
+                fh.write(np.ascontiguousarray(v, dtype="<f8"))
+            for a in index_blocks:
+                fh.write(np.ascontiguousarray(a, dtype="<i8"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_into(fh, arr: np.ndarray, path) -> np.ndarray:
+    if fh.readinto(arr) != arr.nbytes:  # the size was checked: the file shrank meanwhile
+        raise DataError(f"{path}: checkpoint blocks run past the end of the file")
+    return arr
 
 
 def load_checkpoint(path) -> tuple[Autoencoder, dict]:
-    data = Path(path).read_bytes()
-    if not data.startswith(MAGIC):
-        raise DataError(f"{path}: not a woundfill checkpoint (bad magic)")
-    start = len(MAGIC) + 8
-    if len(data) < start:
-        raise DataError(f"{path}: checkpoint truncated inside the header length")
-    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
-    if header_len > len(data) - start:
-        raise DataError(
-            f"{path}: header length {header_len} runs past the end of the file "
-            f"({len(data)} bytes)"
-        )
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(MAGIC) + 8)
+        if not head.startswith(MAGIC):
+            raise DataError(f"{path}: not a woundfill checkpoint (bad magic)")
+        start = len(MAGIC) + 8
+        if len(head) < start:
+            raise DataError(f"{path}: checkpoint truncated inside the header length")
+        (header_len,) = struct.unpack_from("<Q", head, len(MAGIC))
+        if header_len > size - start:
+            raise DataError(f"{path}: header length {header_len} runs past the end of the "
+                            f"file ({size} bytes)")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from None
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: checkpoint header is not a JSON object")
+        if (version := header.get("format_version")) != FORMAT_VERSION:
+            raise DataError(f"{path}: checkpoint format version {version!r} is not supported; "
+                            f"this build reads version {FORMAT_VERSION} only")
+        try:
+            header = from_json(_Header, header, path, "checkpoint header")
+        except ConfigError as exc:
+            raise DataError(f"{path}: invalid checkpoint: {exc}") from exc
+        architecture, h = header.architecture, header.hierarchy
+        if len(architecture.widths) != len(h.level_sizes):
+            raise DataError(f"{path}: architecture widths do not match the hierarchy levels")
+        lengths = h.index_lengths()
+        if min([*lengths, *(d for b in header.blocks for d in b.shape)], default=0) < 0:
+            raise DataError(f"{path}: checkpoint header declares a negative size")
+        counts = [math.prod(b.shape) for b in header.blocks]
+        body = 8 * (sum(counts) + sum(lengths))
+        if size - start - header_len < body:
+            raise DataError(f"{path}: checkpoint blocks run past the end of the file")
+        if size - start - header_len > body:
+            raise DataError(f"{path}: trailing bytes after the checkpoint blocks")
+        floats = [_read_into(fh, np.empty(n, dtype="<f8"), path) for n in counts]
+        ints = _read_into(fh, np.empty(sum(lengths), dtype="<i8"), path)
+    arrays = iter(np.split(ints, np.cumsum(lengths)[:-1]))
+    n_levels = len(h.level_sizes)
     try:
-        header = json.loads(data[start:start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: checkpoint header is not UTF-8 JSON ({exc})") from None
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: checkpoint header is not a JSON object")
-    if (version := header.get("format_version")) != FORMAT_VERSION:
-        raise DataError(f"{path}: checkpoint format version {version!r} is not supported; "
-                        f"this build reads version {FORMAT_VERSION} only")
-    try:
-        header = from_json(_Header, header, path, "checkpoint header")
-    except (ConfigError, MeshError) as exc:
+        levels = tuple(next(arrays) for _ in range(n_levels))
+        parents = tuple(next(arrays) for _ in range(n_levels - 1))
+        conv_down, pool_down = (
+            tuple(ConvTopology(t.n_in, t.n_out, next(arrays), next(arrays), t.basis_count)
+                  for t in ts)
+            for ts in (h.conv_down, h.pool_down))
+        hierarchy = MeshHierarchy(levels, parents, conv_down, pool_down, h.faces_sha256)
+    except MeshError as exc:
         raise DataError(f"{path}: invalid checkpoint: {exc}") from exc
-    architecture, hierarchy = header.architecture, header.hierarchy
-    if len(architecture.widths) != hierarchy.n_levels:
-        raise DataError(f"{path}: architecture widths do not match the hierarchy levels")
     shapes = parameter_shapes(hierarchy, architecture)
     if [(b.name, b.shape) for b in header.blocks] != list(shapes.items()):
         raise DataError(f"{path}: parameter blocks do not match the architecture")
-    offset = start + header_len
-    body = 8 * sum(math.prod(shape) for shape in shapes.values())
-    if len(data) - offset < body:
-        raise DataError(f"{path}: parameter blocks run past the end of the file")
-    if len(data) - offset > body:
-        raise DataError(f"{path}: trailing bytes after parameter blocks")
     params = {}
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
+    for (name, shape), values in zip(shapes.items(), floats):
+        if not np.isfinite(values).all():
             raise DataError(f"{path}: parameter block {name} holds non-finite values")
-        params[name] = arr.astype(np.float64)
-        offset += count * 8
+        params[name] = values.astype(np.float64, copy=False).reshape(shape)
     model = Autoencoder.from_parameters(hierarchy, architecture, params)
     return model, header.extra

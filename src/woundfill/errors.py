@@ -3,11 +3,12 @@
 The CLI maps these onto exit codes: config problems -> 1, data problems
 (bad meshes, bad datasets, nothing to extract) -> 2, numerical failures -> 3.
 
-The config, manifest.json and the checkpoint header are read by
+The config, manifest.json and the checkpoint's scalar header are read by
 :func:`read_json`, which checks each JSON value against the annotation of the
 field it fills; :func:`from_json` builds a dataclass that way, so a damaged
 file, or one with a key the dataclass does not declare at any depth, raises
-DataError naming it, and :func:`as_json` writes one back.
+DataError naming it, and :func:`as_json` writes one back. Arrays do not go
+through JSON: the checkpoint stores them as raw blocks.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import typing
 from dataclasses import fields, is_dataclass
 from functools import cache
 from types import UnionType
-
-import numpy as np
 
 
 class WoundfillError(Exception):
@@ -82,9 +81,8 @@ def read_json(value, hint, path, what: str):
     (not NaN or Infinity, which Python's json reads, nor an integer too large
     for float64), and no other class a bool; `X | Y` takes what fits either;
     tuple[X, Y] a list of that length and tuple[X, ...] one of any length,
-    both read as tuples; np.ndarray a flat list of JSON integers that fit
-    int64, read as an int64 array; a dataclass an object, read by from_json,
-    whose errors name path and what. Any other class (dict, list) takes its
+    both read as tuples; a dataclass an object, read by from_json, whose
+    errors name path and what. Any other class (dict, list) takes its
     instances as they are.
 
     Generic hints are matched on their origin before the plain-class branch:
@@ -95,13 +93,6 @@ def read_json(value, hint, path, what: str):
         if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
             if hint is not float or abs(value) <= sys.float_info.max:  # False for NaN
                 return value
-    elif hint is np.ndarray:
-        # int64 conversion alone would also take "7", 7.7 and true
-        if isinstance(value, list) and list(map(type, value)).count(int) == len(value):
-            try:
-                return np.array(value, dtype=np.int64)
-            except OverflowError:
-                raise TypeError(hint) from None
     elif is_dataclass(hint):
         return from_json(hint, value, path, what)
     elif (origin := typing.get_origin(hint)) in (UnionType, typing.Union):
@@ -142,11 +133,9 @@ def from_json(cls, doc, path, what: str):
 
 
 def as_json(value):
-    """The inverse of from_json: dataclasses as objects, tuples and arrays as lists."""
+    """The inverse of from_json: dataclasses as objects, tuples as lists."""
     if is_dataclass(value):
         return {key: as_json(getattr(value, name)) for name, key, _ in _json_fields(type(value))}
     if isinstance(value, (tuple, list)):
         return [as_json(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     return value

@@ -67,20 +67,26 @@ class TrainResult:
     history: list[tuple[int, str, float]]  # (epoch, split, loss)
 
 
-def load_pairs(manifest: DatasetManifest, data_dir, split: str) -> list[tuple[str, Mesh, Mesh]]:
+def load_pairs(manifest: DatasetManifest, data_dir, split: str,
+               faces: np.ndarray | None = None) -> list[tuple[str, Mesh, Mesh]]:
     """(id, wounded, ground truth) triples for a split; topology must agree.
 
-    Each distinct file is read and checked once, so the triples of one head
-    share its (immutable) ground-truth Mesh.
+    Every mesh must carry `faces`, or when it is None the split's first
+    mesh's faces. Each distinct file is read and checked once, so the
+    triples of one head share its (immutable) ground-truth Mesh.
     """
     data_dir = Path(data_dir)
     meshes: dict[str, Mesh] = {}
 
     def load(name: str) -> Mesh:
+        nonlocal faces
         if name not in meshes:
             mesh = load_mesh_path(data_dir / name)
-            if meshes and not np.array_equal(mesh.faces, next(iter(meshes.values())).faces):
-                raise DataError(f"{name}: face topology differs from the rest of the dataset")
+            if faces is None:
+                faces = mesh.faces
+            elif not np.array_equal(mesh.faces, faces):
+                raise DataError(f"{data_dir / name}: face topology differs from the rest of the "
+                                "dataset")
             meshes[name] = mesh
         return meshes[name]
 
@@ -112,8 +118,9 @@ def train(
 ) -> TrainResult:
     """Train on the manifest's train split; keep the best checkpoint by val loss.
 
-    When the val split is empty, selection and early stopping fall back to the
-    train loss. Metrics are appended to metrics.csv as `epoch,split,loss`.
+    Every val mesh must have the train split's faces. When the val split is
+    empty, selection and early stopping fall back to the train loss. Metrics
+    are appended to metrics.csv as `epoch,split,loss`.
     """
     settings.validate()
     out_dir = Path(out_dir)
@@ -121,9 +128,9 @@ def train(
     train_pairs = load_pairs(manifest, data_dir, "train")
     if not train_pairs:
         raise DataError("train split is empty")
-    val_pairs = load_pairs(manifest, data_dir, "val")
-
     first_gt = train_pairs[0][2]
+    val_pairs = load_pairs(manifest, data_dir, "val", first_gt.faces)
+
     model = Autoencoder.build(first_gt, architecture, settings.seed)
     params = model.parameters()
     state = adam_init(params, settings.lr, settings.beta1, settings.beta2, settings.eps)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from woundfill import Mesh, icosahedron, icosphere
-from woundfill.hierarchy import ConvTopology
+from woundfill.hierarchy import ConvTopology, MeshHierarchy
 
 
 @pytest.fixture
@@ -89,6 +89,17 @@ def k_ring(mesh: Mesh, center: int, k: int) -> np.ndarray:
 def euler_characteristic(mesh: Mesh) -> int:
     """V - E + F, the edges counted as distinct sorted vertex pairs."""
     return mesh.n_vertices - len(np.unique(_face_edges(mesh), axis=0)) + mesh.n_faces
+
+
+def format_2_hierarchy(h: MeshHierarchy) -> dict:
+    """The header's hierarchy entry as checkpoint format 2 wrote it: index arrays as JSON lists."""
+    def topology(t):
+        return {"n_in": t.n_in, "n_out": t.n_out, "indptr": t.indptr.tolist(),
+                "indices": t.indices.tolist(), "basis_count": t.basis_count}
+
+    return {"levels": [lv.tolist() for lv in h.levels], "parents": [p.tolist() for p in h.parents],
+            "conv_down": [topology(t) for t in h.conv_down],
+            "pool_down": [topology(t) for t in h.pool_down], "faces_sha256": h.faces_sha256}
 
 
 def finite_difference(fn, arrays, grads, h=1e-5, rng=None, samples=None):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import struct
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import format_2_hierarchy
 from woundfill import Architecture, Autoencoder, icosphere
 from woundfill import model as model_mod
 from woundfill.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -56,6 +58,21 @@ def test_no_temp_file_left_behind(tmp_path, model):
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
+def test_failed_write_removes_the_temp_file(tmp_path, model, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, extra={"epoch": 1})
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, model, extra={"epoch": 2})
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    assert path.read_bytes() == before
+
+
 def test_magic_checked(tmp_path):
     bad = tmp_path / "x.ckpt"
     bad.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -79,29 +96,62 @@ def test_magic_is_stable(tmp_path, model):
 
 
 def _saved(model, tmp_path):
+    """(raw file, header, parameter bytes, index bytes) of a fresh checkpoint of model."""
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model)
     raw = path.read_bytes()
     (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
     start = len(MAGIC) + 8
-    return raw, json.loads(raw[start:start + header_len]), raw[start + header_len:]
+    header = json.loads(raw[start:start + header_len])
+    split = start + header_len + 8 * sum(math.prod(b["shape"]) for b in header["blocks"])
+    return raw, header, raw[start + header_len:split], raw[split:]
 
 
-def _with_header(header_bytes: bytes, body: bytes = b"") -> bytes:
+def _with_header(header, body: bytes = b"") -> bytes:
+    header_bytes = header if isinstance(header, bytes) else json.dumps(header).encode()
     return MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + body
 
 
-def _damage(kind, raw, header, body):
+def _index_blocks(header) -> dict[str, tuple[int, int]]:
+    """(offset into the index bytes, element count) of every index block, in file order."""
+    h = header["hierarchy"]
+    counts = [(f"levels{l}", n) for l, n in enumerate(h["level_sizes"])]
+    counts += [(f"parents{l}", n) for l, n in enumerate(h["level_sizes"][:-1])]
+    for kind in ("conv_down", "pool_down"):
+        for l, t in enumerate(h[kind]):
+            counts += [(f"{kind}{l}.indptr", t["n_out"] + 1),
+                       (f"{kind}{l}.indices", t["edge_count"])]
+    blocks, offset = {}, 0
+    for name, n in counts:
+        blocks[name] = (offset, n)
+        offset += 8 * n
+    return blocks
+
+
+def _read_index(header, index: bytes, name: str) -> np.ndarray:
+    offset, n = _index_blocks(header)[name]
+    return np.frombuffer(index, dtype="<i8", count=n, offset=offset).copy()
+
+
+def _write_index(header, index: bytes, name: str, values) -> bytes:
+    offset, _ = _index_blocks(header)[name]
+    new = np.asarray(values, dtype="<i8").tobytes()
+    return index[:offset] + new + index[offset + len(new):]
+
+
+def _damage(kind, raw, header, params, index):
+    h = header["hierarchy"]
+    conv = h["conv_down"][0]
     if kind == "short":
         return raw[:12]
     if kind == "header-past-end":
         return MAGIC + struct.pack("<Q", len(raw)) + raw[16:]
     if kind == "not-utf8":
-        return _with_header(b"\xff\xfe{}", body)
+        return _with_header(b"\xff\xfe{}", params + index)
     if kind == "not-json":
-        return _with_header(b"{format_version: 1}", body)
+        return _with_header(b"{format_version: 1}", params + index)
     if kind == "json-list":
-        return _with_header(b"[1, 2]", body)
+        return _with_header(b"[1, 2]", params + index)
     if kind == "no-architecture":
         del header["architecture"]
     elif kind == "string-ratio":
@@ -110,36 +160,76 @@ def _damage(kind, raw, header, body):
         header["architecture"]["ratios"] = [1.0, True]
     elif kind == "rising-ratios":
         header["architecture"]["ratios"] = [0.5, 0.9]
-    elif kind == "string-index":
-        header["hierarchy"]["conv_down"][0]["indices"][3] = "x"
-    elif kind == "integral-string-index":
-        header["hierarchy"]["conv_down"][0]["indices"][3] = "7"
-    elif kind == "float-index":
-        header["hierarchy"]["conv_down"][0]["indices"][3] = 7.7
-    elif kind == "bool-index":
-        header["hierarchy"]["conv_down"][0]["indices"][3] = True
+    elif kind == "index-out-of-range":
+        indices = _read_index(header, index, "conv_down0.indices")
+        indices[3] = conv["n_in"]
+        index = _write_index(header, index, "conv_down0.indices", indices)
+    elif kind == "negative-index":
+        indices = _read_index(header, index, "conv_down0.indices")
+        indices[0] = -1
+        index = _write_index(header, index, "conv_down0.indices", indices)
+    elif kind == "descending-indptr":
+        indptr = _read_index(header, index, "conv_down0.indptr")
+        indptr[1], indptr[2] = indptr[2], indptr[1]
+        index = _write_index(header, index, "conv_down0.indptr", indptr)
+    elif kind == "short-index-block":
+        # conv_down[0] loses its last index, and the header its count, while its
+        # indptr still ends at the old count
+        at, n = _index_blocks(header)["conv_down0.indices"]
+        index = index[:at + 8 * (n - 1)] + index[at + 8 * n:]
+        conv["edge_count"] -= 1
+    elif kind == "huge-index":
+        index = _write_index(header, index, "conv_down0.indices", [2**63 - 1])
     elif kind == "negative-n-out":
-        header["hierarchy"]["conv_down"][0].update(n_out=-1, indptr=[])
+        conv["n_out"] = -1
+    elif kind == "negative-edge-count":
+        conv["edge_count"] = -1
+    elif kind == "negative-block-dim":
+        header["blocks"][0]["shape"][0] = -1
     elif kind == "huge-n-in":
-        header["hierarchy"]["conv_down"][0]["n_in"] = 10**11
+        conv["n_in"] = 10**11
+    elif kind == "huge-edge-count":
+        conv["edge_count"] = 10**11
+    elif kind == "huge-level-size":
+        h["level_sizes"][0] = 10**11
     elif kind == "extra-level":
-        header["hierarchy"]["levels"].append([0, 1, 2, 3])
+        h["level_sizes"].append(4)
     elif kind == "unjoined-levels":
-        header["hierarchy"]["levels"][1].append(0)
+        # a level one vertex larger than its topologies say, its levels block grown to match
+        h["level_sizes"][1] += 1
+        at = _index_blocks(header)["levels1"][0]
+        index = index[:at] + bytes(8) + index[at:]
     elif kind == "huge-width":
         header["architecture"]["widths"][1] = 10**9
     elif kind == "huge-basis-count":
-        header["hierarchy"]["conv_down"][0]["basis_count"] = 10**9
+        conv["basis_count"] = 10**9
     elif kind == "truncated-block":
-        body = body[:-12]
-    return _with_header(json.dumps(header).encode(), body)
+        index = index[:-12]
+    return _with_header(header, params + index)
+
+
+# what the error names, for the damage that only the index blocks or their counts show
+INDEX_DAMAGE = {
+    "index-out-of-range": "neighbor index out of range",
+    "negative-index": "neighbor index out of range",
+    "descending-indptr": "empty neighborhood",
+    "short-index-block": "malformed CSR indptr",
+    "huge-index": "neighbor index out of range",
+    "negative-edge-count": "negative size",
+    "negative-block-dim": "negative size",
+    "huge-edge-count": "run past the end",
+    "unjoined-levels": "does not join levels",
+    "truncated-block": "run past the end",
+}
 
 
 @pytest.mark.parametrize("kind", [
     "short", "header-past-end", "not-utf8", "not-json", "json-list", "no-architecture",
-    "string-ratio", "bool-ratio", "rising-ratios", "string-index", "integral-string-index",
-    "float-index", "bool-index", "negative-n-out", "huge-n-in", "extra-level",
-    "unjoined-levels", "huge-width", "huge-basis-count", "truncated-block",
+    "string-ratio", "bool-ratio", "rising-ratios", "index-out-of-range", "negative-index",
+    "descending-indptr", "short-index-block", "huge-index", "negative-n-out",
+    "negative-edge-count", "negative-block-dim", "huge-n-in", "huge-edge-count",
+    "huge-level-size", "extra-level", "unjoined-levels", "huge-width", "huge-basis-count",
+    "truncated-block",
 ])
 def test_damaged_checkpoint_is_data_error(tmp_path, model, kind):
     bad = tmp_path / "bad.ckpt"
@@ -152,50 +242,52 @@ def test_damaged_checkpoint_is_data_error(tmp_path, model, kind):
     finally:
         tracemalloc.stop()
     assert str(bad) in str(exc.value)
+    assert INDEX_DAMAGE.get(kind, "") in str(exc.value)
     assert peak < 2**24  # nothing is sized by a header number before it is checked
 
 
 @pytest.mark.parametrize("change", ["reversed", "repeated"])
 def test_unordered_neighbors_in_a_checkpoint_are_data_error(tmp_path, model, change):
-    raw, header, body = _saved(model, tmp_path)
-    topology = header["hierarchy"]["conv_down"][0]
-    first, second = topology["indptr"][:2]
+    raw, header, params, index = _saved(model, tmp_path)
+    first, second = _read_index(header, index, "conv_down0.indptr")[:2]
     assert second - first >= 2
-    row = topology["indices"][first:second]
-    topology["indices"][first:second] = row[::-1] if change == "reversed" else [row[0], *row[:-1]]
+    indices = _read_index(header, index, "conv_down0.indices")
+    row = indices[first:second].copy()
+    indices[first:second] = row[::-1] if change == "reversed" else [row[0], *row[:-1]]
+    index = _write_index(header, index, "conv_down0.indices", indices)
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    bad.write_bytes(_with_header(header, params + index))
     with pytest.raises(DataError, match="not strictly ascending") as exc:
         load_checkpoint(bad)
     assert str(bad) in str(exc.value)
 
 
 def test_block_shape_must_match_architecture(tmp_path, model):
-    raw, header, body = _saved(model, tmp_path)
+    raw, header, params, index = _saved(model, tmp_path)
     header["hierarchy"]["conv_down"][0]["basis_count"] += 1
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    bad.write_bytes(_with_header(header, params + index))
     with pytest.raises(DataError, match="do not match the architecture"):
         load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("change", ["renamed", "reordered", "missing", "extra", "reshaped"])
 def test_block_list_must_equal_the_architecture(tmp_path, model, change):
-    raw, header, body = _saved(model, tmp_path)
+    raw, header, params, index = _saved(model, tmp_path)
     blocks = header["blocks"]
     if change == "renamed":
         blocks[0]["name"] = "enc9.conv.basis"
     elif change == "reordered":
         blocks[0], blocks[1] = blocks[1], blocks[0]
     elif change == "missing":
-        body = body[:-8 * math.prod(blocks.pop()["shape"])]
+        params = params[:-8 * math.prod(blocks.pop()["shape"])]
     elif change == "extra":
         blocks.append({"name": "dec0.res.extra", "shape": [1]})
-        body += bytes(8)
+        params += bytes(8)
     else:  # same float count, another shape
         blocks[0]["shape"] = blocks[0]["shape"][::-1]
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    bad.write_bytes(_with_header(header, params + index))
     with pytest.raises(DataError, match="do not match the architecture"):
         load_checkpoint(bad)
 
@@ -208,37 +300,48 @@ def test_block_list_must_equal_the_architecture(tmp_path, model, change):
     ("block", "dtype"),
 ])
 def test_unknown_header_key_is_data_error(tmp_path, model, where, key):
-    raw, header, body = _saved(model, tmp_path)
+    raw, header, params, index = _saved(model, tmp_path)
     owner = {"architecture": header["architecture"], "hierarchy": header["hierarchy"],
              "topology": header["hierarchy"]["conv_down"][0], "header": header,
              "block": header["blocks"][0]}[where]
     owner[key] = "relu"
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    bad.write_bytes(_with_header(header, params + index))
     with pytest.raises(DataError, match=f"unknown key '{key}'") as exc:
         load_checkpoint(bad)
     assert str(bad) in str(exc.value)
 
 
 def test_format_version_1_is_data_error(tmp_path, model):
-    raw, header, body = _saved(model, tmp_path)
-    assert header["format_version"] == 2
+    raw, header, params, index = _saved(model, tmp_path)
+    assert header["format_version"] == 3
     header["format_version"] = 1
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    bad.write_bytes(_with_header(header, params + index))
     with pytest.raises(DataError, match="format version 1 is not supported") as exc:
         load_checkpoint(bad)
     assert str(bad) in str(exc.value)
 
 
+def test_format_version_2_is_data_error(tmp_path, model):
+    # the layout format 2 wrote: the hierarchy's index arrays as JSON lists, no index blocks
+    raw, header, params, index = _saved(model, tmp_path)
+    header.update(format_version=2, hierarchy=format_2_hierarchy(model.hierarchy))
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(json.dumps(header, sort_keys=True).encode(), params))
+    with pytest.raises(DataError, match="format version 2 is not supported") as exc:
+        load_checkpoint(bad)
+    assert str(bad) in str(exc.value)
+
+
 def test_header_records_the_faces_digest(tmp_path, model):
-    _, header, _ = _saved(model, tmp_path)
+    header = _saved(model, tmp_path)[1]
     faces = icosphere(1).faces.astype("<i8").tobytes()
     assert header["hierarchy"]["faces_sha256"] == hashlib.sha256(faces).hexdigest()
 
 
 def _block_offset(header, name):
-    """Byte offset of block `name` in the body after the header."""
+    """Byte offset of block `name` in the parameter bytes after the header."""
     offset = 0
     for block in header["blocks"]:
         if block["name"] == name:
@@ -250,11 +353,11 @@ def _block_offset(header, name):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("block", ["enc0.conv.basis", "dec0.conv.bias", "dec0.res.rho"])
 def test_non_finite_parameter_is_data_error(tmp_path, model, value, block):
-    raw, header, body = _saved(model, tmp_path)
+    raw, header, params, index = _saved(model, tmp_path)
     at = _block_offset(header, block) + 8  # the block's second value
-    body = body[:at] + struct.pack("<d", value) + body[at + 8:]
+    params = params[:at] + struct.pack("<d", value) + params[at + 8:]
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_with_header(json.dumps(header).encode(), body))
+    bad.write_bytes(_with_header(header, params + index))
     with pytest.raises(DataError, match=f"block {block} holds non-finite") as exc:
         load_checkpoint(bad)
     assert str(bad) in str(exc.value)
@@ -275,8 +378,11 @@ def test_loading_draws_no_parameters(tmp_path, model, monkeypatch):
         assert np.array_equal(loaded.parameters()[k], v)
 
 
-# sha256 of the format-2 header below
-HEADER_SHA256 = "87fff49b20bcdbd4cf7610638c69e5df8db97eb2ddf49bd668196067bbe8fa63"
+# sha256 of the format-3 header below
+HEADER_SHA256 = "9b349b9c27deefb93a3211d49b749c14ce672367bca8c82e92a953b2cd9fce56"
+# its index blocks: levels, parents, conv_down[0] indptr and indices, pool_down[0]'s
+INDEX_BLOCKS = [0, 1, 2, 3, 4, 5, 0, 3, 0, 0, 0, 1, 1, 1, 0, 4, 8, 0, 1, 2, 3, 2, 3, 4, 5,
+                0, 3, 6, 0, 1, 2, 3, 4, 5]
 
 
 def test_header_json_is_pinned(tmp_path):
@@ -289,12 +395,15 @@ def test_header_json_is_pinned(tmp_path):
         conv_down=(conv,), pool_down=(pool,), faces_sha256="0" * 64,
     )
     arch = Architecture(ratios=(1.0, 0.5), widths=(3, 4), m_clamp=(3, 9))
-    save_checkpoint(tmp_path / "m.ckpt", Autoencoder.init(hierarchy, arch, seed=0),
-                    extra={"epoch": 3, "loss": 0.125})
+    model = Autoencoder.init(hierarchy, arch, seed=0)
+    save_checkpoint(tmp_path / "m.ckpt", model, extra={"epoch": 3, "loss": 0.125})
     raw = (tmp_path / "m.ckpt").read_bytes()
     (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
     header = raw[len(MAGIC) + 8:len(MAGIC) + 8 + header_len]
     assert hashlib.sha256(header).hexdigest() == HEADER_SHA256
+    floats = sum(v.size for v in model.parameters().values())
+    assert raw[len(MAGIC) + 8 + header_len + 8 * floats:] == struct.pack(
+        f"<{len(INDEX_BLOCKS)}q", *INDEX_BLOCKS)
     loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert loaded.architecture == arch
 
@@ -313,19 +422,27 @@ def small_checkpoint(tmp_path_factory):
 @given(
     cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
     flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 255)), max_size=3),
-    in_header=st.booleans(),
+    region=st.sampled_from(["header", "index", "file"]),
 )
-def test_fuzzed_checkpoint_raises_only_woundfill_errors(small_checkpoint, cut, flips, in_header):
+def test_fuzzed_checkpoint_raises_only_woundfill_errors(small_checkpoint, cut, flips, region):
     raw = bytearray(small_checkpoint.read_bytes())
     (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
-    span = 16 + header_len if in_header else len(raw)
+    header = json.loads(raw[16:16 + header_len])
+    index_start = len(raw) - 8 * sum(n for _, n in _index_blocks(header).values())
+    start, end = {"header": (0, 16 + header_len), "index": (index_start, len(raw)),
+                  "file": (0, len(raw))}[region]
     for where, value in flips:
-        raw[min(int(where * span), len(raw) - 1)] = value
+        raw[min(start + int(where * (end - start)), len(raw) - 1)] = value
     if cut is not None:
         raw = raw[:int(cut * len(raw))]
     bad = small_checkpoint.with_name("fuzz.ckpt")
     bad.write_bytes(bytes(raw))
+    tracemalloc.start()
     try:
         load_checkpoint(bad)
     except WoundfillError:
         pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 2**24

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import format_2_hierarchy
 from woundfill import (
     Architecture,
     Autoencoder,
@@ -297,7 +298,7 @@ def test_nonmanifold_preprocess_exits_2(tmp_path):
     assert run(["preprocess", src, "--out", tmp_path / "out"]) == 2
 
 
-@pytest.mark.parametrize("damage", ["truncated", "non-json-header"])
+@pytest.mark.parametrize("damage", ["truncated", "non-json-header", "index-out-of-range"])
 def test_damaged_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir, damage):
     good = tmp_path / "good.ckpt"
     save_checkpoint(good, Autoencoder.build(icosphere(1), Architecture((1.0, 0.3), (3, 5)), 0))
@@ -305,8 +306,10 @@ def test_damaged_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir, damage):
     bad = tmp_path / "bad.ckpt"
     if damage == "truncated":
         bad.write_bytes(raw[:len(raw) // 2])
-    else:
+    elif damage == "non-json-header":
         bad.write_bytes(MAGIC + (9).to_bytes(8, "little") + b"not json!" + raw[16:])
+    else:  # the last index of the last block, pool_down[0].indices, past its n_in
+        bad.write_bytes(raw[:-8] + (10**6).to_bytes(8, "little"))
     assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
                 "--checkpoint", bad, "--split", "test"]) == 2
     assert str(bad) in capsys.readouterr().err
@@ -355,6 +358,26 @@ def _header(raw: bytes) -> tuple[dict, bytes]:
     return json.loads(raw[start:end]), raw[end:]
 
 
+def test_format_2_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir):
+    # format 2 stored the hierarchy's index arrays in the JSON header
+    good = tmp_path / "good.ckpt"
+    model = Autoencoder.build(load_mesh_path(gen_dir / "0000_gt.ply"),
+                              Architecture((1.0, 0.3), (3, 8)), 0)
+    save_checkpoint(good, model)
+    header, body = _header(good.read_bytes())
+    header.update(format_version=2, hierarchy=format_2_hierarchy(model.hierarchy))
+    floats = 8 * sum(int(np.prod(b["shape"])) for b in header["blocks"])
+    text = json.dumps(header, sort_keys=True).encode()
+    bad = tmp_path / "v2.ckpt"
+    bad.write_bytes(MAGIC + len(text).to_bytes(8, "little") + text + body[:floats])
+    assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
+                "--checkpoint", bad, "--split", "test"]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "format version 2 is not supported" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev" / "eval_test.json").exists()
+
+
 def test_parent_format_relu_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir):
     # the header as format 1 wrote it for a ReLU model: never run as ELU
     good = tmp_path / "good.ckpt"
@@ -375,22 +398,30 @@ def test_parent_format_relu_checkpoint_eval_exits_2(tmp_path, capsys, gen_dir):
     assert not (tmp_path / "ev" / "eval_test.json").exists()
 
 
+def _relabelled_copy(src, dst, names=None):
+    """A copy of dataset src whose files in names (default: all) have their vertices
+    renumbered: same vertex count and a consistent face list, but other faces."""
+    dst.mkdir()
+    (dst / "manifest.json").write_bytes((src / "manifest.json").read_bytes())
+    perm = None
+    for path in sorted(src.glob("*.ply")):
+        mesh = load_mesh_path(path)
+        if perm is None:
+            perm = np.random.default_rng(0).permutation(mesh.n_vertices)
+        if names is None or path.name in names:
+            positions = np.empty_like(mesh.positions)
+            positions[perm] = mesh.positions  # vertex i becomes vertex perm[i]
+            mesh = Mesh(positions, perm[mesh.faces])
+        save_mesh_path(mesh, dst / path.name)
+    return dst
+
+
 def test_eval_on_relabelled_vertices_exits_2(tmp_path, capsys, gen_dir):
     # same vertex count and a consistent face list, but not the faces the model was trained on
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, Autoencoder.build(load_mesh_path(gen_dir / "0000_gt.ply"),
                                             Architecture((1.0, 0.3), (3, 8)), 0))
-    moved = tmp_path / "moved"
-    moved.mkdir()
-    (moved / "manifest.json").write_bytes((gen_dir / "manifest.json").read_bytes())
-    perm = None
-    for path in sorted(gen_dir.glob("*.ply")):
-        mesh = load_mesh_path(path)
-        if perm is None:
-            perm = np.random.default_rng(0).permutation(mesh.n_vertices)
-        positions = np.empty_like(mesh.positions)
-        positions[perm] = mesh.positions  # vertex i becomes vertex perm[i]
-        save_mesh_path(Mesh(positions, perm[mesh.faces]), moved / path.name)
+    moved = _relabelled_copy(gen_dir, tmp_path / "moved")
     assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
                 "--checkpoint", ckpt, "--split", "test"]) == 0
     capsys.readouterr()
@@ -400,6 +431,19 @@ def test_eval_on_relabelled_vertices_exits_2(tmp_path, capsys, gen_dir):
     assert f"data error: {moved}: the test meshes' faces" in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev2" / "eval_test.json").exists()
+
+
+def test_train_on_relabelled_val_split_exits_2(tmp_path, capsys, gen_dir):
+    # the val meshes' faces are not the train meshes': their loss must not pick a checkpoint
+    manifest = json.loads((gen_dir / "manifest.json").read_text())
+    val = {e[key] for e in manifest["entries"] if e["split"] == "val" for key in ("gt", "wounded")}
+    assert val
+    moved = _relabelled_copy(gen_dir, tmp_path / "moved", val)
+    assert run(["train", "--data", moved, "--out", tmp_path / "run", "--max-steps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "face topology differs" in err and any(str(moved / name) in err for name in val)
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
 def test_removed_activation_key_exits_1(tmp_path, capsys, gen_dir):
