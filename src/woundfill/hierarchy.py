@@ -16,7 +16,8 @@ Every level graph, cell partition and neighborhood is a CSR graph built by
 :func:`woundfill.mesh.csr_from_pairs`. A :class:`MeshHierarchy` stores only
 the down topologies; the up ones are their cached transposes (transposition
 is an involution, so an up topology's transpose is its down one), and every
-hierarchy, built or loaded, checks that its topologies join its levels.
+hierarchy, built or loaded, checks that its topologies join its levels, that
+its levels nest and that every vertex kept by a coarser level owns itself.
 """
 
 from __future__ import annotations
@@ -151,10 +152,13 @@ def _topology(n_in: int, csr: tuple[np.ndarray, np.ndarray], m_clamp) -> ConvTop
 class MeshHierarchy:
     """Nested vertex levels plus the down topologies between them.
 
-    levels[l] holds mesh-level vertex ids; level 0 is the full mesh. The
-    transition arrays all have length len(levels) - 1 and are indexed by the
-    finer level; conv_down[l] and pool_down[l] join levels l and l+1 (n_in is
-    the size of level l, n_out that of level l+1), which construction checks.
+    levels[l] holds mesh-level vertex ids, ascending; level 0 is the full mesh
+    and each level a subset of the one before. The transition arrays all have
+    length len(levels) - 1 and are indexed by the finer level; conv_down[l]
+    and pool_down[l] join levels l and l+1 (n_in is the size of level l, n_out
+    that of level l+1), and parents[l] maps every vertex of level l to a
+    vertex of level l+1, each vertex that level l+1 keeps to itself.
+    Construction checks all of this.
     The up topologies are not stored: they are the down ones' cached transposes.
     faces_sha256 is the faces_digest of the level-0 mesh, which binds the
     hierarchy (and a checkpoint that carries it) to that face list.
@@ -178,6 +182,18 @@ class MeshHierarchy:
             if len(self.parents[l]) != join[0]:
                 raise MeshError(f"parents[{l}] has {len(self.parents[l])} entries for the "
                                 f"{join[0]} vertices of level {l}")
+        if not np.array_equal(self.levels[0], np.arange(sizes[0])):
+            raise MeshError("levels[0] is not every mesh vertex in order")
+        for l, (fine, coarse, parent) in enumerate(zip(self.levels, self.levels[1:],
+                                                       self.parents)):
+            kept = np.searchsorted(fine, coarse)
+            if ((np.diff(coarse) <= 0).any() or (kept == len(fine)).any()
+                    or (fine[np.minimum(kept, len(fine) - 1)] != coarse).any()):
+                raise MeshError(f"levels[{l + 1}] is not an ascending subset of levels[{l}]")
+            if len(parent) and (parent.min() < 0 or parent.max() >= len(coarse)):
+                raise MeshError(f"parents[{l}] names a vertex outside level {l + 1}")
+            if not np.array_equal(parent[kept], np.arange(len(coarse))):
+                raise MeshError(f"a vertex of level {l + 1} is not its own parent in parents[{l}]")
 
     @property
     def conv_up(self) -> tuple[ConvTopology, ...]:

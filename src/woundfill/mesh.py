@@ -211,21 +211,26 @@ def bfs_hops(adj: tuple[np.ndarray, np.ndarray], source: int) -> np.ndarray:
 def components(adj: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Connected-component label per vertex, numbered in order of each component's lowest vertex.
 
-    Minimum-label propagation with pointer jumping: every vertex repeatedly
-    takes the smallest label among itself and its neighbors, then its label's
-    label, until nothing changes; each component then carries its lowest
-    vertex index.
+    adj is an undirected graph (each edge listed both ways). Minimum-label
+    hooking with full pointer jumping: every label names a root, a vertex
+    labelled by itself. Each round hooks every root onto the smallest label
+    next to any vertex it labels, then jumps every label to its root, until a
+    round changes nothing; each component then carries its lowest vertex index.
     """
     indptr, indices = adj
     label = np.arange(len(indptr) - 1)
     rows = np.flatnonzero(np.diff(indptr) > 0)
+    starts = indptr[rows]
     while True:
         lowest = label.copy()
-        lowest[rows] = np.minimum(label[rows], np.minimum.reduceat(label[indices], indptr[rows]))
-        lowest = lowest[lowest]
-        if np.array_equal(lowest, label):
+        lowest[rows] = np.minimum.reduceat(label[indices], starts)
+        hooked = label.copy()
+        np.minimum.at(hooked, label, lowest)
+        while not ((jumped := hooked[hooked]) == hooked).all():
+            hooked = jumped
+        if (hooked == label).all():
             return np.unique(label, return_inverse=True)[1]
-        label = lowest
+        label = hooked
 
 
 def is_watertight(mesh: Mesh) -> bool:

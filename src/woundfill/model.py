@@ -14,6 +14,13 @@ forward, backward and input_gradient take positions (n, 3) or a vertex-major
 batch (n, B, 3) of meshes on the hierarchy's topology, and pass the layout
 through every block unchanged. On a batch, backward returns each parameter's
 gradient summed over the samples; the sum happens inside the ops kernels.
+
+forward(x, keep_cache=True) keeps per block what the reverse walk reads: the
+block input, the conv output, and the conv's and density layer's forward
+products with the density layer's normalized coefficients, so backward
+recomputes none of them (4.2 MiB at V=2562, widths 3/16/32, B = 4). backward
+does not form the first block's input gradient, which training discards;
+input_gradient does.
 """
 
 from __future__ import annotations
@@ -34,14 +41,16 @@ from .mesh import Mesh
 from .ops import (
     VcConvParams,
     VdParams,
+    _kept_conv,
+    _kept_conv_backward,
+    _kept_res,
+    _kept_res_backward,
     elu,
     elu_backward,
     init_vc_conv,
     init_vd,
     vc_conv,
-    vc_conv_backward,
     vd_res,
-    vd_res_backward,
 )
 
 __all__ = ["Architecture", "Autoencoder", "parameter_shapes"]
@@ -188,37 +197,52 @@ class Autoencoder:
     def forward(self, x: np.ndarray, keep_cache: bool = False):
         """Run positions (n, 3), or a batch (n, B, 3), through the autoencoder.
 
-        The output has x's shape. With keep_cache=True also returns the
-        per-block tensors backward needs.
+        The output has x's shape. With keep_cache=True also returns, per
+        block, what backward needs: the block input and conv output, and the
+        conv and density-layer products backward would otherwise recompute.
         """
+        x = np.asarray(x, dtype=np.float64)
         cache = []
         for blk in self.blocks:
-            h = vc_conv(blk.conv, blk.conv_topology, x)
-            a = elu(h)
-            r = vd_res(blk.res, blk.pool_topology, x)
             if keep_cache:
-                cache.append((x, h))
-            x = a + r
+                h, conv_kept = _kept_conv(blk.conv, blk.conv_topology, x)
+                r, res_kept = _kept_res(blk.res, blk.pool_topology, x)
+                cache.append((x, h, conv_kept, res_kept))
+            else:
+                h = vc_conv(blk.conv, blk.conv_topology, x)
+                r = vd_res(blk.res, blk.pool_topology, x)
+            x = elu(h) + r
         return (x, cache) if keep_cache else x
 
-    def _reverse(self, cache, grad_out: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """One reverse walk over the blocks: (parameter gradients, input gradient)."""
+    def _reverse(self, cache, grad_out: np.ndarray,
+                 input_grad: bool) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+        """One reverse walk over the blocks: (parameter gradients, input gradient).
+
+        The first block forms its input gradient only if input_grad; otherwise
+        the second value is None.
+        """
         grads: dict[str, np.ndarray] = {}
         g = grad_out
-        for blk, (x, h) in zip(reversed(self.blocks), reversed(cache)):
+        for blk, (x, h, conv_kept, res_kept) in zip(reversed(self.blocks), reversed(cache)):
+            need_dx = input_grad or blk is not self.blocks[0]
             dh = elu_backward(h, g)
-            dx_conv, conv_grads = vc_conv_backward(blk.conv, blk.conv_topology, x, dh)
-            dx_res, res_grads = vd_res_backward(blk.res, blk.pool_topology, x, g)
+            dx_conv, conv_grads = _kept_conv_backward(blk.conv, blk.conv_topology, x, conv_kept,
+                                                      dh, need_dx)
+            dx_res, res_grads = _kept_res_backward(blk.res, blk.pool_topology, x, res_kept, g,
+                                                   need_dx)
             for part, part_grads in (("conv", conv_grads), ("res", res_grads)):
                 for key, value in part_grads.items():
                     grads[f"{blk.name}.{part}.{key}"] = value
-            g = dx_conv + dx_res
+            g = dx_conv + dx_res if need_dx else None
         return {name: grads[name] for name in self.parameters()}, g
 
     def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients for the forward pass that produced `cache`; summed over a batch."""
-        return self._reverse(cache, grad_out)[0]
+        """Parameter gradients for the forward pass that produced `cache`; summed over a batch.
+
+        Training discards the input gradient, so the first block does not form it.
+        """
+        return self._reverse(cache, grad_out, input_grad=False)[0]
 
     def input_gradient(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the input positions (used by gradient checks)."""
-        return self._reverse(cache, grad_out)[1]
+        return self._reverse(cache, grad_out, input_grad=True)[1]

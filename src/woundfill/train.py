@@ -161,7 +161,9 @@ def train(
                     raise NumericalError(f"training diverged: loss={value} at step {steps}")
                 batch_loss += value
             scale = 1.0 / len(batch)
-            grads = {k: v * scale for k, v in model.backward(cache, grad_out).items()}
+            grads = model.backward(cache, grad_out)
+            for v in grads.values():
+                v *= scale
             params, state = adam_step(params, grads, state)
             model.set_parameters(params)
             epoch_losses.append(batch_loss * scale)

@@ -1,8 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from woundfill import Mesh, icosahedron, icosphere
 from woundfill.hierarchy import ConvTopology, MeshHierarchy
+from woundfill.ops import elu, elu_backward, vc_conv, vc_conv_backward, vd_res, vd_res_backward
 
 
 @pytest.fixture
@@ -86,6 +89,27 @@ def k_ring(mesh: Mesh, center: int, k: int) -> np.ndarray:
     return np.array(sorted(ring), dtype=np.int64)
 
 
+def reference_components(adj: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Component label per vertex by plain queue BFS from each unlabelled vertex in order,
+    so components are numbered by their lowest vertex."""
+    indptr, indices = adj
+    label = [-1] * (len(indptr) - 1)
+    count = 0
+    for start in range(len(label)):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in indices[indptr[u]:indptr[u + 1]].tolist():
+                if label[w] < 0:
+                    label[w] = count
+                    queue.append(w)
+        count += 1
+    return np.array(label, dtype=np.int64)
+
+
 def euler_characteristic(mesh: Mesh) -> int:
     """V - E + F, the edges counted as distinct sorted vertex pairs."""
     return mesh.n_vertices - len(np.unique(_face_edges(mesh), axis=0)) + mesh.n_faces
@@ -100,6 +124,28 @@ def format_2_hierarchy(h: MeshHierarchy) -> dict:
     return {"levels": [lv.tolist() for lv in h.levels], "parents": [p.tolist() for p in h.parents],
             "conv_down": [topology(t) for t in h.conv_down],
             "pool_down": [topology(t) for t in h.pool_down], "faces_sha256": h.faces_sha256}
+
+
+def reference_reverse(model, x: np.ndarray, grad_out: np.ndarray):
+    """(output, parameter gradients, input gradient) of the model by the public operators.
+
+    The forward and the reverse walk call vc_conv, vd_res and elu and their
+    backwards, which recompute every forward product and always form d_x.
+    """
+    inputs = []
+    for blk in model.blocks:
+        h = vc_conv(blk.conv, blk.conv_topology, x)
+        inputs.append((x, h))
+        x = elu(h) + vd_res(blk.res, blk.pool_topology, x)
+    grads, g = {}, grad_out
+    for blk, (x_in, h) in zip(reversed(model.blocks), reversed(inputs)):
+        dx_conv, conv_grads = vc_conv_backward(blk.conv, blk.conv_topology, x_in,
+                                               elu_backward(h, g))
+        dx_res, res_grads = vd_res_backward(blk.res, blk.pool_topology, x_in, g)
+        for part, part_grads in (("conv", conv_grads), ("res", res_grads)):
+            grads.update({f"{blk.name}.{part}.{k}": v for k, v in part_grads.items()})
+        g = dx_conv + dx_res
+    return x, grads, g
 
 
 def finite_difference(fn, arrays, grads, h=1e-5, rng=None, samples=None):

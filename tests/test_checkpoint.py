@@ -199,6 +199,27 @@ def _damage(kind, raw, header, params, index):
         h["level_sizes"][1] += 1
         at = _index_blocks(header)["levels1"][0]
         index = index[:at] + bytes(8) + index[at:]
+    elif kind == "foreign-levels":
+        # a mesh vertex id outside the mesh and a parent outside the coarse level
+        levels = _read_index(header, index, "levels0")
+        levels[0] = -5
+        index = _write_index(header, index, "levels0", levels)
+        parents = _read_index(header, index, "parents0")
+        parents[0] = 10**9
+        index = _write_index(header, index, "parents0", parents)
+    elif kind == "parent-out-of-range":
+        parents = _read_index(header, index, "parents0")
+        parents[0] = h["level_sizes"][1]
+        index = _write_index(header, index, "parents0", parents)
+    elif kind == "unnested-level":
+        levels = _read_index(header, index, "levels1")
+        levels[0], levels[1] = levels[1], levels[0]
+        index = _write_index(header, index, "levels1", levels)
+    elif kind == "kept-vertex-not-its-own-parent":
+        kept = _read_index(header, index, "levels1")[1]  # a level-0 id is its local index
+        parents = _read_index(header, index, "parents0")
+        parents[kept] = 0
+        index = _write_index(header, index, "parents0", parents)
     elif kind == "huge-width":
         header["architecture"]["widths"][1] = 10**9
     elif kind == "huge-basis-count":
@@ -219,6 +240,10 @@ INDEX_DAMAGE = {
     "negative-block-dim": "negative size",
     "huge-edge-count": "run past the end",
     "unjoined-levels": "does not join levels",
+    "foreign-levels": "levels[0] is not every mesh vertex",
+    "parent-out-of-range": "outside level 1",
+    "unnested-level": "not an ascending subset",
+    "kept-vertex-not-its-own-parent": "not its own parent",
     "truncated-block": "run past the end",
 }
 
@@ -228,8 +253,9 @@ INDEX_DAMAGE = {
     "string-ratio", "bool-ratio", "rising-ratios", "index-out-of-range", "negative-index",
     "descending-indptr", "short-index-block", "huge-index", "negative-n-out",
     "negative-edge-count", "negative-block-dim", "huge-n-in", "huge-edge-count",
-    "huge-level-size", "extra-level", "unjoined-levels", "huge-width", "huge-basis-count",
-    "truncated-block",
+    "huge-level-size", "extra-level", "unjoined-levels", "foreign-levels",
+    "parent-out-of-range", "unnested-level", "kept-vertex-not-its-own-parent", "huge-width",
+    "huge-basis-count", "truncated-block",
 ])
 def test_damaged_checkpoint_is_data_error(tmp_path, model, kind):
     bad = tmp_path / "bad.ckpt"

@@ -229,6 +229,22 @@ def test_hierarchy_checks_level_counts_and_joins():
         MeshHierarchy(levels, (np.zeros(5, dtype=np.int64),), (conv,), (pool,), digest)
 
 
+@pytest.mark.parametrize("levels, parents, match", [
+    ((np.arange(1, 7), np.array([1, 3])), [0, 0, 0, 1, 1, 1], r"levels\[0\] is not every"),
+    ((np.arange(6), np.array([3, 0])), [1, 1, 1, 0, 0, 0], "ascending subset"),
+    ((np.arange(6), np.array([0, 6])), [0, 0, 0, 1, 1, 1], "ascending subset"),
+    ((np.arange(6), np.array([0, 3])), [0, 0, 0, 2, 1, 1], "outside level 1"),
+    ((np.arange(6), np.array([0, 3])), [-1, 0, 0, 1, 1, 1], "outside level 1"),
+    ((np.arange(6), np.array([0, 3])), [0, 0, 0, 0, 1, 1], "not its own parent"),
+], ids=["level0-not-arange", "descending-level", "level-outside", "parent-too-large",
+        "negative-parent", "kept-vertex-owned-elsewhere"])
+def test_hierarchy_checks_levels_and_parents(levels, parents, match):
+    conv = ConvTopology(6, 2, np.array([0, 4, 8]), np.array([0, 1, 2, 3, 2, 3, 4, 5]), 4)
+    pool = ConvTopology(6, 2, np.array([0, 3, 6]), np.arange(6), 3)
+    with pytest.raises(MeshError, match=match):
+        MeshHierarchy(levels, (np.array(parents),), (conv,), (pool,), "0" * 64)
+
+
 def test_hierarchy_works_on_synth_heads():
     h = build_hierarchy(synth_head(3, 3), (1.0, 0.25, 0.0625))
     assert h.level_sizes() == [642, 160, 40]

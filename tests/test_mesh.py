@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import euler_characteristic, k_ring
+from conftest import euler_characteristic, k_ring, reference_components
 from woundfill import (
     Mesh,
     boundary_loops,
@@ -18,7 +18,7 @@ from woundfill import (
     vertex_normals,
 )
 from woundfill.errors import MeshError, NonManifoldError
-from woundfill.mesh import UNREACHED, bfs, components, csr_from_pairs
+from woundfill.mesh import UNREACHED, bfs, components, csr_from_pairs, vertex_adjacency
 
 
 def test_mesh_rejects_out_of_range_face():
@@ -273,6 +273,32 @@ def test_graph_primitive_matches_reference(graph):
         assert all((label[w] == label[v]) == (reach[w] != float("inf")) for w in range(n))
     _, first = np.unique(label, return_index=True)
     assert label[np.sort(first)].tolist() == list(range(len(first)))  # ordered by lowest vertex
+
+
+@pytest.mark.parametrize("graph_seed", range(40))
+def test_components_match_a_bfs_labelling(graph_seed):
+    # a few hundred vertices in several components, some of them isolated vertices
+    rng = np.random.default_rng([2026, graph_seed])
+    n = int(rng.integers(1, 400))
+    group = rng.integers(0, int(rng.integers(1, 12)), size=n)
+    a, b = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n))))
+    a, b = a[group[a] == group[b]], b[group[a] == group[b]]
+    adj = csr_from_pairs(n, np.concatenate([a, b]), np.concatenate([b, a]))
+    assert np.array_equal(components(adj), reference_components(adj))
+
+
+def test_components_of_a_mesh_edge_graph():
+    # the V=2562 sphere is one component; its edges within latitude bands leave several
+    mesh = icosphere(4)
+    indptr, indices = adj = vertex_adjacency(mesh)
+    assert not components(adj).any()
+    u = np.repeat(np.arange(mesh.n_vertices), np.diff(indptr))
+    band = np.floor(mesh.positions[:, 2] * 3)
+    same = band[u] == band[indices]
+    banded = csr_from_pairs(mesh.n_vertices, u[same], indices[same])
+    label = components(banded)
+    assert label.max() >= 5
+    assert np.array_equal(label, reference_components(banded))
 
 
 def vertex_normals_oracle(mesh):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import finite_difference, reference_pool
+from conftest import finite_difference, reference_pool, reference_reverse
 from woundfill import Architecture, Autoencoder, icosphere, reconstruction_loss
+from woundfill import ops
 from woundfill.errors import ConfigError, as_json, from_json
 from woundfill.model import parameter_shapes
 
@@ -172,3 +173,57 @@ def test_parameter_shapes_match_the_built_model():
         model = Autoencoder.build(icosphere(1), Architecture(ratios=(1.0, 0.3), widths=widths), 0)
         shapes = parameter_shapes(model.hierarchy, model.architecture)
         assert list(shapes.items()) == [(k, v.shape) for k, v in model.parameters().items()]
+
+
+@pytest.fixture(scope="module")
+def branchy_model():
+    # widths 3 -> 16 -> 8 and back: the I <= O and the I > O kernels both run, in the
+    # convs and the density layers, in the encoder and in the decoder
+    mesh = icosphere(2)
+    arch = Architecture(ratios=(1.0, 0.25, 0.0625), widths=(3, 16, 8))
+    return mesh, Autoencoder.build(mesh, arch, seed=11)
+
+
+@pytest.mark.parametrize("block_edges", [1, ops.BLOCK_EDGES])
+@pytest.mark.parametrize("batch", [None, 1, 3])
+def test_backward_equals_the_public_operators_bit_for_bit(branchy_model, monkeypatch,
+                                                          block_edges, batch):
+    mesh, model = branchy_model
+    monkeypatch.setattr(ops, "BLOCK_EDGES", block_edges)
+    rng = np.random.default_rng(12)
+    shape = mesh.positions.shape if batch is None else (mesh.n_vertices, batch, 3)
+    x = rng.normal(scale=0.05, size=shape) + (
+        mesh.positions if batch is None else mesh.positions[:, None])
+    g = rng.normal(size=shape)
+    out, cache = model.forward(x, keep_cache=True)
+    ref_out, ref_grads, ref_in = reference_reverse(model, x, g)
+    assert np.array_equal(out, ref_out)
+    grads = model.backward(cache, g)
+    assert list(grads) == list(model.parameters())
+    for name, value in grads.items():
+        assert np.array_equal(value, ref_grads[name]), name
+    assert np.array_equal(model.input_gradient(cache, g), ref_in)
+    assert np.array_equal(model.forward(x), out)
+
+
+def test_backward_does_not_form_the_first_blocks_input_gradient(branchy_model, monkeypatch):
+    # enc0 maps 3 -> 16 features, so its conv and density layer take the I <= O kernels,
+    # whose d_x is the only _spread over output rows
+    mesh, model = branchy_model
+    first = model.blocks[0]
+    spread, seen = ops._spread, []
+
+    def spy(q, c, topology, rows):
+        seen.append((id(topology), rows))
+        return spread(q, c, topology, rows)
+
+    monkeypatch.setattr(ops, "_spread", spy)
+    _, cache = model.forward(mesh.positions, keep_cache=True)
+    g = np.ones_like(mesh.positions)
+    enc0_dx = {(id(first.conv_topology), "out"), (id(first.pool_topology), "out")}
+    seen.clear()
+    model.backward(cache, g)
+    assert seen and not enc0_dx & set(seen)
+    seen.clear()
+    model.input_gradient(cache, g)
+    assert enc0_dx <= set(seen)
