@@ -87,6 +87,10 @@ class Mesh:
             )
             if degen.any():
                 raise MeshError(f"degenerate face {int(np.flatnonzero(degen)[0])}: repeated vertex index")
+        self._freeze(pos, fac)
+
+    def _freeze(self, pos: np.ndarray, fac: np.ndarray) -> None:
+        """Check the attributes against the finite (n, 3) float64 `pos`, then set every field."""
         attrs = {}
         for name, vals in self.attributes.items():
             vals = np.asarray(vals, dtype=np.float64)
@@ -99,6 +103,21 @@ class Mesh:
         object.__setattr__(self, "faces", _frozen(fac))
         object.__setattr__(self, "attributes", attrs)
 
+    @classmethod
+    def _on_faces_of(cls, mesh: "Mesh", positions: np.ndarray,
+                     attributes: dict[str, np.ndarray]) -> "Mesh":
+        """A mesh on `mesh`'s frozen faces array (the same object) with new positions,
+        which must have mesh's shape, and attributes, both checked as __post_init__
+        checks them. The faces, which `mesh` has passed, are not range- and
+        degeneracy-checked again."""
+        pos = np.asarray(positions, dtype=np.float64)
+        if not np.isfinite(pos).all():
+            raise MeshError("positions contain non-finite values")
+        out = object.__new__(cls)
+        object.__setattr__(out, "attributes", attributes)
+        out._freeze(pos, mesh.faces)
+        return out
+
     @property
     def n_vertices(self) -> int:
         return len(self.positions)
@@ -108,7 +127,14 @@ class Mesh:
         return len(self.faces)
 
     def with_positions(self, positions: np.ndarray) -> "Mesh":
-        """Same topology and attributes, new coordinates."""
+        """Same topology and attributes, new coordinates.
+
+        Positions of this mesh's shape give a mesh that shares this one's
+        frozen faces array, whose indices are not checked again; any other
+        shape is checked in full, as the constructor checks it.
+        """
+        if np.shape(positions) == self.positions.shape:
+            return Mesh._on_faces_of(self, positions, self.attributes)
         return Mesh(positions, self.faces, dict(self.attributes))
 
 

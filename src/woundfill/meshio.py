@@ -7,6 +7,7 @@ STL is the 80-byte-header binary layout and carries geometry only.
 
 from __future__ import annotations
 
+import functools
 import struct
 import warnings
 
@@ -45,10 +46,25 @@ def save_mesh(mesh: Mesh, fmt: str) -> bytes:
     raise MeshFormatError(f"unsupported save format {fmt!r}; expected one of {_FORMATS_SAVE}")
 
 
-def load_mesh_path(path) -> Mesh:
+def load_mesh_path(path, like: Mesh | None = None) -> Mesh:
+    """Read the mesh file at path in the format its extension names; any MeshError
+    raised on its content is prefixed with the path.
+
+    like: a mesh this file is expected to share its faces with, such as the
+    first mesh of a dataset split. When a PLY file's vertex count and face
+    records equal like's, the result holds like's frozen faces array (the same
+    object), whose indices were checked when like was built; every other check
+    still runs on the file. Other files, and OBJ files, are parsed as without it.
+    """
     path = str(path)
+    fmt = path.rsplit(".", 1)[-1].lower()
     with open(path, "rb") as fh:
-        return load_mesh(fh.read(), path.rsplit(".", 1)[-1])
+        data = fh.read()
+    try:
+        return _load_ply(data, like) if fmt == "ply" else load_mesh(data, fmt)
+    except MeshError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def save_mesh_path(mesh: Mesh, path) -> None:
@@ -135,16 +151,69 @@ _PLY_LIST_COUNTS = {"uchar": "<u1", "uint8": "<u1"}
 _PLY_LIST_ITEMS = {"int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4"}
 
 
-def _load_ply(data: bytes) -> Mesh:
+def _load_ply(data: bytes, like: Mesh | None = None) -> Mesh:
     end = data.find(b"end_header\n")
     if not data.startswith(b"ply") or end < 0:
         raise MeshFormatError("not a PLY file (missing 'ply'/'end_header')")
-    header = data[:end].decode("ascii", errors="replace").splitlines()
-    body = data[end + len(b"end_header\n"):]
+    layout = _ply_layout(data[:end])
+    start = end + len(b"end_header\n")
+    needed = sum(count * dtype.itemsize for _, count, dtype in layout)
+    if len(data) - start < needed:
+        raise MeshFormatError(
+            f"PLY body is truncated: header declares {needed} bytes, file has {len(data) - start}"
+        )
 
+    positions = None
+    attributes: dict[str, np.ndarray] = {}
+    faces = np.zeros((0, 3), dtype=np.int64)
+    offset = start
+    for name, count, dtype in layout:
+        size = dtype.itemsize * count
+        if (name == "face" and like is not None and count == like.n_faces
+                and data[offset:offset + size] == _face_records(like.faces, dtype)):
+            faces = like.faces  # the same records, so every count is 3
+        else:
+            raw = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+            if name == "vertex":
+                positions = np.empty((count, 3))
+                for j, axis in enumerate(("x", "y", "z")):
+                    positions[:, j] = raw[axis]
+                for n in dtype.names:
+                    if n not in ("x", "y", "z"):
+                        attributes[n] = raw[n].astype(np.float64)
+            else:
+                bad = np.flatnonzero(raw["n"] != 3)
+                if bad.size:
+                    k = int(raw["n"][bad[0]])
+                    raise MeshFormatError(f"face {bad[0]} has {k} vertices; only triangles supported")
+                faces = raw["idx"]
+        offset += size
+    if positions is None:
+        raise MeshFormatError("PLY has no vertex element")
+    if like is not None and faces is like.faces and len(positions) == like.n_vertices:
+        return Mesh._on_faces_of(like, positions, attributes)
+    return Mesh(positions, faces, attributes)
+
+
+def _face_records(faces: np.ndarray, dtype: np.dtype) -> bytes:
+    """Triangle faces as PLY face records of `dtype`: a count of 3, then the three indices."""
+    records = np.empty(len(faces), dtype=dtype)
+    records["n"] = 3
+    records["idx"] = faces
+    return records.tobytes()
+
+
+@functools.lru_cache(maxsize=16)
+def _ply_layout(header: bytes) -> tuple[tuple[str, int, np.dtype], ...]:
+    """(element name, count, record dtype) per element of a PLY header (the bytes
+    before end_header), so the body length can be checked before reading.
+
+    Memoised: the files of a dataset split repeat one header.
+    """
+    lines = header.decode("ascii", errors="replace").splitlines()
     elements: list[tuple[str, int, list]] = []  # (name, count, [(lineno, property tokens)])
     fmt_seen = False
-    for lineno, line in enumerate(header[1:], start=2):
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts or parts[0] == "comment":
             continue
@@ -166,8 +235,7 @@ def _load_ply(data: bytes) -> Mesh:
     if not fmt_seen:
         raise MeshFormatError("PLY header missing format line")
 
-    # one record dtype per element, so the body length can be checked before reading
-    layouts = []
+    layout = []
     for name, count, props in elements:
         if name == "vertex":
             fields: dict[str, str] = {}
@@ -193,34 +261,8 @@ def _load_ply(data: bytes) -> Mesh:
             dtype = np.dtype([("n", _PLY_LIST_COUNTS[cnt_t]), ("idx", item, (3,))])
         else:
             raise MeshFormatError(f"unsupported PLY element {name!r}")
-        layouts.append((name, count, dtype))
-    needed = sum(count * dtype.itemsize for _, count, dtype in layouts)
-    if len(body) < needed:
-        raise MeshFormatError(
-            f"PLY body is truncated: header declares {needed} bytes, file has {len(body)}"
-        )
-
-    positions = None
-    attributes: dict[str, np.ndarray] = {}
-    faces = np.zeros((0, 3), dtype=np.int64)
-    offset = 0
-    for name, count, dtype in layouts:
-        raw = np.frombuffer(body, dtype=dtype, count=count, offset=offset)
-        offset += dtype.itemsize * count
-        if name == "vertex":
-            positions = np.column_stack([raw["x"], raw["y"], raw["z"]]).astype(np.float64)
-            for n in dtype.names:
-                if n not in ("x", "y", "z"):
-                    attributes[n] = raw[n].astype(np.float64)
-        else:
-            bad = np.flatnonzero(raw["n"] != 3)
-            if bad.size:
-                k = int(raw["n"][bad[0]])
-                raise MeshFormatError(f"face {bad[0]} has {k} vertices; only triangles supported")
-            faces = raw["idx"].astype(np.int64)
-    if positions is None:
-        raise MeshFormatError("PLY has no vertex element")
-    return Mesh(positions, faces, attributes)
+        layout.append((name, count, dtype))
+    return tuple(layout)
 
 
 def _save_ply(mesh: Mesh) -> bytes:
@@ -241,10 +283,7 @@ def _save_ply(mesh: Mesh) -> bytes:
         vert[:, 3 + j] = mesh.attributes[name]
     out += vert.tobytes()
 
-    face = np.empty(mesh.n_faces, dtype=np.dtype([("n", "<u1"), ("idx", "<i4", (3,))]))
-    face["n"] = 3
-    face["idx"] = mesh.faces
-    out += face.tobytes()
+    out += _face_records(mesh.faces, np.dtype([("n", "<u1"), ("idx", "<i4", (3,))]))
     return bytes(out)
 
 

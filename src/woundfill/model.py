@@ -205,6 +205,7 @@ class Autoencoder:
         cache = []
         for blk in self.blocks:
             if keep_cache:
+                # _kept_conv checks the block input; _kept_res takes it as checked
                 h, conv_kept = _kept_conv(blk.conv, blk.conv_topology, x)
                 r, res_kept = _kept_res(blk.res, blk.pool_topology, x)
                 cache.append((x, h, conv_kept, res_kept))
@@ -222,10 +223,10 @@ class Autoencoder:
         the second value is None.
         """
         grads: dict[str, np.ndarray] = {}
-        g = grad_out
+        g = np.asarray(grad_out, dtype=np.float64)
         for blk, (x, h, conv_kept, res_kept) in zip(reversed(self.blocks), reversed(cache)):
             need_dx = input_grad or blk is not self.blocks[0]
-            dh = elu_backward(h, g)
+            dh = elu_backward(h, g)  # checks g; the kept backwards take g and dh unchecked
             dx_conv, conv_grads = _kept_conv_backward(blk.conv, blk.conv_topology, x, conv_kept,
                                                       dh, need_dx)
             dx_res, res_grads = _kept_res_backward(blk.res, blk.pool_topology, x, res_kept, g,

@@ -39,6 +39,10 @@ density layer its one-basis form and row sums), and _kept_conv_backward /
 _kept_res_backward, which take it and skip d_x when asked: the same calls on
 the same operands, so the results are bit-identical. At V=2562, widths
 3/16/32 and B = 4 the products a model's forward keeps come to 4.2 MiB.
+The public functions check their own input and upstream gradient. On the
+private path the model checks each block's input once, in _kept_conv, and
+each block's upstream gradient once, in elu_backward; _kept_res and the
+_kept_*_backward functions take them as checked.
 
 Operators:
   vc_conv        y_i = sum_j (sum_k a_ijk B_k)^T x_ij + b; vcTransConv is vc_conv
@@ -310,15 +314,16 @@ def vc_conv_backward(
     """(d_x, parameter gradients); on a batch, each parameter gradient sums over the samples."""
     x = _check_features(x, params.in_dim, topology)
     _check_coeffs(params, topology)
-    return _kept_conv_backward(params, topology, x, None, grad_out, True)
+    g = _check_grad(grad_out, _out_shape(x, topology.n_out, params.out_dim))
+    return _kept_conv_backward(params, topology, x, None, g, True)
 
 
 def _kept_conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
-                        product: np.ndarray | None, grad_out: np.ndarray, input_grad: bool):
-    """vc_conv_backward on the checked x and coeffs of a _kept_conv call and its product
-    (None: recomputed); d_x is None unless input_grad."""
+                        product: np.ndarray | None, g: np.ndarray, input_grad: bool):
+    """vc_conv_backward on the checked x and coeffs of a _kept_conv call, its product
+    (None: recomputed) and an upstream gradient g already checked against the output's
+    shape; d_x is None unless input_grad."""
     m, i, o = params.basis.shape
-    g = _check_grad(grad_out, _out_shape(x, topology.n_out, o))
     c = params.coeffs
     d_x = None
     if i <= o:
@@ -377,12 +382,12 @@ def _density_conv(
 
 def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
     """Residual layer: density-weighted pooling followed by the shared map C."""
-    return _kept_res(params, topology, x)[0]
+    return _kept_res(params, topology, _check_features(x, None, topology))[0]
 
 
 def _kept_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """(vd_res, what _kept_res_backward reuses: the _density_conv result and its product)."""
-    x = _check_features(x, None, topology)
+    """(vd_res on an x already checked, as the block's _kept_conv checks it, and what
+    _kept_res_backward reuses: the _density_conv result and its product)."""
     conv, sums = _density_conv(params, topology, x)
     y, product = _conv(conv, topology, x)
     return y, (conv, sums, product)
@@ -391,16 +396,17 @@ def _kept_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> tuple[
 def vd_res_backward(params, topology, x, grad_out):
     """(d_x, grads); on a batch, the rho and matrix gradients sum over the samples."""
     x = _check_features(x, None, topology)
-    kept = (*_density_conv(params, topology, x), None)
-    return _kept_res_backward(params, topology, x, kept, grad_out, True)
+    conv, sums = _density_conv(params, topology, x)
+    g = _check_grad(grad_out, _out_shape(x, topology.n_out, conv.out_dim))
+    return _kept_res_backward(params, topology, x, (conv, sums, None), g, True)
 
 
 def _kept_res_backward(params: VdParams, topology: ConvTopology, x: np.ndarray, kept: tuple,
-                       grad_out: np.ndarray, input_grad: bool):
+                       g: np.ndarray, input_grad: bool):
     """vd_res_backward on the checked x and kept tuple of a _kept_res call (a None product
-    is recomputed); d_x is None unless input_grad."""
+    is recomputed) and a checked upstream gradient g; d_x is None unless input_grad."""
     conv, sums, product = kept
-    d_x, grads = _kept_conv_backward(conv, topology, x, product, grad_out, input_grad)
+    d_x, grads = _kept_conv_backward(conv, topology, x, product, g, input_grad)
     # r'_e = |rho_e| / S_i, so d|rho_e| = (d r'_e - sum_f d r'_f r'_f) / S_i over
     # e's row i; chain with sign(rho), subgradient 0 at 0.
     weights, d_weights = conv.coeffs[:, 0], grads["coeffs"][:, 0]

@@ -2,12 +2,14 @@
 
 The model always sees the wounded mesh; what the loss compares against is a
 config choice (the pre-injury mesh by default, or the input itself for a
-plain autoencoding regime). Every mesh of a dataset shares one topology
-(load_pairs checks it), so a batch of B pairs runs as one vertex-major
-(n, B, 3) stack: one forward, B per-sample losses whose gradients fill one
-(n, B, 3) array, and one backward, whose ops kernels sum each parameter's
-gradient over the samples. Batch composition and order are fixed by the
-seed, so runs with the same seed are byte-reproducible.
+plain autoencoding regime). Every mesh of a dataset shares one topology:
+load_pairs loads each file against the split's first mesh (train() loads
+val against train's), so all of them hold one frozen faces array, checked
+once. A batch of B pairs runs as one vertex-major (n, B, 3) stack: one
+forward, B per-sample losses whose gradients fill one (n, B, 3) array, and
+one backward, whose ops kernels sum each parameter's gradient over the
+samples. Batch composition and order are fixed by the seed, so runs with
+the same seed are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -68,23 +70,25 @@ class TrainResult:
 
 
 def load_pairs(manifest: DatasetManifest, data_dir, split: str,
-               faces: np.ndarray | None = None) -> list[tuple[str, Mesh, Mesh]]:
+               like: Mesh | None = None) -> list[tuple[str, Mesh, Mesh]]:
     """(id, wounded, ground truth) triples for a split; topology must agree.
 
-    Every mesh must carry `faces`, or when it is None the split's first
-    mesh's faces. Each distinct file is read and checked once, so the
-    triples of one head share its (immutable) ground-truth Mesh.
+    Every mesh must carry the faces of `like`, or when it is None of the
+    split's first mesh. Each file is loaded against that mesh, so the meshes
+    that match it share its one frozen faces array, checked once. Each
+    distinct file is read once, so the triples of one head share its
+    (immutable) ground-truth Mesh.
     """
     data_dir = Path(data_dir)
     meshes: dict[str, Mesh] = {}
 
     def load(name: str) -> Mesh:
-        nonlocal faces
+        nonlocal like
         if name not in meshes:
-            mesh = load_mesh_path(data_dir / name)
-            if faces is None:
-                faces = mesh.faces
-            elif not np.array_equal(mesh.faces, faces):
+            mesh = load_mesh_path(data_dir / name, like=like)
+            if like is None:
+                like = mesh
+            elif mesh.faces is not like.faces and not np.array_equal(mesh.faces, like.faces):
                 raise DataError(f"{data_dir / name}: face topology differs from the rest of the "
                                 "dataset")
             meshes[name] = mesh
@@ -129,7 +133,7 @@ def train(
     if not train_pairs:
         raise DataError("train split is empty")
     first_gt = train_pairs[0][2]
-    val_pairs = load_pairs(manifest, data_dir, "val", first_gt.faces)
+    val_pairs = load_pairs(manifest, data_dir, "val", first_gt)
 
     model = Autoencoder.build(first_gt, architecture, settings.seed)
     params = model.parameters()

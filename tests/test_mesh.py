@@ -38,6 +38,21 @@ def test_mesh_rejects_nonfinite_positions():
         Mesh(pos, [[0, 1, 2]])
 
 
+def test_with_positions_shares_the_faces_and_checks_the_rest(ico):
+    mesh = Mesh(ico.positions, ico.faces, {"error": np.arange(ico.n_vertices)})
+    moved = mesh.with_positions(mesh.positions * 2.0)
+    assert moved.faces is mesh.faces
+    assert np.array_equal(moved.positions, mesh.positions * 2.0)
+    assert np.array_equal(moved.attributes["error"], mesh.attributes["error"])
+    bad = np.array(mesh.positions)
+    bad[4, 0] = np.inf
+    with pytest.raises(MeshError, match="non-finite"):
+        mesh.with_positions(bad)
+    # another vertex count is checked in full: here a face indexes a vertex that is gone
+    with pytest.raises(MeshError, match="face index out of range"):
+        ico.with_positions(ico.positions[:-1])
+
+
 def test_mesh_is_immutable(ico):
     with pytest.raises(ValueError):
         ico.positions[0, 0] = 5.0

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from woundfill import Mesh, icosphere, load_mesh, save_mesh
+from woundfill import Mesh, icosphere, load_mesh, load_mesh_path, save_mesh, save_mesh_path
 from woundfill.errors import MeshError, MeshFormatError, WoundfillError
 
 
@@ -119,6 +121,75 @@ def test_ply_malformed_face_property_is_format_error(prop):
     )
     with pytest.raises(MeshFormatError, match="single list property"):
         load_mesh(data, "ply")
+
+
+@pytest.mark.parametrize("other", ["same", "attribute", "permuted", "extra_vertex"])
+def test_load_against_like(tmp_path, other):
+    save_mesh_path(icosphere(1), tmp_path / "first.ply")
+    like = load_mesh_path(tmp_path / "first.ply")
+    positions, faces, attributes = like.positions * 1.5, like.faces, {}
+    if other == "attribute":  # another header, the same faces
+        attributes = {"error": np.arange(like.n_vertices, dtype=float)}
+    elif other == "permuted":
+        faces = faces[::-1]
+    elif other == "extra_vertex":  # the same face records over one more vertex
+        positions = np.vstack([positions, [[0.0, 0.0, 0.0]]])
+    save_mesh_path(Mesh(positions, faces, attributes), tmp_path / "other.ply")
+    got = load_mesh_path(tmp_path / "other.ply", like=like)
+    alone = load_mesh_path(tmp_path / "other.ply")
+    assert (got.faces is like.faces) == (other != "permuted")
+    assert np.array_equal(got.positions, alone.positions)
+    assert np.array_equal(got.faces, alone.faces)
+    assert got.attributes.keys() == alone.attributes.keys()
+    for name, values in alone.attributes.items():
+        assert np.array_equal(got.attributes[name], values)
+
+
+def test_load_against_like_checks_its_faces_on_fewer_vertices(tmp_path):
+    like = icosphere(1)
+    data = save_mesh(like, "ply")
+    start = data.index(b"end_header\n") + len(b"end_header\n")
+    n = like.n_vertices
+    header = data[:start].replace(b"element vertex %d" % n, b"element vertex %d" % (n - 1))
+    path = tmp_path / "short.ply"
+    path.write_bytes(header + data[start + 12:])  # vertex 0's three float32s dropped
+    with pytest.raises(MeshError, match="face index out of range"):
+        load_mesh_path(path, like=like)
+
+
+def test_load_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.ply"
+    path.write_bytes(b"ply\nformat binary_big_endian 1.0\nelement vertex 0\nend_header\n")
+    with pytest.raises(MeshFormatError, match=f"^{re.escape(str(path))}: line 2: unsupported") as exc:
+        load_mesh_path(path)
+    assert exc.value.line == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@seed(6162)
+@settings(max_examples=100, deadline=None)
+@given(flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 255)), min_size=1, max_size=3))
+def test_fuzzed_file_loaded_against_like_fails_as_alone(saved_icosphere, fuzz_dir, flips):
+    like = load_mesh(saved_icosphere["ply"], "ply")
+    raw = bytearray(saved_icosphere["ply"])
+    for where, value in flips:
+        raw[min(int(where * len(raw)), len(raw) - 1)] = value
+    path = fuzz_dir / "fuzzed.ply"
+    path.write_bytes(bytes(raw))
+    try:
+        alone = load_mesh_path(path)
+    except WoundfillError as exc:
+        with pytest.raises(WoundfillError) as again:
+            load_mesh_path(path, like=like)
+        assert type(again.value) is type(exc) and str(again.value) == str(exc)
+    else:
+        got = load_mesh_path(path, like=like)
+        assert np.array_equal(got.positions, alone.positions)
+        assert np.array_equal(got.faces, alone.faces)
 
 
 def test_stl_single_triangle_is_134_bytes():

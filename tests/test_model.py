@@ -6,7 +6,7 @@ import pytest
 from conftest import finite_difference, reference_pool, reference_reverse
 from woundfill import Architecture, Autoencoder, icosphere, reconstruction_loss
 from woundfill import ops
-from woundfill.errors import ConfigError, as_json, from_json
+from woundfill.errors import ConfigError, NumericalError, as_json, from_json
 from woundfill.model import parameter_shapes
 
 
@@ -21,6 +21,25 @@ def test_forward_shape_roundtrip(small_model):
     mesh, model = small_model
     out = model.forward(mesh.positions)
     assert out.shape == mesh.positions.shape
+
+
+@pytest.mark.parametrize("keep_cache", [False, True])
+def test_non_finite_input_is_a_numerical_error(small_model, keep_cache):
+    mesh, model = small_model
+    x = np.array(mesh.positions)
+    x[7, 1] = np.nan
+    with pytest.raises(NumericalError, match="non-finite values in input"):
+        model.forward(x, keep_cache=keep_cache)
+
+
+def test_non_finite_upstream_gradient_is_a_numerical_error(small_model):
+    mesh, model = small_model
+    out, cache = model.forward(mesh.positions, keep_cache=True)
+    grad_out = np.ones_like(out)
+    grad_out[3, 2] = np.inf
+    for reverse in (model.backward, model.input_gradient):
+        with pytest.raises(NumericalError, match="non-finite upstream gradient"):
+            reverse(cache, grad_out)
 
 
 def test_parameter_count_closed_form(small_model):

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from woundfill import (
     train,
 )
 from woundfill.checkpoint import load_checkpoint
-from woundfill.errors import DataError
+from woundfill.errors import DataError, MeshError, MeshFormatError
 from woundfill.train import EvalReport, load_pairs
 
 train_module = importlib.import_module("woundfill.train")  # the name `train` is the function
@@ -46,7 +47,7 @@ def test_load_pairs_reads_each_file_once(dataset, monkeypatch):
     reads = []
     real = train_module.load_mesh_path
     monkeypatch.setattr(train_module, "load_mesh_path",
-                        lambda path: reads.append(path) or real(path))
+                        lambda path, like=None: reads.append(path) or real(path, like=like))
     entries = manifest.split_entries("train")
     pairs = load_pairs(manifest, root, "train")
     files = {e.wounded_file for e in entries} | {e.gt_file for e in entries}
@@ -67,6 +68,40 @@ def test_load_pairs_rejects_a_file_of_other_topology(dataset, tmp_path):
     save_mesh_path(Mesh(gt.positions, gt.faces[:, [1, 2, 0]]), tmp_path / entry.wounded_file)
     with pytest.raises(DataError, match=f"{entry.wounded_file}: face topology differs"):
         load_pairs(manifest, tmp_path, "train")
+
+
+def test_load_pairs_shares_one_faces_array(dataset):
+    manifest, root = dataset
+    train_pairs = load_pairs(manifest, root, "train")
+    val_pairs = load_pairs(manifest, root, "val", like=train_pairs[0][2])
+    assert val_pairs
+    faces = train_pairs[0][1].faces
+    assert all(w.faces is faces and g.faces is faces for _, w, g in train_pairs + val_pairs)
+
+
+@pytest.mark.parametrize("damage, error, match", [
+    ("nan", MeshError, "positions contain non-finite values"),
+    ("truncated", MeshFormatError, "PLY body is truncated"),
+    ("quad", MeshFormatError, "face 0 has 4 vertices"),
+])
+def test_load_pairs_names_a_damaged_file(dataset, tmp_path, damage, error, match):
+    manifest, root = dataset
+    for f in root.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    path = tmp_path / manifest.split_entries("train")[-1].wounded_file
+    n_faces = train_module.load_mesh_path(path).n_faces
+    data = bytearray(path.read_bytes())
+    if damage == "nan":
+        start = data.index(b"end_header\n") + len(b"end_header\n")
+        data[start:start + 4] = np.float32(np.nan).tobytes()  # vertex 0's x
+    elif damage == "truncated":
+        del data[-1]
+    else:
+        data[len(data) - 13 * n_faces] = 4  # uchar count + three int32 indices per face
+    path.write_bytes(bytes(data))
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: {match}") as exc:
+        load_pairs(manifest, tmp_path, "train")
+    assert exc.type is error
 
 
 def test_train_improves_and_checkpoints(dataset, tmp_path):
