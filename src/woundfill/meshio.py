@@ -225,6 +225,8 @@ def _ply_layout(header: bytes) -> tuple[tuple[str, int, np.dtype], ...]:
         elif parts[0] == "element":
             if len(parts) != 3 or not parts[2].isdigit():
                 raise MeshFormatError(f"bad element line {line!r}", line=lineno)
+            if any(name == parts[1] for name, _, _ in elements):
+                raise MeshFormatError(f"duplicate element {parts[1]!r}", line=lineno)
             elements.append((parts[1], int(parts[2]), []))
         elif parts[0] == "property":
             if not elements:

@@ -15,12 +15,13 @@ batch (n, B, 3) of meshes on the hierarchy's topology, and pass the layout
 through every block unchanged. On a batch, backward returns each parameter's
 gradient summed over the samples; the sum happens inside the ops kernels.
 
-forward(x, keep_cache=True) keeps per block what the reverse walk reads: the
-block input, the conv output, and the conv's and density layer's forward
-products with the density layer's normalized coefficients, so backward
-recomputes none of them (4.2 MiB at V=2562, widths 3/16/32, B = 4). backward
-does not form the first block's input gradient, which training discards;
-input_gradient does.
+Training, validation and eval run the same loop over the blocks, through
+the public ops pairs: vc_conv and vd_res return the output and what their
+backward reuses. forward(x, keep_cache=True) also returns, per block, the
+conv output and those saved arrays, so backward recomputes no forward
+product (4.2 MiB at V=2562, widths 3/16/32, B = 4). backward does not form
+the first block's input gradient, which training discards; input_gradient
+does.
 """
 
 from __future__ import annotations
@@ -41,16 +42,14 @@ from .mesh import Mesh
 from .ops import (
     VcConvParams,
     VdParams,
-    _kept_conv,
-    _kept_conv_backward,
-    _kept_res,
-    _kept_res_backward,
     elu,
     elu_backward,
     init_vc_conv,
     init_vd,
     vc_conv,
+    vc_conv_backward,
     vd_res,
+    vd_res_backward,
 )
 
 __all__ = ["Architecture", "Autoencoder", "parameter_shapes"]
@@ -198,20 +197,16 @@ class Autoencoder:
         """Run positions (n, 3), or a batch (n, B, 3), through the autoencoder.
 
         The output has x's shape. With keep_cache=True also returns, per
-        block, what backward needs: the block input and conv output, and the
-        conv and density-layer products backward would otherwise recompute.
+        block, what backward needs: the conv output and the conv's and the
+        density layer's saved arrays.
         """
         x = np.asarray(x, dtype=np.float64)
         cache = []
         for blk in self.blocks:
+            h, conv_saved = vc_conv(blk.conv, blk.conv_topology, x)
+            r, res_saved = vd_res(blk.res, blk.pool_topology, x)
             if keep_cache:
-                # _kept_conv checks the block input; _kept_res takes it as checked
-                h, conv_kept = _kept_conv(blk.conv, blk.conv_topology, x)
-                r, res_kept = _kept_res(blk.res, blk.pool_topology, x)
-                cache.append((x, h, conv_kept, res_kept))
-            else:
-                h = vc_conv(blk.conv, blk.conv_topology, x)
-                r = vd_res(blk.res, blk.pool_topology, x)
+                cache.append((h, conv_saved, res_saved))
             x = elu(h) + r
         return (x, cache) if keep_cache else x
 
@@ -224,13 +219,11 @@ class Autoencoder:
         """
         grads: dict[str, np.ndarray] = {}
         g = np.asarray(grad_out, dtype=np.float64)
-        for blk, (x, h, conv_kept, res_kept) in zip(reversed(self.blocks), reversed(cache)):
+        for blk, (h, conv_saved, res_saved) in zip(reversed(self.blocks), reversed(cache)):
             need_dx = input_grad or blk is not self.blocks[0]
-            dh = elu_backward(h, g)  # checks g; the kept backwards take g and dh unchecked
-            dx_conv, conv_grads = _kept_conv_backward(blk.conv, blk.conv_topology, x, conv_kept,
-                                                      dh, need_dx)
-            dx_res, res_grads = _kept_res_backward(blk.res, blk.pool_topology, x, res_kept, g,
-                                                   need_dx)
+            dx_conv, conv_grads = vc_conv_backward(blk.conv, blk.conv_topology, conv_saved,
+                                                   elu_backward(h, g), need_dx)
+            dx_res, res_grads = vd_res_backward(blk.res, blk.pool_topology, res_saved, g, need_dx)
             for part, part_grads in (("conv", conv_grads), ("res", res_grads)):
                 for key, value in part_grads.items():
                     grads[f"{blk.name}.{part}.{key}"] = value

@@ -32,17 +32,14 @@ identity when the layer has no matrix, and the bias is zero. They run on the
 same kernels; the rho gradient maps the coefficient gradient back through
 the normalization.
 
-The public backward functions recompute the forward's products and always
-form d_x. The model trains through the private _kept_conv / _kept_res, which
-also return what their backward reuses (the product z or t, and for a
-density layer its one-basis form and row sums), and _kept_conv_backward /
-_kept_res_backward, which take it and skip d_x when asked: the same calls on
-the same operands, so the results are bit-identical. At V=2562, widths
-3/16/32 and B = 4 the products a model's forward keeps come to 4.2 MiB.
-The public functions check their own input and upstream gradient. On the
-private path the model checks each block's input once, in _kept_conv, and
-each block's upstream gradient once, in elu_backward; _kept_res and the
-_kept_*_backward functions take them as checked.
+Each operator is one forward/backward pair. vc_conv and vd_res return
+(y, saved), where saved holds what the backward reuses: the checked input x,
+the product z or t, and for a density layer its one-basis form and row sums.
+vc_conv_backward and vd_res_backward take saved and the upstream gradient,
+and form d_x only when input_grad is true (a model's first block does not
+need it). At V=2562, widths 3/16/32 and B = 4 the saved products of a
+model's forward come to 4.2 MiB. Each operator checks its own input, each
+backward its own upstream gradient, for shape and finiteness.
 
 Operators:
   vc_conv        y_i = sum_j (sum_k a_ijk B_k)^T x_ij + b; vcTransConv is vc_conv
@@ -279,16 +276,14 @@ def _vertex_products(x: np.ndarray, params: VcConvParams) -> np.ndarray:
     return t.reshape(len(x), -1, m, o).transpose(0, 2, 1, 3).reshape(len(x), m, -1)
 
 
-def vc_conv(params: VcConvParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
-    return _kept_conv(params, topology, x)[0]
-
-
-def _kept_conv(params: VcConvParams, topology: ConvTopology,
-               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(vc_conv, the product _kept_conv_backward reuses)."""
+def vc_conv(params: VcConvParams, topology: ConvTopology,
+            x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(y, saved): the convolution of x, and what vc_conv_backward reuses (the checked x
+    and the product z when I <= O, t when I > O)."""
     x = _check_features(x, params.in_dim, topology)
     _check_coeffs(params, topology)
-    return _conv(params, topology, x)
+    y, product = _conv(params, topology, x)
+    return y, (x, product)
 
 
 def _conv(params: VcConvParams, topology: ConvTopology,
@@ -309,20 +304,19 @@ def _conv(params: VcConvParams, topology: ConvTopology,
 
 
 def vc_conv_backward(
-    params: VcConvParams, topology: ConvTopology, x: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(d_x, parameter gradients); on a batch, each parameter gradient sums over the samples."""
-    x = _check_features(x, params.in_dim, topology)
-    _check_coeffs(params, topology)
+    params: VcConvParams, topology: ConvTopology, saved: tuple, grad_out: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+    """(d_x, parameter gradients) of the vc_conv call that returned `saved`; d_x is None
+    unless input_grad. On a batch, each parameter gradient sums over the samples."""
+    x, product = saved
     g = _check_grad(grad_out, _out_shape(x, topology.n_out, params.out_dim))
-    return _kept_conv_backward(params, topology, x, None, g, True)
+    return _conv_backward(params, topology, x, product, g, input_grad)
 
 
-def _kept_conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
-                        product: np.ndarray | None, g: np.ndarray, input_grad: bool):
-    """vc_conv_backward on the checked x and coeffs of a _kept_conv call, its product
-    (None: recomputed) and an upstream gradient g already checked against the output's
-    shape; d_x is None unless input_grad."""
+def _conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
+                   product: np.ndarray, g: np.ndarray, input_grad: bool):
+    """vc_conv_backward on _conv's checked x and product and a checked upstream gradient g."""
     m, i, o = params.basis.shape
     c = params.coeffs
     d_x = None
@@ -330,17 +324,15 @@ def _kept_conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndar
         by_input = params.basis.transpose(1, 0, 2).reshape(i * m, o)
         # p[r][b*I + :, k] = B_k g_rb: contracting over its B*I rows sums the samples
         p = (_sample_rows(g) @ by_input.T).reshape(topology.n_out, -1, m)
-        xs = _zero_row(_vertex_rows(x))
-        z = _contract(xs, c, topology, "out") if product is None else product
-        d_coeffs = _edge_products(xs, p, topology, "out")
+        d_coeffs = _edge_products(_zero_row(_vertex_rows(x)), p, topology, "out")
         if input_grad:
             d_x = _spread(p.transpose(0, 2, 1), c, topology, "out").reshape(x.shape)
-        d_basis = (z.reshape(-1, i * m).T @ _sample_rows(g)).reshape(i, m, o).transpose(1, 0, 2)
+        d_basis = (product.reshape(-1, i * m).T @ _sample_rows(g)).reshape(i, m, o)
+        d_basis = d_basis.transpose(1, 0, 2)
     else:
         gs = _zero_row(_vertex_rows(g))
         w = _contract(gs, c, topology, "in").reshape(-1, o * m)
-        t = _vertex_products(x, params) if product is None else product
-        d_coeffs = _edge_products(gs, t.transpose(0, 2, 1), topology, "in")
+        d_coeffs = _edge_products(gs, product.transpose(0, 2, 1), topology, "in")
         if input_grad:
             d_x = (w @ params.basis.transpose(2, 0, 1).reshape(o * m, i)).reshape(x.shape)
         d_basis = (_sample_rows(x).T @ w).reshape(i, o, m).transpose(2, 0, 1)
@@ -380,33 +372,24 @@ def _density_conv(
     return VcConvParams(basis[None], weights[:, None], np.zeros(basis.shape[1])), sums
 
 
-def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> np.ndarray:
-    """Residual layer: density-weighted pooling followed by the shared map C."""
-    return _kept_res(params, topology, _check_features(x, None, topology))[0]
-
-
-def _kept_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """(vd_res on an x already checked, as the block's _kept_conv checks it, and what
-    _kept_res_backward reuses: the _density_conv result and its product)."""
-    conv, sums = _density_conv(params, topology, x)
-    y, product = _conv(conv, topology, x)
-    return y, (conv, sums, product)
-
-
-def vd_res_backward(params, topology, x, grad_out):
-    """(d_x, grads); on a batch, the rho and matrix gradients sum over the samples."""
+def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(y, saved): density-weighted pooling of x followed by the shared map C, and what
+    vd_res_backward reuses (the checked x, the product, the one-basis form, the row sums)."""
     x = _check_features(x, None, topology)
     conv, sums = _density_conv(params, topology, x)
+    y, product = _conv(conv, topology, x)
+    return y, (x, product, conv, sums)
+
+
+def vd_res_backward(
+    params: VdParams, topology: ConvTopology, saved: tuple, grad_out: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+    """(d_x, grads) of the vd_res call that returned `saved`; d_x is None unless
+    input_grad. On a batch, the rho and matrix gradients sum over the samples."""
+    x, product, conv, sums = saved
     g = _check_grad(grad_out, _out_shape(x, topology.n_out, conv.out_dim))
-    return _kept_res_backward(params, topology, x, (conv, sums, None), g, True)
-
-
-def _kept_res_backward(params: VdParams, topology: ConvTopology, x: np.ndarray, kept: tuple,
-                       g: np.ndarray, input_grad: bool):
-    """vd_res_backward on the checked x and kept tuple of a _kept_res call (a None product
-    is recomputed) and a checked upstream gradient g; d_x is None unless input_grad."""
-    conv, sums, product = kept
-    d_x, grads = _kept_conv_backward(conv, topology, x, product, g, input_grad)
+    d_x, grads = _conv_backward(conv, topology, x, product, g, input_grad)
     # r'_e = |rho_e| / S_i, so d|rho_e| = (d r'_e - sum_f d r'_f r'_f) / S_i over
     # e's row i; chain with sign(rho), subgradient 0 at 0.
     weights, d_weights = conv.coeffs[:, 0], grads["coeffs"][:, 0]

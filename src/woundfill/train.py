@@ -123,8 +123,9 @@ def train(
     """Train on the manifest's train split; keep the best checkpoint by val loss.
 
     Every val mesh must have the train split's faces. When the val split is
-    empty, selection and early stopping fall back to the train loss. Metrics
-    are appended to metrics.csv as `epoch,split,loss`.
+    empty, selection and early stopping fall back to the train loss. A
+    non-finite train or val loss is a NumericalError. Metrics are appended
+    to metrics.csv as `epoch,split,loss`.
     """
     settings.validate()
     out_dir = Path(out_dir)
@@ -179,6 +180,8 @@ def train(
         history.append((epoch, "train", train_loss))
         if val_pairs:
             val_loss = _mean_loss(model, val_pairs, spec, settings.batch_size)
+            if not np.isfinite(val_loss):
+                raise NumericalError(f"validation diverged: loss={val_loss} at epoch {epoch}")
             history.append((epoch, "val", val_loss))
             selection_loss = val_loss
         else:
@@ -225,7 +228,8 @@ def evaluate(
 
     model=None evaluates the identity wiring (output = input). A model runs
     only on the faces its hierarchy was built from: a split whose faces have
-    another digest is a DataError before the first forward. With out_dir
+    another digest is a DataError before the first forward, and a mesh whose
+    distances are not all finite a NumericalError before its record. With out_dir
     set, each reconstruction is written as PLY with a per-vertex `error`
     channel for distance color maps.
     """
@@ -245,6 +249,9 @@ def evaluate(
     for name, wounded, gt in pairs:
         out_positions = wounded.positions if model is None else model.forward(wounded.positions)
         d = vertex_distance(out_positions, gt.positions)
+        if not np.all(np.isfinite(d)):
+            raise NumericalError(f"{split} mesh {name}: non-finite vertex distances between "
+                                 "the reconstruction and its ground truth")
         per_mesh.append({
             "id": name,
             "mean": float(d.mean()),

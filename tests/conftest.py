@@ -129,19 +129,23 @@ def format_2_hierarchy(h: MeshHierarchy) -> dict:
 def reference_reverse(model, x: np.ndarray, grad_out: np.ndarray):
     """(output, parameter gradients, input gradient) of the model by the public operators.
 
-    The forward and the reverse walk call vc_conv, vd_res and elu and their
-    backwards, which recompute every forward product and always form d_x.
+    The forward keeps each block's input and conv output. The reverse walk runs
+    each block's vc_conv and vd_res again on its kept input and passes those
+    fresh saved arrays to their backwards, so no array the model's own forward
+    cached reaches them; every block forms its d_x.
     """
     inputs = []
     for blk in model.blocks:
-        h = vc_conv(blk.conv, blk.conv_topology, x)
+        h = vc_conv(blk.conv, blk.conv_topology, x)[0]
         inputs.append((x, h))
-        x = elu(h) + vd_res(blk.res, blk.pool_topology, x)
+        x = elu(h) + vd_res(blk.res, blk.pool_topology, x)[0]
     grads, g = {}, grad_out
     for blk, (x_in, h) in zip(reversed(model.blocks), reversed(inputs)):
-        dx_conv, conv_grads = vc_conv_backward(blk.conv, blk.conv_topology, x_in,
+        conv_saved = vc_conv(blk.conv, blk.conv_topology, x_in)[1]
+        res_saved = vd_res(blk.res, blk.pool_topology, x_in)[1]
+        dx_conv, conv_grads = vc_conv_backward(blk.conv, blk.conv_topology, conv_saved,
                                                elu_backward(h, g))
-        dx_res, res_grads = vd_res_backward(blk.res, blk.pool_topology, x_in, g)
+        dx_res, res_grads = vd_res_backward(blk.res, blk.pool_topology, res_saved, g)
         for part, part_grads in (("conv", conv_grads), ("res", res_grads)):
             grads.update({f"{blk.name}.{part}.{k}": v for k, v in part_grads.items()})
         g = dx_conv + dx_res

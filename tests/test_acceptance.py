@@ -72,9 +72,9 @@ def test_criterion_1_gradient_correctness():
         params.bias = rng.normal(size=params.bias.shape)
         x = rng.normal(size=(topo.n_in, i_dim))
         w = rng.normal(size=(topo.n_out, o_dim))
-        dx, grads = vc_conv_backward(params, topo, x, w)
+        dx, grads = vc_conv_backward(params, topo, vc_conv(params, topo, x)[1], w)
         worst_overall = max(worst_overall, finite_difference(
-            lambda: float((w * vc_conv(params, topo, x)).sum()),
+            lambda: float((w * vc_conv(params, topo, x)[0]).sum()),
             [x, params.basis, params.coeffs, params.bias],
             [dx, grads["basis"], grads["coeffs"], grads["bias"]],
         ))
@@ -86,9 +86,9 @@ def test_criterion_1_gradient_correctness():
         pt.coeffs = rng.normal(size=pt.coeffs.shape)
         xt = rng.normal(size=(topo.n_out, o_dim))
         wt = rng.normal(size=(topo.n_in, i_dim))
-        dxt, gt = vc_conv_backward(pt, tr, xt, wt)
+        dxt, gt = vc_conv_backward(pt, tr, vc_conv(pt, tr, xt)[1], wt)
         worst_overall = max(worst_overall, finite_difference(
-            lambda: float((wt * vc_conv(pt, tr, xt)).sum()),
+            lambda: float((wt * vc_conv(pt, tr, xt)[0]).sum()),
             [xt, pt.basis, pt.coeffs, pt.bias],
             [dxt, gt["basis"], gt["coeffs"], gt["bias"]],
         ))
@@ -96,16 +96,16 @@ def test_criterion_1_gradient_correctness():
         # vdPool / vdUnpool (vd_res without a matrix on both orientations)
         vd = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
         wp = rng.normal(size=(topo.n_out, i_dim))
-        dxp, gp = vd_res_backward(vd, topo, x, wp)
+        dxp, gp = vd_res_backward(vd, topo, vd_res(vd, topo, x)[1], wp)
         worst_overall = max(worst_overall, finite_difference(
-            lambda: float((wp * vd_res(vd, topo, x)).sum()),
+            lambda: float((wp * vd_res(vd, topo, x)[0]).sum()),
             [x, vd.rho], [dxp, gp["rho"]],
         ))
         vdu = VdParams(rho=rng.normal(size=tr.edge_count) + 0.2)
         wu = rng.normal(size=(tr.n_out, o_dim))
-        dxu, gu = vd_res_backward(vdu, tr, xt, wu)
+        dxu, gu = vd_res_backward(vdu, tr, vd_res(vdu, tr, xt)[1], wu)
         worst_overall = max(worst_overall, finite_difference(
-            lambda: float((wu * vd_res(vdu, tr, xt)).sum()),
+            lambda: float((wu * vd_res(vdu, tr, xt)[0]).sum()),
             [xt, vdu.rho], [dxu, gu["rho"]],
         ))
 
@@ -113,9 +113,9 @@ def test_criterion_1_gradient_correctness():
         vr = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2,
                       matrix=rng.normal(size=(o_dim, i_dim)))
         wr = rng.normal(size=(topo.n_out, o_dim))
-        dxr, gr = vd_res_backward(vr, topo, x, wr)
+        dxr, gr = vd_res_backward(vr, topo, vd_res(vr, topo, x)[1], wr)
         worst_overall = max(worst_overall, finite_difference(
-            lambda: float((wr * vd_res(vr, topo, x)).sum()),
+            lambda: float((wr * vd_res(vr, topo, x)[0]).sum()),
             [x, vr.rho, vr.matrix], [dxr, gr["rho"], gr["matrix"]],
         ))
 
@@ -167,7 +167,7 @@ def test_criterion_2_pooling_equivalence():
         x = rng.normal(size=(topo.n_in, int(rng.integers(1, 6))))
         const = float(rng.uniform(0.1, 5.0))
         equal = VdParams(rho=np.full(topo.edge_count, const))
-        diff = np.abs(vd_res(equal, topo, x) - reference_pool(topo, x)).max()
+        diff = np.abs(vd_res(equal, topo, x)[0] - reference_pool(topo, x)).max()
         worst_eq = max(worst_eq, float(diff))
 
         rho = rng.normal(size=topo.edge_count)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from woundfill import (
 )
 from woundfill.checkpoint import MAGIC, save_checkpoint
 from woundfill.cli import main
+from woundfill.scars import load_manifest
 
 
 def run(args):
@@ -349,6 +351,26 @@ def test_zero_density_checkpoint_eval_exits_3(tmp_path, capsys, gen_dir):
     assert "numerical error: all-zero density coefficients in neighborhood 0" in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev" / "eval_test.json").exists()
+
+
+def test_overflowing_checkpoint_eval_exits_3_before_writing(tmp_path, capsys, gen_dir):
+    # every parameter is finite, so the checkpoint loads, but the output overflows the
+    # distances: eval used to print `inf` and write Infinity into eval_test.json
+    model = Autoencoder.build(load_mesh_path(gen_dir / "0000_gt.ply"),
+                              Architecture((1.0, 0.3), (3, 8)), 0)
+    model.parameters()["dec0.conv.bias"][:] = 1e200
+    bad = tmp_path / "big.ckpt"
+    save_checkpoint(bad, model)
+    first = load_manifest(gen_dir / "manifest.json").split_entries("test")[0]
+    with np.errstate(over="ignore"):
+        code = run(["eval", "--data", gen_dir, "--out", tmp_path / "ev", "--checkpoint", bad,
+                    "--split", "test", "--write-meshes"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"numerical error: test mesh {Path(first.wounded_file).stem}: non-finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev" / "eval_test.json").exists()
+    assert not list((tmp_path / "ev").glob("*.ply"))
 
 
 def _header(raw: bytes) -> tuple[dict, bytes]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from woundfill import Mesh, icosphere, load_mesh, load_mesh_path, save_mesh, save_mesh_path
+from woundfill import Mesh, icosahedron, icosphere, load_mesh, load_mesh_path, save_mesh, save_mesh_path
 from woundfill.errors import MeshError, MeshFormatError, WoundfillError
 
 
@@ -109,6 +109,25 @@ def test_ply_duplicate_vertex_property_is_format_error():
         b"end_header\n" + bytes(16)
     )
     with pytest.raises(MeshFormatError, match="line 6: duplicate vertex property 'x'"):
+        load_mesh(data, "ply")
+
+
+@pytest.mark.parametrize("element,line", [("vertex", 7), ("face", 9)])
+def test_ply_duplicate_element_is_format_error(element, line):
+    # a repeated element block used to replace the first: the icosahedron with a second
+    # 12-vertex block of zeros loaded as 12 vertices at the origin
+    data = save_mesh(icosahedron(), "ply")
+    end = data.index(b"end_header\n")
+    header, body = data[:end], data[end:]
+    vertex_block = b"element vertex 12\nproperty float x\nproperty float y\nproperty float z\n"
+    face_block = b"element face 20\nproperty list uchar int vertex_indices\n"
+    assert header.count(vertex_block) == header.count(face_block) == 1
+    if element == "vertex":
+        data = header.replace(vertex_block, 2 * vertex_block) + body.replace(
+            b"end_header\n", b"end_header\n" + bytes(12 * 12), 1)
+    else:
+        data = header + face_block + body + body[len(b"end_header\n") + 12 * 12:]
+    with pytest.raises(MeshFormatError, match=f"line {line}: duplicate element '{element}'"):
         load_mesh(data, "ply")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import finite_difference, reference_pool, reference_reverse
 from woundfill import Architecture, Autoencoder, icosphere, reconstruction_loss
+from woundfill import model as model_module
 from woundfill import ops
 from woundfill.errors import ConfigError, NumericalError, as_json, from_json
 from woundfill.model import parameter_shapes
@@ -82,7 +83,7 @@ def test_residual_path_starts_as_average_pooling():
 
     x = np.random.default_rng(1).normal(size=(42, 3))
     pool_t = model.hierarchy.pool_down[0]
-    assert np.allclose(vd_res(blk.res, pool_t, x), reference_pool(pool_t, x),
+    assert np.allclose(vd_res(blk.res, pool_t, x)[0], reference_pool(pool_t, x),
                        atol=1e-14)
 
 
@@ -246,3 +247,17 @@ def test_backward_does_not_form_the_first_blocks_input_gradient(branchy_model, m
     seen.clear()
     model.input_gradient(cache, g)
     assert enc0_dx <= set(seen)
+
+
+def test_backward_runs_each_public_backward_once_per_block(branchy_model, monkeypatch):
+    mesh, model = branchy_model
+    calls = []
+    for name in ("vc_conv_backward", "vd_res_backward"):
+        real = getattr(model_module, name)
+        monkeypatch.setattr(model_module, name, lambda *args, name=name, real=real: (
+            calls.append((name, args[0])) or real(*args)))
+    _, cache = model.forward(mesh.positions, keep_cache=True)
+    model.backward(cache, np.ones_like(mesh.positions))
+    for name, part in (("vc_conv_backward", "conv"), ("vd_res_backward", "res")):
+        seen = [params for called, params in calls if called == name]
+        assert [id(p) for p in seen] == [id(getattr(b, part)) for b in reversed(model.blocks)]

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,7 @@ def test_vc_conv_identity_configuration():
         basis=np.eye(d)[None, :, :], coeffs=np.ones((n, 1)), bias=np.zeros(d)
     )
     x = np.arange(n * d, dtype=float).reshape(n, d)
-    assert np.array_equal(vc_conv(params, topo, x), x)
+    assert np.array_equal(vc_conv(params, topo, x)[0], x)
 
 
 def test_vc_conv_hand_example():
@@ -60,7 +59,7 @@ def test_vc_conv_hand_example():
         bias=np.array([1.0]),
     )
     x = np.array([[5.0], [7.0]])
-    assert vc_conv(params, topo, x).tolist() == [[32.0]]
+    assert vc_conv(params, topo, x)[0].tolist() == [[32.0]]
 
 
 def test_vc_conv_zero_coeffs_gives_bias():
@@ -69,7 +68,7 @@ def test_vc_conv_zero_coeffs_gives_bias():
     params = init_vc_conv(rng, topo, 3, 2)
     params.coeffs[:] = 0.0
     params.bias = np.array([0.5, -1.5])
-    y = vc_conv(params, topo, rng.normal(size=(6, 3)))
+    y = vc_conv(params, topo, rng.normal(size=(6, 3)))[0]
     assert np.allclose(y, np.tile(params.bias, (4, 1)))
 
 
@@ -80,8 +79,9 @@ def test_vc_conv_linear_in_input():
     x = rng.normal(size=(8, 3))
     z = rng.normal(size=(8, 3))
     a, b = 1.7, -0.4
-    lhs = vc_conv(params, topo, a * x + b * z)
-    rhs = a * vc_conv(params, topo, x) + b * vc_conv(params, topo, z) - (a + b - 1) * params.bias
+    lhs = vc_conv(params, topo, a * x + b * z)[0]
+    rhs = (a * vc_conv(params, topo, x)[0] + b * vc_conv(params, topo, z)[0]
+           - (a + b - 1) * params.bias)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_trans_conv_equals_conv_on_identity_topology():
     topo = identity_topology(n, m=2)
     params = init_vc_conv(rng, topo, 3, 3)
     x = rng.normal(size=(n, 3))
-    assert np.allclose(vc_conv(params, topo.transposed, x), vc_conv(params, topo, x))
+    assert np.allclose(vc_conv(params, topo.transposed, x)[0], vc_conv(params, topo, x)[0])
 
 
 def test_trans_conv_up_then_down_neighborhood_sums():
@@ -124,12 +124,12 @@ def test_trans_conv_up_then_down_neighborhood_sums():
         basis=np.array([[[1.0]]]), coeffs=np.ones((tr.edge_count, 1)), bias=np.zeros(1)
     )
     coarse = np.array([[2.0], [5.0]])
-    up = vc_conv(params_up, tr, coarse)
+    up = vc_conv(params_up, tr, coarse)[0]
     assert up.tolist() == [[2.0], [2.0], [5.0], [5.0]]
     params_down = VcConvParams(
         basis=np.array([[[1.0]]]), coeffs=np.ones((topo.edge_count, 1)), bias=np.zeros(1)
     )
-    down = vc_conv(params_down, topo, up)
+    down = vc_conv(params_down, topo, up)[0]
     assert down.tolist() == [[4.0], [10.0]]  # neighborhood sums
 
 
@@ -138,7 +138,7 @@ def test_trans_conv_zero_input_gives_bias():
     topo = random_topology(rng, 6, 3)
     tr = topo.transposed
     params = init_vc_conv(rng, tr, 2, 4)
-    y = vc_conv(params, tr, np.zeros((3, 2)))
+    y = vc_conv(params, tr, np.zeros((3, 2)))[0]
     assert np.allclose(y, np.tile(params.bias, (6, 1)))
 
 
@@ -149,7 +149,7 @@ def test_vd_density_normalization_hand_case():
     topo = ConvTopology(3, 1, np.array([0, 3]), np.array([0, 1, 2]), basis_count=1)
     params = VdParams(rho=np.array([2.0, -2.0, 4.0]))
     x = np.eye(3)
-    y = vd_res(params, topo, x)
+    y = vd_res(params, topo, x)[0]
     assert np.allclose(y, [[0.25, 0.25, 0.5]])
 
 
@@ -158,7 +158,7 @@ def test_vd_equal_rho_is_average_pooling():
     topo = random_topology(rng, 9, 4)
     params = VdParams(rho=np.full(topo.edge_count, 3.7))
     x = rng.normal(size=(9, 5))
-    assert np.allclose(vd_res(params, topo, x), reference_pool(topo, x),
+    assert np.allclose(vd_res(params, topo, x)[0], reference_pool(topo, x),
                        atol=1e-14)
 
 
@@ -167,7 +167,7 @@ def test_vd_preserves_constant_input():
     topo = random_topology(rng, 7, 3)
     params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.1)
     c = np.full((7, 2), 3.25)
-    assert np.allclose(vd_res(params, topo, c), 3.25)
+    assert np.allclose(vd_res(params, topo, c)[0], 3.25)
 
 
 def test_vd_output_in_convex_hull():
@@ -178,7 +178,7 @@ def test_vd_output_in_convex_hull():
                for s, e in zip(topo.indptr[:-1], topo.indptr[1:])]):
         params.rho += 0.01
     x = rng.normal(size=(10, 3))
-    y = vd_res(params, topo, x)
+    y = vd_res(params, topo, x)[0]
     lo = np.minimum.reduceat(x[topo.indices], topo.indptr[:-1], axis=0)
     hi = np.maximum.reduceat(x[topo.indices], topo.indptr[:-1], axis=0)
     assert np.all(y >= lo - 1e-12)
@@ -195,20 +195,20 @@ def test_vd_res_identity_matrix_is_mean():
     topo = ConvTopology(4, 2, np.array([0, 2, 4]), np.array([0, 1, 2, 3]), basis_count=1)
     params = VdParams(rho=np.ones(4), matrix=None)
     x = np.array([[1.0], [3.0], [10.0], [20.0]])
-    assert vd_res(params, topo, x).tolist() == [[2.0], [15.0]]
+    assert vd_res(params, topo, x)[0].tolist() == [[2.0], [15.0]]
 
 
 def test_vd_res_hand_example():
     topo = ConvTopology(1, 1, np.array([0, 1]), np.array([0]), basis_count=1)
     params = VdParams(rho=np.array([1.0]), matrix=np.array([[2.0]]))
-    assert vd_res(params, topo, np.array([[3.0]])).tolist() == [[6.0]]
+    assert vd_res(params, topo, np.array([[3.0]]))[0].tolist() == [[6.0]]
 
 
 def test_vd_res_zero_input_zero_output():
     rng = np.random.default_rng(9)
     topo = random_topology(rng, 6, 3)
     params = init_vd(rng, topo, 4, 2)
-    assert np.allclose(vd_res(params, topo, np.zeros((6, 4))), 0.0)
+    assert np.allclose(vd_res(params, topo, np.zeros((6, 4)))[0], 0.0)
 
 
 def test_vd_res_shape_mismatch():
@@ -227,7 +227,7 @@ def test_vd_normalization_sums_to_one(rho_list):
     topo = ConvTopology(len(rho), 1, np.array([0, len(rho)]), np.arange(len(rho)),
                         basis_count=1)
     weights = np.abs(rho) / np.abs(rho).sum()
-    y = vd_res(VdParams(rho=rho), topo, np.ones((len(rho), 1)))
+    y = vd_res(VdParams(rho=rho), topo, np.ones((len(rho), 1)))[0]
     assert np.all(weights >= 0)
     assert abs(weights.sum() - 1.0) < 1e-12
     assert abs(float(y[0, 0]) - 1.0) < 1e-12
@@ -274,9 +274,9 @@ def test_vc_conv_gradients_match_finite_differences():
         params.bias = rng.normal(size=params.bias.shape)
         x = rng.normal(size=(7, *batch, i))
         w = rng.normal(size=(4, *batch, o))
-        dx, grads = vc_conv_backward(params, topo, x, w)
+        dx, grads = vc_conv_backward(params, topo, vc_conv(params, topo, x)[1], w)
         worst = finite_difference(
-            lambda: float((w * vc_conv(params, topo, x)).sum()),
+            lambda: float((w * vc_conv(params, topo, x)[0]).sum()),
             [x, params.basis, params.coeffs, params.bias],
             [dx, grads["basis"], grads["coeffs"], grads["bias"]],
         )
@@ -290,9 +290,9 @@ def test_vd_aggregate_gradients_match_finite_differences():
         params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
         x = rng.normal(size=(8, *batch, 3))
         w = rng.normal(size=(4, *batch, 3))
-        dx, grads = vd_res_backward(params, topo, x, w)
+        dx, grads = vd_res_backward(params, topo, vd_res(params, topo, x)[1], w)
         worst = finite_difference(
-            lambda: float((w * vd_res(params, topo, x)).sum()),
+            lambda: float((w * vd_res(params, topo, x)[0]).sum()),
             [x, params.rho],
             [dx, grads["rho"]],
         )
@@ -357,8 +357,9 @@ def _check_against_oracle(rng, topo, in_dim, out_dim, m):
     params = _random_params(rng, topo, in_dim, out_dim, m)
     x = rng.normal(size=(topo.n_in, in_dim))
     g = rng.normal(size=(topo.n_out, out_dim))
-    _assert_matches(vc_conv(params, topo, x), _vc_conv_oracle(params, topo, x))
-    d_x, grads = vc_conv_backward(params, topo, x, g)
+    y, saved = vc_conv(params, topo, x)
+    _assert_matches(y, _vc_conv_oracle(params, topo, x))
+    d_x, grads = vc_conv_backward(params, topo, saved, g)
     ref_x, ref = _vc_conv_backward_oracle(params, topo, x, g)
     _assert_matches(d_x, ref_x)
     for key in ("basis", "coeffs", "bias"):
@@ -402,8 +403,8 @@ def test_vc_conv_input_gradient_is_the_transposed_conv(monkeypatch, block_edges,
                         np.zeros(in_dim))
     x = rng.normal(size=(topo.n_in, *batch, in_dim))
     g = rng.normal(size=(topo.n_out, *batch, out_dim))
-    d_x, _ = vc_conv_backward(params, topo, x, g)
-    _assert_matches(d_x, vc_conv(dual, topo.transposed, g))
+    d_x, _ = vc_conv_backward(params, topo, vc_conv(params, topo, x)[1], g)
+    _assert_matches(d_x, vc_conv(dual, topo.transposed, g)[0])
 
 
 @pytest.mark.parametrize("block_edges", ["3", "default"])
@@ -454,8 +455,12 @@ def test_vc_conv_repeats_byte_for_byte(in_dim, out_dim):
     params = _random_params(rng, topo, in_dim, out_dim, 4)
     x = rng.normal(size=(topo.n_in, in_dim))
     g = rng.normal(size=(topo.n_out, out_dim))
-    first = [vc_conv(params, topo, x), *vc_conv_backward(params, topo, x, g)]
-    second = [vc_conv(params, topo, x), *vc_conv_backward(params, topo, x, g)]
+
+    def run():
+        y, saved = vc_conv(params, topo, x)
+        return [y, *vc_conv_backward(params, topo, saved, g)]
+
+    first, second = run(), run()
     for a, b in zip(first, second):
         a, b = (list(v.values()) if isinstance(v, dict) else [v] for v in (a, b))
         assert [v.tobytes() for v in a] == [v.tobytes() for v in b]
@@ -467,11 +472,15 @@ def test_vc_conv_repeats_byte_for_byte(in_dim, out_dim):
 SCRATCH_BUDGET = 6_000_000
 
 
-def _returned_bytes(value) -> int:
+def _returned_bytes(value, inputs) -> int:
+    """Bytes of the arrays in a call's result, except those on the memory of its inputs
+    (the saved x of a forward, a residual matrix's transpose in a density layer's saved form)."""
     if isinstance(value, np.ndarray):
-        return value.nbytes
+        return 0 if any(np.may_share_memory(value, a) for a in inputs) else value.nbytes
+    if isinstance(value, VcConvParams):
+        value = vars(value)
     values = value.values() if isinstance(value, dict) else value
-    return sum(_returned_bytes(v) for v in values)
+    return sum(_returned_bytes(v, inputs) for v in values)
 
 
 def _check_scratch(subdivisions, batch, budget, pool=False):
@@ -490,7 +499,9 @@ def _check_scratch(subdivisions, batch, budget, pool=False):
         params = init(rng, topo, in_dim, out_dim)
         x = rng.normal(size=(topo.n_in, *batch, in_dim))
         g = rng.normal(size=(topo.n_out, *batch, out_dim))
-        calls = ((forward, (params, topo, x)), (backward, (params, topo, x, g)))
+        inputs = [x, g, *(v for v in vars(params).values() if v is not None)]
+        _, saved = forward(params, topo, x)
+        calls = ((forward, (params, topo, x)), (backward, (params, topo, saved, g)))
         for kernel, args in calls:
             kernel(*args)  # builds the topology's cached index plans
             tracemalloc.start()
@@ -499,7 +510,7 @@ def _check_scratch(subdivisions, batch, budget, pool=False):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            scratch = peak - _returned_bytes(out)
+            scratch = peak - _returned_bytes(out, inputs)
             assert scratch < budget, (kernel.__name__, in_dim, out_dim, scratch)
 
 
@@ -548,7 +559,7 @@ def test_vd_aggregate_input_gradient_matches_add_at():
         params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
         x = rng.normal(size=(n_in, 5))
         g = rng.normal(size=(n_out, 5))
-        d_x, _ = vd_res_backward(params, topo, x, g)
+        d_x, _ = vd_res_backward(params, topo, vd_res(params, topo, x)[1], g)
         absr = np.abs(params.rho)
         sums = np.zeros(n_out)
         np.add.at(sums, topo.rows(), absr)
@@ -564,9 +575,10 @@ def test_vd_res_backward_aggregates_once():
     x = rng.normal(size=(14, 3))
     g = rng.normal(size=(6, 4))
     pool = VdParams(params.rho)  # the same densities without the matrix: vdPool
-    d_x, grads = vd_res_backward(params, topo, x, g)
-    assert np.array_equal(grads["matrix"], g.T @ vd_res(pool, topo, x))
-    ref_dx, ref = vd_res_backward(pool, topo, x, g @ params.matrix)
+    d_x, grads = vd_res_backward(params, topo, vd_res(params, topo, x)[1], g)
+    pooled, pool_saved = vd_res(pool, topo, x)
+    assert np.array_equal(grads["matrix"], g.T @ pooled)
+    ref_dx, ref = vd_res_backward(pool, topo, pool_saved, g @ params.matrix)
     assert np.array_equal(d_x, ref_dx)
     assert np.array_equal(grads["rho"], ref["rho"])
 
@@ -626,8 +638,9 @@ def test_vd_res_matches_reduceat_reference(monkeypatch, block_edges, in_dim, out
         x = rng.normal(size=(topo.n_in, *batch, in_dim))
         g = rng.normal(size=(topo.n_out, *batch, out_dim))
         y, ref_x, ref = _vd_res_oracle(params, topo, x, g)
-        _assert_matches(vd_res(params, topo, x), y)
-        d_x, grads = vd_res_backward(params, topo, x, g)
+        out, saved = vd_res(params, topo, x)
+        _assert_matches(out, y)
+        d_x, grads = vd_res_backward(params, topo, saved, g)
         _assert_matches(d_x, ref_x)
         assert sorted(grads) == sorted(ref)
         for key in ref:
@@ -639,7 +652,8 @@ def test_vd_res_matches_reduceat_reference(monkeypatch, block_edges, in_dim, out
 def test_rho_subgradient_zero_at_kink():
     topo = ConvTopology(2, 1, np.array([0, 2]), np.array([0, 1]), basis_count=1)
     params = VdParams(rho=np.array([0.0, 1.0]))
-    _, grads = vd_res_backward(params, topo, np.array([[1.0], [2.0]]), np.array([[1.0]]))
+    _, saved = vd_res(params, topo, np.array([[1.0], [2.0]]))
+    _, grads = vd_res_backward(params, topo, saved, np.array([[1.0]]))
     assert grads["rho"][0] == 0.0
 
 
@@ -647,7 +661,8 @@ def test_backward_dispatch_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(12)
     topo = random_topology(rng, 6, 3)
     params = init_vc_conv(rng, topo, 2, 2)
-    dx, grads = vc_conv_backward(params, topo, rng.normal(size=(6, 2)), np.zeros((3, 2)))
+    _, saved = vc_conv(params, topo, rng.normal(size=(6, 2)))
+    dx, grads = vc_conv_backward(params, topo, saved, np.zeros((3, 2)))
     assert not dx.any()
     assert all(not g.any() for g in grads.values())
 
@@ -657,7 +672,7 @@ def test_backward_identity_conv_sum_loss_gradient_is_ones():
     topo = identity_topology(n)
     params = VcConvParams(basis=np.eye(d)[None], coeffs=np.ones((n, 1)), bias=np.zeros(d))
     x = np.random.default_rng(13).normal(size=(n, d))
-    dx, _ = vc_conv_backward(params, topo, x, np.ones((n, d)))
+    dx, _ = vc_conv_backward(params, topo, vc_conv(params, topo, x)[1], np.ones((n, d)))
     assert np.allclose(dx, 1.0)
 
 
@@ -667,8 +682,9 @@ def test_backward_rejects_nonfinite_upstream():
     params = init_vc_conv(rng, topo, 2, 2)
     g = np.zeros((3, 2))
     g[0, 0] = np.nan
+    _, saved = vc_conv(params, topo, np.zeros((5, 2)))
     with pytest.raises(NumericalError, match="upstream"):
-        vc_conv_backward(params, topo, np.zeros((5, 2)), g)
+        vc_conv_backward(params, topo, saved, g)
 
 
 def test_elu_backward_matches_finite_differences():
@@ -690,19 +706,21 @@ def test_batch_gradients_match_finite_differences(op):
     if op == "vc_trans_conv":
         params = _random_params(rng, topo.transposed, i, o, topo.basis_count)
         x, w = rng.normal(size=(5, 3, i)), rng.normal(size=(8, 3, o))
-        dx, grads = vc_conv_backward(params, topo.transposed, x, w)
+        _, saved = vc_conv(params, topo.transposed, x)
+        dx, grads = vc_conv_backward(params, topo.transposed, saved, w)
         arrays = [x, params.basis, params.coeffs, params.bias]
-        worst = finite_difference(lambda: float((w * vc_conv(params, topo.transposed, x)).sum()),
-                                  arrays, [dx, grads["basis"], grads["coeffs"], grads["bias"]])
+        worst = finite_difference(
+            lambda: float((w * vc_conv(params, topo.transposed, x)[0]).sum()),
+            arrays, [dx, grads["basis"], grads["coeffs"], grads["bias"]])
     elif op.startswith("vd_res"):
         matrix = None if op.endswith("identity") else rng.normal(size=(o, i))
         params = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2, matrix=matrix)
         x, w = rng.normal(size=(8, 3, i)), rng.normal(size=(5, 3, i if matrix is None else o))
-        dx, grads = vd_res_backward(params, topo, x, w)
+        dx, grads = vd_res_backward(params, topo, vd_res(params, topo, x)[1], w)
         arrays, analytic = [x, params.rho], [dx, grads["rho"]]
         if matrix is not None:
             arrays, analytic = arrays + [matrix], analytic + [grads["matrix"]]
-        worst = finite_difference(lambda: float((w * vd_res(params, topo, x)).sum()),
+        worst = finite_difference(lambda: float((w * vd_res(params, topo, x)[0]).sum()),
                                   arrays, analytic)
     else:
         x = rng.normal(size=(6, 3, 2))
@@ -722,14 +740,20 @@ def _batch_cases(rng):
     vd = VdParams(rho=rng.normal(size=topo.edge_count) + 0.2)
     res = VdParams(rho=vd.rho, matrix=rng.normal(size=(4, 3)))
     fwd_bwd = [
-        ("vc_conv", partial(vc_conv, conv, topo), partial(vc_conv_backward, conv, topo), 4),
+        ("vc_conv", *_pair(vc_conv, vc_conv_backward, conv, topo), 4),
         # vcTransConv of the transposed topology, back onto topo's rows
-        ("vcTransConv", partial(vc_conv, trans, topo.transposed.transposed),
-         partial(vc_conv_backward, trans, topo.transposed.transposed), 4),
-        ("vdPool", partial(vd_res, vd, topo), partial(vd_res_backward, vd, topo), 3),
-        ("vd_res", partial(vd_res, res, topo), partial(vd_res_backward, res, topo), 4),
+        ("vcTransConv", *_pair(vc_conv, vc_conv_backward, trans, topo.transposed.transposed), 4),
+        ("vdPool", *_pair(vd_res, vd_res_backward, vd, topo), 3),
+        ("vd_res", *_pair(vd_res, vd_res_backward, res, topo), 4),
     ]
     return topo, fwd_bwd
+
+
+def _pair(forward, backward, params, topology):
+    """(forward(x) -> y, backward(x, g)) of one operator; backward first runs the forward
+    on x for the arrays it saves."""
+    return (lambda x: forward(params, topology, x)[0],
+            lambda x, g: backward(params, topology, forward(params, topology, x)[1], g))
 
 
 def test_batch_runs_each_sample_as_its_own_map():
@@ -773,7 +797,7 @@ def test_init_vd_starts_as_average_pooling():
     params = init_vd(rng, topo, 3, 3)
     x = rng.normal(size=(9, 3))
     assert params.matrix is None
-    assert np.allclose(vd_res(params, topo, x), reference_pool(topo, x),
+    assert np.allclose(vd_res(params, topo, x)[0], reference_pool(topo, x),
                        atol=1e-14)
 
 

@@ -17,7 +17,7 @@ from woundfill import (
     train,
 )
 from woundfill.checkpoint import load_checkpoint
-from woundfill.errors import DataError, MeshError, MeshFormatError
+from woundfill.errors import DataError, MeshError, MeshFormatError, NumericalError
 from woundfill.train import EvalReport, load_pairs
 
 train_module = importlib.import_module("woundfill.train")  # the name `train` is the function
@@ -155,6 +155,18 @@ def test_train_runs_each_uneven_batch_as_one_stack(tmp_path, monkeypatch):
     train_batches = [(42, 2, 3), (42, 2, 3), (42, 1, 3)]
     assert backwards == train_batches * 4  # two epochs of two runs
     assert forwards == (train_batches + [(42, 2, 3), (42, 1, 3)]) * 4
+
+
+def test_non_finite_val_loss_is_a_numerical_error_before_its_row(dataset, tmp_path):
+    # one Adam step at lr 1e100 leaves parameters whose val forward overflows to NaN; the
+    # run used to end normally, saving no checkpoint and writing a `0,val,nan` row
+    manifest, root = dataset
+    settings = TrainSettings(lr=1e100, epochs=1, max_steps=1, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match=r"^validation diverged: loss=nan at epoch 0$"):
+        train(manifest, root, ARCH, settings, tmp_path)
+    assert not (tmp_path / "model.ckpt").exists()
+    assert (tmp_path / "metrics.csv").read_text() == "epoch,split,loss\n"
 
 
 def test_train_input_target_mode(dataset, tmp_path):
