@@ -39,7 +39,8 @@ vc_conv_backward and vd_res_backward take saved and the upstream gradient,
 and form d_x only when input_grad is true (a model's first block does not
 need it). At V=2562, widths 3/16/32 and B = 4 the saved products of a
 model's forward come to 4.2 MiB. Each operator checks its own input, each
-backward its own upstream gradient, for shape and finiteness.
+backward its own upstream gradient, for shape and finiteness; a backward also
+checks the saved input and its layer's coefficients against its topology.
 
 Operators:
   vc_conv        y_i = sum_j (sum_k a_ijk B_k)^T x_ij + b; vcTransConv is vc_conv
@@ -268,6 +269,14 @@ def _check_coeffs(params: VcConvParams, topology: ConvTopology) -> None:
         )
 
 
+def _check_saved(x: np.ndarray, conv: VcConvParams, topology: ConvTopology) -> None:
+    """A backward's saved x and layer against its topology: the kernels clip coeffs
+    gathers, so a mismatched layer would reuse rows instead of failing."""
+    if x.shape[0] != topology.n_in:
+        raise MeshError(f"saved input has {x.shape[0]} rows, topology expects {topology.n_in}")
+    _check_coeffs(conv, topology)
+
+
 def _vertex_products(x: np.ndarray, params: VcConvParams) -> np.ndarray:
     """t_j = (x_j^T B_k)_k of every input vertex j, as (n_in, M, B*O): row k holds x_jb^T B_k
     for each sample b in turn."""
@@ -310,6 +319,7 @@ def vc_conv_backward(
     """(d_x, parameter gradients) of the vc_conv call that returned `saved`; d_x is None
     unless input_grad. On a batch, each parameter gradient sums over the samples."""
     x, product = saved
+    _check_saved(x, params, topology)
     g = _check_grad(grad_out, _out_shape(x, topology.n_out, params.out_dim))
     return _conv_backward(params, topology, x, product, g, input_grad)
 
@@ -345,6 +355,11 @@ def _conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
 # --- vdPool / vdUnpool / vdRes -------------------------------------------
 
 
+def _check_rho(params: VdParams, topology: ConvTopology) -> None:
+    if np.shape(params.rho) != (topology.edge_count,):
+        raise MeshError(f"rho shape {np.shape(params.rho)} != (edges={topology.edge_count},)")
+
+
 def _density_conv(
     params: VdParams, topology: ConvTopology, x: np.ndarray
 ) -> tuple[VcConvParams, np.ndarray]:
@@ -358,10 +373,8 @@ def _density_conv(
         raise MeshError(
             f"residual matrix shape {params.matrix.shape} does not accept {d}-d features"
         )
-    rho = np.asarray(params.rho, dtype=np.float64)
-    if rho.shape != (topology.edge_count,):
-        raise MeshError(f"rho shape {rho.shape} != (edges={topology.edge_count},)")
-    absr = np.abs(rho)
+    _check_rho(params, topology)
+    absr = np.abs(np.asarray(params.rho, dtype=np.float64))
     sums = _segment_sums(absr, topology.indptr)
     if (sums <= 0).any():
         raise NumericalError(
@@ -388,6 +401,8 @@ def vd_res_backward(
     """(d_x, grads) of the vd_res call that returned `saved`; d_x is None unless
     input_grad. On a batch, the rho and matrix gradients sum over the samples."""
     x, product, conv, sums = saved
+    _check_saved(x, conv, topology)
+    _check_rho(params, topology)
     g = _check_grad(grad_out, _out_shape(x, topology.n_out, conv.out_dim))
     d_x, grads = _conv_backward(conv, topology, x, product, g, input_grad)
     # r'_e = |rho_e| / S_i, so d|rho_e| = (d r'_e - sum_f d r'_f r'_f) / S_i over

@@ -231,7 +231,8 @@ def evaluate(
     another digest is a DataError before the first forward, and a mesh whose
     distances are not all finite a NumericalError before its record. With out_dir
     set, each reconstruction is written as PLY with a per-vertex `error`
-    channel for distance color maps.
+    channel for distance color maps, as its mesh is evaluated: after a
+    NumericalError, the PLYs of the meshes before the failing one remain.
     """
     pairs = load_pairs(manifest, data_dir, split)
     if not pairs:

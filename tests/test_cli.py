@@ -373,6 +373,30 @@ def test_overflowing_checkpoint_eval_exits_3_before_writing(tmp_path, capsys, ge
     assert not list((tmp_path / "ev").glob("*.ply"))
 
 
+def test_eval_diverging_on_a_later_mesh_keeps_the_earlier_reconstructions(
+        tmp_path, capsys, gen_dir, monkeypatch):
+    model = Autoencoder.build(load_mesh_path(gen_dir / "0000_gt.ply"),
+                              Architecture((1.0, 0.3), (3, 8)), 0)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model)
+    forward, calls = Autoencoder.forward, []
+
+    def nan_after_the_first(self, x, keep_cache=False):
+        calls.append(1)
+        y = forward(self, x, keep_cache)
+        return y if len(calls) == 1 else np.full_like(y, np.nan)
+
+    monkeypatch.setattr(Autoencoder, "forward", nan_after_the_first)
+    first, second = (Path(e.wounded_file).stem for e in
+                     load_manifest(gen_dir / "manifest.json").split_entries("test")[:2])
+    assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev", "--checkpoint", ckpt,
+                "--split", "test", "--write-meshes"]) == 3
+    assert f"numerical error: test mesh {second}: non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "eval_test.json").exists()
+    # the meshes before the failing one were written as they were evaluated
+    assert sorted(p.name for p in (tmp_path / "ev").glob("*.ply")) == [f"{first}_recon.ply"]
+
+
 def _header(raw: bytes) -> tuple[dict, bytes]:
     """(header, parameter bytes) of a checkpoint file's contents."""
     start = len(MAGIC) + 8

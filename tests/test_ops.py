@@ -472,15 +472,11 @@ def test_vc_conv_repeats_byte_for_byte(in_dim, out_dim):
 SCRATCH_BUDGET = 6_000_000
 
 
-def _returned_bytes(value, inputs) -> int:
-    """Bytes of the arrays in a call's result, except those on the memory of its inputs
-    (the saved x of a forward, a residual matrix's transpose in a density layer's saved form)."""
+def _returned_bytes(value) -> int:
     if isinstance(value, np.ndarray):
-        return 0 if any(np.may_share_memory(value, a) for a in inputs) else value.nbytes
-    if isinstance(value, VcConvParams):
-        value = vars(value)
+        return value.nbytes
     values = value.values() if isinstance(value, dict) else value
-    return sum(_returned_bytes(v, inputs) for v in values)
+    return sum(_returned_bytes(v) for v in values)
 
 
 def _check_scratch(subdivisions, batch, budget, pool=False):
@@ -499,7 +495,6 @@ def _check_scratch(subdivisions, batch, budget, pool=False):
         params = init(rng, topo, in_dim, out_dim)
         x = rng.normal(size=(topo.n_in, *batch, in_dim))
         g = rng.normal(size=(topo.n_out, *batch, out_dim))
-        inputs = [x, g, *(v for v in vars(params).values() if v is not None)]
         _, saved = forward(params, topo, x)
         calls = ((forward, (params, topo, x)), (backward, (params, topo, saved, g)))
         for kernel, args in calls:
@@ -510,7 +505,8 @@ def _check_scratch(subdivisions, batch, budget, pool=False):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            scratch = peak - _returned_bytes(out, inputs)
+            # a forward's saved arrays count as scratch: only y is its result
+            scratch = peak - _returned_bytes(out[0] if kernel is forward else out)
             assert scratch < budget, (kernel.__name__, in_dim, out_dim, scratch)
 
 
@@ -786,6 +782,26 @@ def test_batch_shapes_are_checked():
                 backward(x, np.zeros(bad))
     with pytest.raises(MeshError, match="gradient"):
         elu_backward(x, np.zeros((topo.n_in, 3, 3)))
+
+
+def test_backward_rejects_a_topology_other_than_the_forwards():
+    # the kernels clip their coeffs gathers, so a topology with more edges than the
+    # forward's layer would reuse the last coeffs row instead of failing
+    rng = np.random.default_rng(29)
+    topo = random_topology(rng, 6, 3, max_degree=2)
+    wider = ConvTopology(6, 3, np.arange(0, 19, 6), np.tile(np.arange(6), 3), basis_count=3)
+    x = rng.normal(size=(6, 2))
+    conv, res = init_vc_conv(rng, topo, 2, 2), init_vd(rng, topo, 2, 3)
+    layers = ((conv, vc_conv, vc_conv_backward, 2), (res, vd_res, vd_res_backward, 3))
+    for params, forward, backward, out_dim in layers:
+        _, saved = forward(params, topo, x)
+        with pytest.raises(MeshError, match="coeffs"):
+            backward(params, wider, saved, np.zeros((3, out_dim)))
+        with pytest.raises(MeshError, match="saved input has 6 rows"):
+            backward(params, topo.transposed, saved, np.zeros((6, out_dim)))
+    _, saved = vd_res(res, topo, x)
+    with pytest.raises(MeshError, match="rho shape"):
+        vd_res_backward(VdParams(np.ones(1), res.matrix), topo, saved, np.zeros((3, 3)))
 
 
 # --- init ---------------------------------------------------------------------
