@@ -1,7 +1,8 @@
 """Single-file checkpoints: magic, scalar JSON header, float64 then int64 blocks.
 
 Format 3 lays a file out as: MAGIC; the header length as <Q; the JSON
-header; the parameter blocks as <f8, in Autoencoder.parameters() order;
+header; the parameter blocks as <f8, in Autoencoder.parameters() order,
+which is the model's parameter vector written in one piece;
 the hierarchy's index blocks as <i8: levels, parents, then each down
 topology's indptr and indices, conv_down before pool_down. The header
 holds scalars only: the architecture, `extra`, the block index and the
@@ -17,9 +18,10 @@ the reader does not know, raises DataError naming it. The byte count after
 the header must equal what the header declares before any array is made;
 the index blocks then build the hierarchy, whose own checks (ascending
 rows, coverage, level joins) become DataErrors, and the block index must
-equal exactly what model.parameter_shapes gives for it. A block holding a
-NaN or an infinity is refused by name; the model is built from the file's
-blocks, drawing nothing.
+equal exactly what model.parameter_shapes gives for it. The parameter
+blocks are read with one readinto into the vector the model then adopts,
+drawing nothing; a NaN or an infinity anywhere in it is refused, naming its
+block.
 """
 
 from __future__ import annotations
@@ -81,13 +83,12 @@ class _Header:
 
 
 def save_checkpoint(path, model: Autoencoder, extra: dict | None = None) -> None:
-    params = model.parameters()
     h = model.hierarchy
     topologies = [tuple(_TopologyEntry(t.n_in, t.n_out, t.edge_count, t.basis_count) for t in ts)
                   for ts in (h.conv_down, h.pool_down)]
     header = _Header(FORMAT_VERSION, model.architecture,
                      _HierarchyEntry(h.faces_sha256, tuple(h.level_sizes()), *topologies),
-                     tuple(_BlockEntry(k, v.shape) for k, v in params.items()), extra or {})
+                     tuple(_BlockEntry(k, v) for k, v in model.shapes.items()), extra or {})
     header_bytes = json.dumps(as_json(header), sort_keys=True).encode("utf-8")
     index_blocks = [*h.levels, *h.parents,
                     *(a for t in h.conv_down + h.pool_down for a in (t.indptr, t.indices))]
@@ -98,8 +99,7 @@ def save_checkpoint(path, model: Autoencoder, extra: dict | None = None) -> None
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
-            for v in params.values():
-                fh.write(np.ascontiguousarray(v, dtype="<f8"))
+            fh.write(np.ascontiguousarray(model.vector, dtype="<f8"))
             for a in index_blocks:
                 fh.write(np.ascontiguousarray(a, dtype="<i8"))
             fh.flush()
@@ -154,7 +154,7 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
             raise DataError(f"{path}: checkpoint blocks run past the end of the file")
         if size - start - header_len > body:
             raise DataError(f"{path}: trailing bytes after the checkpoint blocks")
-        floats = [_read_into(fh, np.empty(n, dtype="<f8"), path) for n in counts]
+        vector = _read_into(fh, np.empty(sum(counts), dtype="<f8"), path)
         ints = _read_into(fh, np.empty(sum(lengths), dtype="<i8"), path)
     arrays = iter(np.split(ints, np.cumsum(lengths)[:-1]))
     n_levels = len(h.level_sizes)
@@ -171,10 +171,10 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
     shapes = parameter_shapes(hierarchy, architecture)
     if [(b.name, b.shape) for b in header.blocks] != list(shapes.items()):
         raise DataError(f"{path}: parameter blocks do not match the architecture")
-    params = {}
-    for (name, shape), values in zip(shapes.items(), floats):
-        if not np.isfinite(values).all():
-            raise DataError(f"{path}: parameter block {name} holds non-finite values")
-        params[name] = values.astype(np.float64, copy=False).reshape(shape)
-    model = Autoencoder.from_parameters(hierarchy, architecture, params)
+    finite = np.isfinite(vector)
+    if not finite.all():
+        block = int(np.searchsorted(np.cumsum(counts), np.argmin(finite), side="right"))
+        raise DataError(f"{path}: parameter block {header.blocks[block].name} holds non-finite "
+                        "values")
+    model = Autoencoder(hierarchy, architecture, vector.astype(np.float64, copy=False))
     return model, header.extra

@@ -64,6 +64,13 @@ class NumericalError(WoundfillError):
     """Non-finite values where finite ones are required, or divergence."""
 
 
+def located(exc: MeshError | NumericalError, where: str) -> WoundfillError:
+    """A NumericalError, or else a MeshError, whose message is exc's prefixed with where;
+    the class decides the CLI exit code, so it stays what exc's class gives."""
+    kind = NumericalError if isinstance(exc, NumericalError) else MeshError
+    return kind(f"{where}: {exc}")
+
+
 _SCALARS = {int: int, float: (int, float), str: str, bool: bool, type(None): type(None)}
 
 

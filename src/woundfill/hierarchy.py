@@ -94,8 +94,12 @@ class ConvTopology:
         return np.diff(self.indptr)
 
     def rows(self) -> np.ndarray:
-        """Output-vertex index of every CSR edge."""
-        return np.repeat(np.arange(self.n_out), self.sizes)
+        """Output-vertex index of every CSR edge; built once per topology, read-only."""
+        rows = self.memo.get("rows")
+        if rows is None:
+            rows = self.memo["rows"] = np.repeat(np.arange(self.n_out), self.sizes)
+            rows.flags.writeable = False
+        return rows
 
     @cached_property
     def transpose_order(self) -> tuple[np.ndarray, np.ndarray]:

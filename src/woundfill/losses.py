@@ -49,8 +49,15 @@ def vertex_distance(a, b) -> np.ndarray:
     return np.linalg.norm(pa - pb, axis=1)
 
 
-def reconstruction_loss(out, target, metric: str = "l2") -> tuple[float, np.ndarray]:
-    """Scalar loss and its gradient with respect to the output positions.
+def reconstruction_loss(out, target,
+                        metric: str = "l2") -> tuple[float | np.ndarray, np.ndarray]:
+    """(loss, gradient with respect to the output positions) of one mesh or a batch.
+
+    out and target are (n, 3) positions, giving a float loss, or vertex-major
+    batches (n, B, 3), giving the B per-sample losses as an array; each equals
+    bit for bit the loss of its sample alone (its sums run over a contiguous
+    copy, as they do for one sample). The gradient has out's shape, each
+    sample's part the gradient of that sample's loss.
 
     l2: mean over vertices of the Euclidean distance; the gradient of a
         zero-distance vertex is zero (the only bounded subgradient).
@@ -59,17 +66,19 @@ def reconstruction_loss(out, target, metric: str = "l2") -> tuple[float, np.ndar
     po, pt = _positions(out), _positions(target)
     if po.shape != pt.shape:
         raise MeshError(f"vertex count mismatch: {po.shape} vs {pt.shape}")
-    n = len(po)
+    n, batch = len(po), po.ndim == 3
     diff = po - pt
     if metric == "l2":
-        d = np.linalg.norm(diff, axis=1)
-        loss = float(d.mean())
+        d = np.linalg.norm(diff, axis=-1)
         grad = np.zeros_like(diff)
         nz = d > 0
         grad[nz] = diff[nz] / (n * d[nz, None])
-        return loss, grad
+        # per sample, a sum over its contiguous row of distances
+        return (np.ascontiguousarray(d.T).mean(axis=1) if batch else float(d.mean())), grad
     if metric == "l1":
-        loss = float(np.abs(diff).mean())
-        grad = np.sign(diff) / diff.size
-        return loss, grad
+        a = np.abs(diff)
+        # per sample, a sum over its contiguous row of n * 3 entries
+        loss = (a.transpose(1, 0, 2).reshape(po.shape[1], -1).mean(axis=1) if batch
+                else float(a.mean()))
+        return loss, np.sign(diff) / (n * diff.shape[-1])
     raise ConfigError(f"unknown metric {metric!r}")

@@ -170,7 +170,7 @@ def _load_ply(data: bytes, like: Mesh | None = None) -> Mesh:
     for name, count, dtype in layout:
         size = dtype.itemsize * count
         if (name == "face" and like is not None and count == like.n_faces
-                and data[offset:offset + size] == _face_records(like.faces, dtype)):
+                and data[offset:offset + size] == _like_records(like, dtype)):
             faces = like.faces  # the same records, so every count is 3
         else:
             raw = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
@@ -193,6 +193,15 @@ def _load_ply(data: bytes, like: Mesh | None = None) -> Mesh:
     if like is not None and faces is like.faces and len(positions) == like.n_vertices:
         return Mesh._on_faces_of(like, positions, attributes)
     return Mesh(positions, faces, attributes)
+
+
+def _like_records(like: Mesh, dtype: np.dtype) -> bytes:
+    """_face_records of like's (frozen) faces, built once per like and dtype and kept on
+    like: every file of a split is compared with the same records."""
+    memo = vars(like).setdefault("_ply_face_records", {})
+    if dtype not in memo:
+        memo[dtype] = _face_records(like.faces, dtype)
+    return memo[dtype]
 
 
 def _face_records(faces: np.ndarray, dtype: np.dtype) -> bytes:

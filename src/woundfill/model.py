@@ -21,16 +21,24 @@ backward reuses. forward(x, keep_cache=True) also returns, per block, the
 conv output and those saved arrays, so backward recomputes no forward
 product (4.2 MiB at V=2562, widths 3/16/32, B = 4). backward does not form
 the first block's input gradient, which training discards; input_gradient
-does.
+does. A MeshError or NumericalError raised by an operator names the block
+and layer it came from (enc0.res) and, in the forward, what fed it.
+
+The parameters live in one contiguous float64 vector, `Autoencoder.vector`,
+laid out as parameter_shapes orders them, which is also the checkpoint's
+block order. Every VcConvParams/VdParams field of the blocks is a reshaped
+view into it, so updating the vector in place (optim.adam_step) updates the
+model. backward writes the gradients into one vector of the same layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, MeshError, NumericalError, located
 from .hierarchy import (
     M_CLAMP_DEFAULT,
     MIN_LEVEL_VERTICES,
@@ -123,13 +131,34 @@ class _Block:
 
 
 class Autoencoder:
-    """Holds hierarchy, architecture and parameters; forward/backward are exact."""
+    """Holds hierarchy, architecture and the parameter vector; forward/backward are exact."""
 
     def __init__(self, hierarchy: MeshHierarchy, architecture: Architecture,
-                 blocks: list[_Block]):
+                 vector: np.ndarray | None = None):
+        """The model on `vector` (zeros when None), which it adopts without a copy.
+
+        vector is a C-contiguous float64 array of parameter_shapes' total size.
+        """
         self.hierarchy = hierarchy
         self.architecture = architecture
-        self.blocks = blocks  # the encoder's, then the decoder's, as _layout orders them
+        self.shapes = parameter_shapes(hierarchy, architecture)
+        size = sum(math.prod(shape) for shape in self.shapes.values())
+        self.vector = np.zeros(size) if vector is None else self._checked(vector, size)
+        p = self._params = self.views(self.vector)
+        # the encoder's, then the decoder's, as _layout orders them
+        self.blocks = [
+            _Block(name, conv_t, pool_t,
+                   VcConvParams(*(p[f"{name}.conv.{f.name}"] for f in fields(VcConvParams))),
+                   VdParams(p[f"{name}.res.rho"], p.get(f"{name}.res.matrix")))
+            for name, conv_t, pool_t, _, _ in _layout(hierarchy, architecture)
+        ]
+
+    @staticmethod
+    def _checked(vector: np.ndarray, size: int) -> np.ndarray:
+        if vector.dtype != np.float64 or vector.shape != (size,) or not vector.flags.c_contiguous:
+            raise DataError(f"a parameter vector must be C-contiguous float64 of shape ({size},), "
+                            f"got {vector.dtype} {vector.shape}")
+        return vector
 
     # -- construction -----------------------------------------------------
 
@@ -146,50 +175,42 @@ class Autoencoder:
 
     @classmethod
     def init(cls, hierarchy: MeshHierarchy, architecture: Architecture, seed: int) -> "Autoencoder":
-        """Seed-deterministic parameter init; draw order is encoder then decoder."""
-        rng = np.random.default_rng(seed)
-        return cls(hierarchy, architecture, [
-            _Block(name, conv_t, pool_t, init_vc_conv(rng, conv_t, i, o),
-                   init_vd(rng, pool_t, i, o))
-            for name, conv_t, pool_t, i, o in _layout(hierarchy, architecture)
-        ])
+        """Seed-deterministic parameter init; draw order is encoder then decoder.
 
-    @classmethod
-    def from_parameters(cls, hierarchy: MeshHierarchy, architecture: Architecture,
-                        params: dict[str, np.ndarray]) -> "Autoencoder":
-        """The model holding `params`, named as parameters() names them; nothing is drawn.
-
-        The caller has checked the names and shapes against parameter_shapes().
+        Each block's draws are copied into the vector as they are made.
         """
-        def take(kind, prefix):  # an absent residual matrix stays None (identity)
-            return kind(**{f.name: params[key] for f in fields(kind)
-                           if (key := f"{prefix}.{f.name}") in params})
-
-        return cls(hierarchy, architecture, [
-            _Block(name, conv_t, pool_t, take(VcConvParams, f"{name}.conv"),
-                   take(VdParams, f"{name}.res"))
-            for name, conv_t, pool_t, _, _ in _layout(hierarchy, architecture)
-        ])
+        rng = np.random.default_rng(seed)
+        model = cls(hierarchy, architecture)
+        for blk, (_, conv_t, pool_t, i, o) in zip(model.blocks, _layout(hierarchy, architecture)):
+            for views, drawn in ((blk.conv, init_vc_conv(rng, conv_t, i, o)),
+                                 (blk.res, init_vd(rng, pool_t, i, o))):
+                for f in fields(drawn):
+                    if (value := getattr(drawn, f.name)) is not None:
+                        getattr(views, f.name)[...] = value
+        return model
 
     # -- parameter access ---------------------------------------------------
 
-    def _slots(self):
-        """(name, owner, field) of every parameter array, in the fixed order; owner is
-        the block's VcConvParams or VdParams, and a None field (identity matrix) is skipped."""
-        for blk in self.blocks:
-            for part in ("conv", "res"):
-                owner = getattr(blk, part)
-                for f in fields(owner):
-                    if getattr(owner, f.name) is not None:
-                        yield f"{blk.name}.{part}.{f.name}", owner, f.name
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named, shaped views into a vector laid out as the parameters, in parameters() order."""
+        out, start = {}, 0
+        for name, shape in self.shapes.items():
+            stop = start + math.prod(shape)
+            out[name] = vector[start:stop].reshape(shape)
+            start = stop
+        return out
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Named parameter arrays in a fixed order (views, not copies)."""
-        return {name: getattr(owner, key) for name, owner, key in self._slots()}
+        """Named parameter arrays in a fixed order: views into the vector, not copies."""
+        return dict(self._params)
 
     def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        for name, owner, key in self._slots():
-            setattr(owner, key, params[name])
+        """Copy arrays named and shaped as parameters() gives them into the vector."""
+        for name, view in self._params.items():
+            value = np.asarray(params[name])
+            if value.shape != view.shape:
+                raise DataError(f"parameter {name} has shape {value.shape}, expected {view.shape}")
+            view[...] = value
 
     # -- forward / backward --------------------------------------------------
 
@@ -202,41 +223,59 @@ class Autoencoder:
         """
         x = np.asarray(x, dtype=np.float64)
         cache = []
+        source = "the model input"
         for blk in self.blocks:
-            h, conv_saved = vc_conv(blk.conv, blk.conv_topology, x)
-            r, res_saved = vd_res(blk.res, blk.pool_topology, x)
+            try:
+                layer = "conv"
+                h, conv_saved = vc_conv(blk.conv, blk.conv_topology, x)
+                layer = "res"
+                r, res_saved = vd_res(blk.res, blk.pool_topology, x)
+            except (MeshError, NumericalError) as exc:
+                raise located(exc, f"{blk.name}.{layer} on {source}") from exc
             if keep_cache:
                 cache.append((h, conv_saved, res_saved))
             x = elu(h) + r
+            source = f"{blk.name}'s output"
         return (x, cache) if keep_cache else x
 
-    def _reverse(self, cache, grad_out: np.ndarray,
-                 input_grad: bool) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    def _reverse(self, cache, grad_out: np.ndarray, input_grad: bool,
+                 out: np.ndarray | None) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
         """One reverse walk over the blocks: (parameter gradients, input gradient).
 
-        The first block forms its input gradient only if input_grad; otherwise
-        the second value is None.
+        The gradients are written into `out` (a new vector when None) and
+        returned as its views. The first block forms its input gradient only
+        if input_grad; otherwise the second value is None.
         """
-        grads: dict[str, np.ndarray] = {}
+        size = len(self.vector)
+        grads = self.views(np.empty(size) if out is None else self._checked(out, size))
         g = np.asarray(grad_out, dtype=np.float64)
         for blk, (h, conv_saved, res_saved) in zip(reversed(self.blocks), reversed(cache)):
             need_dx = input_grad or blk is not self.blocks[0]
-            dx_conv, conv_grads = vc_conv_backward(blk.conv, blk.conv_topology, conv_saved,
-                                                   elu_backward(h, g), need_dx)
-            dx_res, res_grads = vd_res_backward(blk.res, blk.pool_topology, res_saved, g, need_dx)
+            try:
+                layer = "conv"
+                dx_conv, conv_grads = vc_conv_backward(blk.conv, blk.conv_topology, conv_saved,
+                                                       elu_backward(h, g), need_dx)
+                layer = "res"
+                dx_res, res_grads = vd_res_backward(blk.res, blk.pool_topology, res_saved, g,
+                                                    need_dx)
+            except (MeshError, NumericalError) as exc:
+                raise located(exc, f"{blk.name}.{layer} backward") from exc
             for part, part_grads in (("conv", conv_grads), ("res", res_grads)):
                 for key, value in part_grads.items():
-                    grads[f"{blk.name}.{part}.{key}"] = value
+                    grads[f"{blk.name}.{part}.{key}"][...] = value
             g = dx_conv + dx_res if need_dx else None
-        return {name: grads[name] for name in self.parameters()}, g
+        return grads, g
 
-    def backward(self, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache, grad_out: np.ndarray,
+                 out: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Parameter gradients for the forward pass that produced `cache`; summed over a batch.
 
-        Training discards the input gradient, so the first block does not form it.
+        They are written into `out`, a vector shaped like the parameter vector
+        (a new one when None), and returned as its named views. Training
+        discards the input gradient, so the first block does not form it.
         """
-        return self._reverse(cache, grad_out, input_grad=False)[0]
+        return self._reverse(cache, grad_out, False, out)[0]
 
     def input_gradient(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the input positions (used by gradient checks)."""
-        return self._reverse(cache, grad_out, input_grad=True)[1]
+        return self._reverse(cache, grad_out, True, None)[1]

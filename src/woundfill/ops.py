@@ -35,6 +35,8 @@ the normalization.
 Each operator is one forward/backward pair. vc_conv and vd_res return
 (y, saved), where saved holds what the backward reuses: the checked input x,
 the product z or t, and for a density layer its one-basis form and row sums.
+Every array of saved but x is read-only, so a backward that wrote into one
+would raise at once; x is the caller's array when it was float64 already.
 vc_conv_backward and vd_res_backward take saved and the upstream gradient,
 and form d_x only when input_grad is true (a model's first block does not
 need it). At V=2562, widths 3/16/32 and B = 4 the saved products of a
@@ -53,6 +55,7 @@ Operators:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,12 +142,12 @@ def _out_shape(x: np.ndarray, n: int, d: int) -> tuple[int, ...]:
 
 def _vertex_rows(a: np.ndarray) -> np.ndarray:
     """a as (n, B*d): each vertex's samples and features in one row."""
-    return a.reshape(a.shape[0], int(np.prod(a.shape[1:])))
+    return a.reshape(a.shape[0], math.prod(a.shape[1:]))
 
 
 def _sample_rows(a: np.ndarray) -> np.ndarray:
     """a as (n*B, d): one row per vertex and sample."""
-    return a.reshape(int(np.prod(a.shape[:-1])), a.shape[-1])
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
 
 
 def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -285,13 +288,20 @@ def _vertex_products(x: np.ndarray, params: VcConvParams) -> np.ndarray:
     return t.reshape(len(x), -1, m, o).transpose(0, 2, 1, 3).reshape(len(x), m, -1)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Make each array object read-only; a view's base stays as it was."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def vc_conv(params: VcConvParams, topology: ConvTopology,
             x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """(y, saved): the convolution of x, and what vc_conv_backward reuses (the checked x
-    and the product z when I <= O, t when I > O)."""
+    and the product z when I <= O, t when I > O, read-only)."""
     x = _check_features(x, params.in_dim, topology)
     _check_coeffs(params, topology)
     y, product = _conv(params, topology, x)
+    _read_only(product)
     return y, (x, product)
 
 
@@ -387,10 +397,12 @@ def _density_conv(
 
 def vd_res(params: VdParams, topology: ConvTopology, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """(y, saved): density-weighted pooling of x followed by the shared map C, and what
-    vd_res_backward reuses (the checked x, the product, the one-basis form, the row sums)."""
+    vd_res_backward reuses (the checked x, then read-only: the product, the one-basis
+    form's arrays, the row sums)."""
     x = _check_features(x, None, topology)
     conv, sums = _density_conv(params, topology, x)
     y, product = _conv(conv, topology, x)
+    _read_only(product, conv.basis, conv.coeffs, conv.bias, sums)
     return y, (x, product, conv, sums)
 
 

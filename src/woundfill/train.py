@@ -6,10 +6,17 @@ plain autoencoding regime). Every mesh of a dataset shares one topology:
 load_pairs loads each file against the split's first mesh (train() loads
 val against train's), so all of them hold one frozen faces array, checked
 once. A batch of B pairs runs as one vertex-major (n, B, 3) stack: one
-forward, B per-sample losses whose gradients fill one (n, B, 3) array, and
-one backward, whose ops kernels sum each parameter's gradient over the
-samples. Batch composition and order are fixed by the seed, so runs with
-the same seed are byte-reproducible.
+forward, one reconstruction_loss call giving the B per-sample losses and
+their (n, B, 3) gradient, and one backward, whose ops kernels sum each
+parameter's gradient over the samples. The backward writes into one
+gradient vector kept for the run, which is scaled by 1/B with one multiply,
+and adam_step updates the model's parameter vector in place. Batch
+composition and order are fixed by the seed, so runs with the same seed are
+byte-reproducible.
+
+A MeshError or NumericalError from the model names its block and layer;
+a training step or the val pass adds the split and the ids of the pairs in
+the failing batch, evaluate the split and mesh id.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, DataError, NumericalError, as_json
+from .errors import ConfigError, DataError, MeshError, NumericalError, as_json, located
 from .hierarchy import faces_digest
 from .losses import LossSpec, reconstruction_loss, vertex_distance
 from .mesh import Mesh
@@ -98,18 +105,31 @@ def load_pairs(manifest: DatasetManifest, data_dir, split: str,
             for e in manifest.split_entries(split)]
 
 
-def _target(spec: LossSpec, wounded: Mesh, gt: Mesh) -> np.ndarray:
-    return gt.positions if spec.target == "ground_truth" else wounded.positions
+def _stacks(spec: LossSpec, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(model input, loss target) of a batch of pairs, each a vertex-major (n, B, 3) stack."""
+    x = np.stack([wounded.positions for _, wounded, _ in pairs], axis=1)
+    if spec.target == "input":
+        return x, x
+    return x, np.stack([gt.positions for _, _, gt in pairs], axis=1)
+
+
+def _forward(model: Autoencoder, x: np.ndarray, split: str, pairs, keep_cache: bool = False):
+    """model.forward on a batch; a MeshError or NumericalError names the batch's pair ids."""
+    try:
+        return model.forward(x, keep_cache)
+    except (MeshError, NumericalError) as exc:
+        raise located(exc, f"{split} pairs {', '.join(name for name, _, _ in pairs)}") from exc
 
 
 def _mean_loss(model: Autoencoder, pairs, spec: LossSpec, batch_size: int) -> float:
-    """Mean per-pair loss, with the pairs run through the model batch_size at a time."""
+    """Mean per-pair val loss, with the pairs run through the model batch_size at a time."""
     total = 0.0
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start:start + batch_size]
-        out = model.forward(np.stack([wounded.positions for _, wounded, _ in chunk], axis=1))
-        for b, (_, wounded, gt) in enumerate(chunk):
-            total += reconstruction_loss(out[:, b], _target(spec, wounded, gt), spec.metric)[0]
+        x, target = _stacks(spec, chunk)
+        for value in reconstruction_loss(_forward(model, x, "val", chunk), target,
+                                         spec.metric)[0].tolist():
+            total += value
     return total / len(pairs)
 
 
@@ -137,8 +157,9 @@ def train(
     val_pairs = load_pairs(manifest, data_dir, "val", first_gt)
 
     model = Autoencoder.build(first_gt, architecture, settings.seed)
-    params = model.parameters()
-    state = adam_init(params, settings.lr, settings.beta1, settings.beta2, settings.eps)
+    state = adam_init(model.vector, model.shapes, settings.lr, settings.beta1, settings.beta2,
+                      settings.eps)
+    grad = np.empty_like(model.vector)  # each step's backward writes here
 
     checkpoint_path = out_dir / "model.ckpt"
     metrics_path = out_dir / "metrics.csv"
@@ -155,22 +176,18 @@ def train(
         epoch_losses = []
         for batch_start in range(0, len(order), settings.batch_size):
             batch = [train_pairs[i] for i in order[batch_start:batch_start + settings.batch_size]]
-            x = np.stack([wounded.positions for _, wounded, _ in batch], axis=1)
-            out, cache = model.forward(x, keep_cache=True)
-            grad_out = np.empty_like(out)
+            x, target = _stacks(spec, batch)
+            out, cache = _forward(model, x, "train", batch, keep_cache=True)
+            values, grad_out = reconstruction_loss(out, target, spec.metric)
             batch_loss = 0.0
-            for b, (_, wounded, gt) in enumerate(batch):
-                value, grad_out[:, b] = reconstruction_loss(
-                    out[:, b], _target(spec, wounded, gt), spec.metric)
+            for value in values.tolist():
                 if not np.isfinite(value):
                     raise NumericalError(f"training diverged: loss={value} at step {steps}")
                 batch_loss += value
             scale = 1.0 / len(batch)
-            grads = model.backward(cache, grad_out)
-            for v in grads.values():
-                v *= scale
-            params, state = adam_step(params, grads, state)
-            model.set_parameters(params)
+            model.backward(cache, grad_out, out=grad)
+            grad *= scale
+            adam_step(model.vector, grad, state)
             epoch_losses.append(batch_loss * scale)
             steps += 1
             if settings.max_steps is not None and steps >= settings.max_steps:
@@ -248,7 +265,10 @@ def evaluate(
     all_min, all_max = np.inf, -np.inf
     total, count = 0.0, 0
     for name, wounded, gt in pairs:
-        out_positions = wounded.positions if model is None else model.forward(wounded.positions)
+        try:
+            out_positions = wounded.positions if model is None else model.forward(wounded.positions)
+        except (MeshError, NumericalError) as exc:
+            raise located(exc, f"{split} mesh {name}") from exc
         d = vertex_distance(out_positions, gt.positions)
         if not np.all(np.isfinite(d)):
             raise NumericalError(f"{split} mesh {name}: non-finite vertex distances between "

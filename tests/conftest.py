@@ -3,9 +3,10 @@ from collections import deque
 import numpy as np
 import pytest
 
-from woundfill import Mesh, icosahedron, icosphere
+from woundfill import Autoencoder, Mesh, icosahedron, icosphere, reconstruction_loss
 from woundfill.hierarchy import ConvTopology, MeshHierarchy
 from woundfill.ops import elu, elu_backward, vc_conv, vc_conv_backward, vd_res, vd_res_backward
+from woundfill.train import load_pairs
 
 
 @pytest.fixture
@@ -150,6 +151,73 @@ def reference_reverse(model, x: np.ndarray, grad_out: np.ndarray):
             grads.update({f"{blk.name}.{part}.{k}": v for k, v in part_grads.items()})
         g = dx_conv + dx_res
     return x, grads, g
+
+
+def reference_train(manifest, data_dir, architecture, settings) -> tuple[bytes, str]:
+    """(parameter bytes of the kept checkpoint, metrics.csv text) of train() by a plain loop.
+
+    It keeps one array per parameter name, loads them into the model before
+    each forward, takes each sample's loss and gradient by its own
+    reconstruction_loss call, takes the parameter gradients from
+    reference_reverse, and runs Adam as written-out expressions per array.
+    Batches, val batches, selection and early stopping follow train()'s rules.
+    """
+    pairs = load_pairs(manifest, data_dir, "train")
+    val = load_pairs(manifest, data_dir, "val", pairs[0][2])
+    model = Autoencoder.build(pairs[0][2], architecture, settings.seed)
+    params = {k: v.copy() for k, v in model.parameters().items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    spec, b1, b2 = settings.loss, settings.beta1, settings.beta2
+
+    def target(wounded, gt):
+        return gt.positions if spec.target == "ground_truth" else wounded.positions
+
+    def losses(batch):  # (model output, per-sample (loss, gradient)) at the current params
+        model.set_parameters(params)
+        out = model.forward(np.stack([w.positions for _, w, _ in batch], axis=1))
+        return out, [reconstruction_loss(out[:, b], target(w, g), spec.metric)
+                     for b, (_, w, g) in enumerate(batch)]
+
+    rows, best, best_epoch, kept, t = ["epoch,split,loss"], np.inf, -1, None, 0
+    for epoch in range(settings.epochs):
+        order = np.random.default_rng([settings.seed, 1, epoch]).permutation(len(pairs))
+        epoch_losses = []
+        for start in range(0, len(order), settings.batch_size):
+            batch = [pairs[i] for i in order[start:start + settings.batch_size]]
+            out, per_sample = losses(batch)
+            grad_out = np.stack([g for _, g in per_sample], axis=1)
+            x = np.stack([w.positions for _, w, _ in batch], axis=1)
+            grads = reference_reverse(model, x, grad_out)[1]
+            t += 1
+            for k in params:
+                g = grads[k] * (1.0 / len(batch))
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                m_hat, v_hat = m[k] / (1 - b1 ** t), v[k] / (1 - b2 ** t)
+                params[k] = params[k] - settings.lr * m_hat / (np.sqrt(v_hat) + settings.eps)
+            total = 0.0
+            for value, _ in per_sample:
+                total += value
+            epoch_losses.append(total * (1.0 / len(batch)))
+            if settings.max_steps is not None and t >= settings.max_steps:
+                break
+        selection = float(np.mean(epoch_losses))
+        rows.append(f"{epoch},train,{selection!r}")
+        if val:
+            total = 0.0
+            for start in range(0, len(val), settings.batch_size):
+                for value, _ in losses(val[start:start + settings.batch_size])[1]:
+                    total += value
+            selection = total / len(val)
+            rows.append(f"{epoch},val,{selection!r}")
+        if selection < best:
+            best, best_epoch = selection, epoch
+            kept = b"".join(p.tobytes() for p in params.values())
+        if (settings.max_steps is not None and t >= settings.max_steps
+                or epoch - best_epoch >= settings.patience):
+            break
+    return kept, "\n".join(rows) + "\n"
 
 
 def finite_difference(fn, arrays, grads, h=1e-5, rng=None, samples=None):

@@ -389,6 +389,29 @@ def test_non_finite_parameter_is_data_error(tmp_path, model, value, block):
     assert str(bad) in str(exc.value)
 
 
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_non_finite_value_at_a_block_edge_names_that_block(tmp_path, model, where):
+    # the blocks are checked as one vector; the bad entry's offset picks the block
+    raw, header, params, index = _saved(model, tmp_path)
+    block = header["blocks"][1]
+    at = _block_offset(header, block["name"])
+    if where == "last":
+        at += 8 * (math.prod(block["shape"]) - 1)
+    params = params[:at] + struct.pack("<d", math.nan) + params[at + 8:]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(header, params + index))
+    with pytest.raises(DataError, match=f"block {block['name']} holds non-finite"):
+        load_checkpoint(bad)
+
+
+def test_loaded_parameters_are_views_of_one_vector(tmp_path, model):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.vector.tobytes() == model.vector.tobytes()
+    assert all(np.shares_memory(v, loaded.vector) for v in loaded.parameters().values())
+
+
 def test_loading_draws_no_parameters(tmp_path, model, monkeypatch):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model)

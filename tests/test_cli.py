@@ -348,7 +348,9 @@ def test_zero_density_checkpoint_eval_exits_3(tmp_path, capsys, gen_dir):
     assert run(["eval", "--data", gen_dir, "--out", tmp_path / "ev",
                 "--checkpoint", bad, "--split", "test"]) == 3
     err = capsys.readouterr().err
-    assert "numerical error: all-zero density coefficients in neighborhood 0" in err
+    first = load_manifest(gen_dir / "manifest.json").split_entries("test")[0]
+    assert (f"numerical error: test mesh {Path(first.wounded_file).stem}: enc0.res on the model "
+            "input: all-zero density coefficients in neighborhood 0") in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev" / "eval_test.json").exists()
 
@@ -371,6 +373,28 @@ def test_overflowing_checkpoint_eval_exits_3_before_writing(tmp_path, capsys, ge
     assert "Traceback" not in err
     assert not (tmp_path / "ev" / "eval_test.json").exists()
     assert not list((tmp_path / "ev").glob("*.ply"))
+
+
+def test_overflowing_first_block_eval_exits_3_naming_the_block_and_mesh(tmp_path, capsys,
+                                                                       gen_dir):
+    # enc0's output overflows, so the next block's input check fails: the message used to
+    # be only "non-finite values in input feature map"
+    model = Autoencoder.build(load_mesh_path(gen_dir / "0000_gt.ply"),
+                              Architecture((1.0, 0.3), (3, 8)), 0)
+    model.parameters()["enc0.conv.bias"][:] = np.finfo(float).max
+    model.parameters()["enc0.res.matrix"][:] = 1e308
+    bad = tmp_path / "big.ckpt"
+    save_checkpoint(bad, model)
+    first = load_manifest(gen_dir / "manifest.json").split_entries("test")[0]
+    with np.errstate(over="ignore"):
+        code = run(["eval", "--data", gen_dir, "--out", tmp_path / "ev", "--checkpoint", bad,
+                    "--split", "test"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert (f"numerical error: test mesh {Path(first.wounded_file).stem}: dec0.conv on enc0's "
+            "output: non-finite values in input feature map") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev" / "eval_test.json").exists()
 
 
 def test_eval_diverging_on_a_later_mesh_keeps_the_earlier_reconstructions(

@@ -6,6 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from woundfill import Mesh, icosahedron, icosphere, load_mesh, load_mesh_path, save_mesh, save_mesh_path
+from woundfill import meshio
 from woundfill.errors import MeshError, MeshFormatError, WoundfillError
 
 
@@ -162,6 +163,21 @@ def test_load_against_like(tmp_path, other):
     assert got.attributes.keys() == alone.attributes.keys()
     for name, values in alone.attributes.items():
         assert np.array_equal(got.attributes[name], values)
+
+
+def test_files_loaded_against_one_like_build_its_face_records_once(tmp_path, monkeypatch):
+    like = icosphere(1)
+    for k in range(3):
+        save_mesh_path(Mesh(like.positions * (k + 2), like.faces), tmp_path / f"{k}.ply")
+    built = []
+    real = meshio._face_records
+    monkeypatch.setattr(meshio, "_face_records",
+                        lambda faces, dtype: built.append(dtype) or real(faces, dtype))
+    for k in range(3):
+        assert load_mesh_path(tmp_path / f"{k}.ply", like=like).faces is like.faces
+    assert len(built) == 1
+    assert load_mesh_path(tmp_path / "0.ply", like=icosphere(1)).faces is not like.faces
+    assert len(built) == 2  # another like builds its own
 
 
 def test_load_against_like_checks_its_faces_on_fewer_vertices(tmp_path):

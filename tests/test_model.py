@@ -7,7 +7,7 @@ from conftest import finite_difference, reference_pool, reference_reverse
 from woundfill import Architecture, Autoencoder, icosphere, reconstruction_loss
 from woundfill import model as model_module
 from woundfill import ops
-from woundfill.errors import ConfigError, NumericalError, as_json, from_json
+from woundfill.errors import ConfigError, MeshError, NumericalError, as_json, from_json
 from woundfill.model import parameter_shapes
 
 
@@ -261,3 +261,52 @@ def test_backward_runs_each_public_backward_once_per_block(branchy_model, monkey
     for name, part in (("vc_conv_backward", "conv"), ("vd_res_backward", "res")):
         seen = [params for called, params in calls if called == name]
         assert [id(p) for p in seen] == [id(getattr(b, part)) for b in reversed(model.blocks)]
+
+
+def test_operator_errors_name_their_block_layer_and_source(branchy_model):
+    mesh, model = branchy_model
+    params = model.parameters()
+    saved = {k: params[k].copy() for k in ("enc1.res.rho", "enc0.conv.bias")}
+    try:
+        params["enc1.res.rho"][:] = 0.0
+        with pytest.raises(NumericalError, match=r"^enc1\.res on enc0's output: all-zero density"):
+            model.forward(mesh.positions)
+        params["enc1.res.rho"][:] = saved["enc1.res.rho"]
+        params["enc0.conv.bias"][:] = np.inf
+        with pytest.raises(NumericalError,
+                           match=r"^enc1\.conv on enc0's output: non-finite values in input"):
+            model.forward(mesh.positions)
+    finally:
+        model.set_parameters({**params, **saved})
+    with pytest.raises(MeshError, match=r"^enc0\.conv on the model input: feature map has 5 rows"):
+        model.forward(np.zeros((5, 3)))
+    out, cache = model.forward(mesh.positions, keep_cache=True)
+    grad_out = np.ones_like(out)
+    grad_out[0, 0] = np.nan
+    with pytest.raises(NumericalError, match=r"^dec1\.conv backward: non-finite upstream"):
+        model.backward(cache, grad_out)
+
+
+def test_parameters_are_views_of_one_vector(small_model):
+    mesh, model = small_model
+    params = model.parameters()
+    assert list(params) == list(parameter_shapes(model.hierarchy, model.architecture))
+    assert model.vector.flags.c_contiguous and model.vector.dtype == np.float64
+    assert all(np.shares_memory(v, model.vector) for v in params.values())
+    assert np.array_equal(np.concatenate([v.ravel() for v in params.values()]), model.vector)
+    for blk in model.blocks:  # the operators read the same memory
+        for a in (blk.conv.basis, blk.conv.coeffs, blk.conv.bias, blk.res.rho, blk.res.matrix):
+            assert a is None or np.shares_memory(a, model.vector)
+    before, saved = model.forward(mesh.positions), model.vector.copy()
+    model.vector += 0.25
+    try:
+        assert not np.array_equal(model.forward(mesh.positions), before)
+    finally:
+        model.vector[:] = saved
+    _, cache = model.forward(mesh.positions, keep_cache=True)
+    out = np.full_like(model.vector, np.nan)
+    grads = model.backward(cache, np.ones_like(mesh.positions), out=out)
+    assert all(np.shares_memory(v, out) for v in grads.values())
+    assert np.isfinite(out).all()  # every entry written
+    fresh = model.backward(cache, np.ones_like(mesh.positions))
+    assert np.array_equal(np.concatenate([v.ravel() for v in fresh.values()]), out)

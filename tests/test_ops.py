@@ -804,6 +804,45 @@ def test_backward_rejects_a_topology_other_than_the_forwards():
         vd_res_backward(VdParams(np.ones(1), res.matrix), topo, saved, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("in_dim, out_dim", [(2, 3), (3, 2), (3, 3)])
+def test_saved_forward_arrays_are_read_only(in_dim, out_dim):
+    # I <= O, I > O, and a density layer without a matrix: every array a forward saves,
+    # except the caller's x, refuses a write, while x and the parameters stay writable
+    rng = np.random.default_rng(30)
+    topo = random_topology(rng, 6, 3)
+    x = rng.normal(size=(6, in_dim))
+    conv, res = init_vc_conv(rng, topo, in_dim, out_dim), init_vd(rng, topo, in_dim, out_dim)
+    _, (conv_x, product) = vc_conv(conv, topo, x)
+    _, (res_x, res_product, one_basis, sums) = vd_res(res, topo, x)
+    assert conv_x is x and res_x is x and x.flags.writeable
+    saved = (product, res_product, one_basis.basis, one_basis.coeffs, one_basis.bias, sums)
+    for a in saved:
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 1.5
+    params = [conv.basis, conv.coeffs, conv.bias, res.rho]
+    assert all(a.flags.writeable for a in params + [res.matrix] if a is not None)
+
+
+def test_a_backward_that_writes_a_saved_product_raises(monkeypatch):
+    real = ops._conv_backward
+
+    def writes(params, topology, x, product, g, input_grad):
+        out = real(params, topology, x, product, g, input_grad)
+        product *= 1.5
+        return out
+
+    monkeypatch.setattr(ops, "_conv_backward", writes)
+    rng = np.random.default_rng(31)
+    topo = random_topology(rng, 6, 3)
+    x = rng.normal(size=(6, 2))
+    for params, forward, backward, out_dim in (
+            (init_vc_conv(rng, topo, 2, 3), vc_conv, vc_conv_backward, 3),
+            (init_vd(rng, topo, 2, 3), vd_res, vd_res_backward, 3)):
+        _, saved = forward(params, topo, x)
+        with pytest.raises(ValueError, match="read-only"):
+            backward(params, topo, saved, np.ones((3, out_dim)))
+
+
 # --- init ---------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from woundfill import (
     save_mesh_path,
     train,
 )
-from woundfill.checkpoint import load_checkpoint
+from conftest import reference_train
+from woundfill.checkpoint import MAGIC, load_checkpoint
 from woundfill.errors import DataError, MeshError, MeshFormatError, NumericalError
 from woundfill.train import EvalReport, load_pairs
 
@@ -144,8 +146,8 @@ def test_train_runs_each_uneven_batch_as_one_stack(tmp_path, monkeypatch):
     forward, backward = Autoencoder.forward, Autoencoder.backward
     monkeypatch.setattr(Autoencoder, "forward", lambda self, x, keep_cache=False: (
         forwards.append(np.shape(x)) or forward(self, x, keep_cache)))
-    monkeypatch.setattr(Autoencoder, "backward", lambda self, cache, g: (
-        backwards.append(np.shape(g)) or backward(self, cache, g)))
+    monkeypatch.setattr(Autoencoder, "backward", lambda self, cache, g, out=None: (
+        backwards.append(np.shape(g)) or backward(self, cache, g, out)))
     settings = TrainSettings(lr=1e-3, batch_size=2, epochs=2, patience=10, seed=4)
     a = train(manifest, root, ARCH, settings, tmp_path / "a")
     b = train(manifest, root, ARCH, settings, tmp_path / "b")
@@ -155,6 +157,25 @@ def test_train_runs_each_uneven_batch_as_one_stack(tmp_path, monkeypatch):
     train_batches = [(42, 2, 3), (42, 2, 3), (42, 1, 3)]
     assert backwards == train_batches * 4  # two epochs of two runs
     assert forwards == (train_batches + [(42, 2, 3), (42, 1, 3)]) * 4
+
+
+@pytest.mark.parametrize("metric, target, batch_size, max_steps", [
+    ("l2", "ground_truth", 3, None),  # 4 train pairs: batches of 3 and 1
+    ("l1", "ground_truth", 3, None),
+    ("l1", "input", 4, 5),  # max_steps stops the third epoch after its first step
+])
+def test_train_equals_the_reference_loop_bit_for_bit(dataset, tmp_path, metric, target,
+                                                     batch_size, max_steps):
+    manifest, root = dataset
+    settings = TrainSettings(lr=3e-3, batch_size=batch_size, epochs=3, patience=1,
+                             max_steps=max_steps, seed=2, loss=LossSpec(target, metric))
+    result = train(manifest, root, ARCH, settings, tmp_path)
+    kept, metrics = reference_train(manifest, root, ARCH, settings)
+    assert result.metrics_path.read_text() == metrics
+    raw = result.checkpoint_path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    start = len(MAGIC) + 8 + header_len
+    assert raw[start:start + len(kept)] == kept
 
 
 def test_non_finite_val_loss_is_a_numerical_error_before_its_row(dataset, tmp_path):
@@ -167,6 +188,43 @@ def test_non_finite_val_loss_is_a_numerical_error_before_its_row(dataset, tmp_pa
         train(manifest, root, ARCH, settings, tmp_path)
     assert not (tmp_path / "model.ckpt").exists()
     assert (tmp_path / "metrics.csv").read_text() == "epoch,split,loss\n"
+
+
+def test_val_forward_error_names_the_pairs_and_block(dataset, tmp_path, monkeypatch):
+    # zero densities after the first step: the val forward fails in enc0's density layer
+    manifest, root = dataset
+    built, build, step = [], Autoencoder.build, train_module.adam_step
+    monkeypatch.setattr(Autoencoder, "build", lambda *args: built.append(build(*args)) or built[0])
+
+    def step_then_zero(params, grads, state):
+        step(params, grads, state)
+        built[0].parameters()["enc0.res.rho"][:] = 0.0
+
+    monkeypatch.setattr(train_module, "adam_step", step_then_zero)
+    val_ids = ", ".join(name for name, _, _ in load_pairs(manifest, root, "val"))
+    settings = TrainSettings(epochs=1, max_steps=1, batch_size=8, seed=0)
+    with pytest.raises(NumericalError, match=f"^val pairs {val_ids}: enc0\\.res on the model "
+                                             "input: all-zero density coefficients"):
+        train(manifest, root, ARCH, settings, tmp_path)
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_train_forward_error_names_the_batch(dataset, tmp_path, monkeypatch):
+    manifest, root = dataset
+    build = Autoencoder.build
+
+    def zeroed(*args):
+        model = build(*args)
+        model.parameters()["enc0.res.rho"][:] = 0.0
+        return model
+
+    monkeypatch.setattr(Autoencoder, "build", zeroed)
+    ids = {name for name, _, _ in load_pairs(manifest, root, "train")}
+    with pytest.raises(NumericalError, match=r"^train pairs ([\w, ]+): enc0\.res on the model "
+                                             "input: all-zero density") as exc:
+        train(manifest, root, ARCH, TrainSettings(batch_size=2, seed=0), tmp_path)
+    named = re.match(r"train pairs ([\w, ]+):", str(exc.value)).group(1).split(", ")
+    assert len(named) == 2 and set(named) <= ids
 
 
 def test_train_input_target_mode(dataset, tmp_path):
