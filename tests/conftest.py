@@ -116,6 +116,31 @@ def euler_characteristic(mesh: Mesh) -> int:
     return mesh.n_vertices - len(np.unique(_face_edges(mesh), axis=0)) + mesh.n_faces
 
 
+def pinched_rim_pair() -> tuple[Mesh, Mesh]:
+    """(wounded, reconstruction) whose one filling patch has a pinched rim.
+
+    Seven unit cells of a flat grid, two triangles each, ring round the cell
+    they leave out; two of them meet at one corner only, so the rim passes
+    that vertex twice. The wounded copy sinks every grid vertex by 0.5; 200
+    unreferenced vertices that do not move keep the grid's vertices the only
+    outliers, and no face outside the patch can dilate it.
+    """
+    cells = [(1, 1), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (2, 2)]
+    corners = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+    used = sorted({(c + dx, r + dy) for c, r in cells for dx, dy in corners})
+    index = {v: i for i, v in enumerate(used)}
+    faces = []
+    for c, r in cells:
+        a, b, p, d = (index[(c + dx, r + dy)] for dx, dy in corners)
+        faces += [[a, b, p], [a, p, d]]
+    grid = np.array([[x, y, 0.0] for x, y in used])
+    pad = np.column_stack([np.arange(200.0), np.full(200, 50.0), np.zeros(200)])
+    output = np.concatenate([grid, pad])
+    wounded = output.copy()
+    wounded[: len(grid), 2] = -0.5
+    return Mesh(wounded, faces), Mesh(output, faces)
+
+
 def format_2_hierarchy(h: MeshHierarchy) -> dict:
     """The header's hierarchy entry as checkpoint format 2 wrote it: index arrays as JSON lists."""
     def topology(t):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import format_2_hierarchy
+from conftest import format_2_hierarchy, pinched_rim_pair
 from woundfill import (
     Architecture,
     Autoencoder,
@@ -120,6 +120,21 @@ def test_extract_fill_cli(tmp_path):
     assert report["watertight"]
     assert (fill / "filling.stl").exists()
     assert (fill / "filling.ply").exists()
+
+
+def test_extract_fill_of_a_pinched_rim_writes_the_open_shells_as_ply_only(tmp_path, capsys):
+    wounded, output = pinched_rim_pair()
+    save_mesh_path(wounded, tmp_path / "wounded.ply")
+    save_mesh_path(output, tmp_path / "output.ply")
+    fill = tmp_path / "fill"
+    assert run(["extract-fill", "--input", tmp_path / "wounded.ply",
+                "--output", tmp_path / "output.ply", "--out", fill]) == 0
+    out = capsys.readouterr().out
+    assert "note: open patches emitted: non-simple boundary" in out
+    assert "watertight = False" in out
+    assert not json.loads((fill / "fill_report.json").read_text())["watertight"]
+    assert (fill / "filling.ply").exists()
+    assert not (fill / "filling.stl").exists()
 
 
 def _ranges_config(tmp_path):

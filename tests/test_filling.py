@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import euler_characteristic, k_ring
+from conftest import euler_characteristic, k_ring, pinched_rim_pair
 from woundfill import (
     Mesh,
     ScarRanges,
@@ -13,14 +14,18 @@ from woundfill import (
     extract_filling,
     generate_scar,
     is_watertight,
+    load_mesh_path,
+    make_dataset,
     mean_edge_length,
     outlier_indices,
     sample_scar_spec,
+    save_mesh,
     signed_volume,
     synth_head,
     vertex_distance,
 )
 from woundfill import filling
+from woundfill.mesh import components, vertex_adjacency
 from woundfill.errors import ConfigError, NoFillingError
 
 
@@ -304,3 +309,84 @@ def test_report_json_fields():
     doc = json.loads(extract_filling(wounded, head).to_json())
     for key in ("mean", "std", "k_sigma", "n_outliers", "watertight", "n_components"):
         assert key in doc
+
+
+def fill_digest(pairs) -> tuple[str, dict]:
+    """sha256 over each pair's fills at k_sigma 1, 2 and 3, and a tally by component count.
+
+    A fill adds its report JSON, PLY and STL bytes; a pair with no filling adds
+    its message, tallied under None.
+    """
+    digest, tally = hashlib.sha256(), {}
+    for wounded, output in pairs:
+        for k_sigma in (1.0, 2.0, 3.0):
+            try:
+                report = extract_filling(wounded, output, k_sigma)
+            except NoFillingError as exc:
+                digest.update(str(exc).encode())
+                tally[None] = tally.get(None, 0) + 1
+                continue
+            digest.update(report.to_json().encode())
+            digest.update(save_mesh(report.filling, "ply") + save_mesh(report.filling, "stl"))
+            tally[report.n_components] = tally.get(report.n_components, 0) + 1
+    return digest.hexdigest()[:16], tally
+
+
+@pytest.mark.parametrize("seed, expected", [(1, "d8b21060d90f8884"), (9001, "3fb0c5551ae27ae3")],
+                         ids=["seed1", "seed9001"])
+def test_fill_bytes_of_the_scar_fill_sets_are_pinned(tmp_path, seed, expected):
+    # the benchmark's scar-fill data: 4 heads at V = 2562, 5 scars each, radius 3-4
+    manifest = make_dataset(tmp_path, 4, 5, seed, subdivisions=4,
+                            ranges=ScarRanges(radius=(3, 4)))
+    pairs = [(load_mesh_path(tmp_path / e.wounded_file), load_mesh_path(tmp_path / e.gt_file))
+             for e in manifest.entries]
+    assert fill_digest(pairs)[0] == expected
+
+
+def test_fill_bytes_of_a_scar_sweep_are_pinned():
+    # radius 1-8 and every second mesh dented twice: fills of one and two
+    # components, and pairs with no filling at all
+    pairs = []
+    for h in range(4):
+        rng = np.random.default_rng([2357, h])
+        head = synth_head(int(rng.integers(0, 2**63)), 3)
+        edge = mean_edge_length(head)
+        for w in range(10):
+            wounded = head
+            for _ in range(1 + w % 2):
+                spec = sample_scar_spec(rng, head.n_vertices, edge, ScarRanges(radius=(1, 8)))
+                wounded, _ = generate_scar(wounded, spec)
+            pairs.append((wounded, head))
+    assert fill_digest(pairs) == ("1a44697e8b4aec4e", {1: 84, 2: 27, None: 9})
+
+
+def test_pinched_rim_emits_the_two_open_shells():
+    wounded, output = pinched_rim_pair()
+    report = extract_filling(wounded, output)
+    assert report.n_components == 1
+    assert report.notes == ["open patches emitted: non-simple boundary: "
+                            "vertex 5 lies on more than one rim edge pair"]
+    assert not report.watertight
+    assert not is_watertight(report.filling)
+    n = len(report.outliers)
+    assert report.filling.n_vertices == 2 * n and report.filling.n_faces == 2 * output.n_faces
+    assert np.array_equal(report.filling.positions,
+                          np.concatenate([wounded.positions[:n], output.positions[:n]]))
+
+
+def test_each_component_is_oriented_to_positive_volume():
+    # a dent in the input fills outward; a dent in the output alone would fill
+    # inside out, so that component alone has its faces flipped
+    head = synth_head(5, 3)
+    far = int(np.argmax(np.linalg.norm(head.positions - head.positions[100], axis=1)))
+    dented_in, _ = generate_scar(head, ScarSpec(center=100, radius=4, max_depth=0.2))
+    dented_out, _ = generate_scar(head, ScarSpec(center=far, radius=4, max_depth=0.2))
+    report = extract_filling(dented_in, dented_out)
+    assert report.n_components == 2
+    assert report.watertight
+    fill = report.filling
+    label = components(vertex_adjacency(fill))
+    assert label.max() == 1
+    volumes = [signed_volume(Mesh(fill.positions, fill.faces[label[fill.faces[:, 0]] == c]))
+               for c in (0, 1)]
+    assert min(volumes) > 0
