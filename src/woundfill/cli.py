@@ -13,7 +13,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint
 from .config import RunConfig
 from .errors import ConfigError, DataError, MeshError, NumericalError
-from .filling import extract_filling
+from .filling import _require_finite, extract_filling
 from .losses import METRICS, TARGETS, vertex_distance
 from .mesh import fill_holes, is_watertight, keep_largest_component
 from .meshio import load_mesh_path, save_mesh, save_mesh_path
@@ -138,6 +138,7 @@ def cmd_stats(args) -> int:
     d = vertex_distance(load_mesh_path(args.a), load_mesh_path(args.b))
     if d.size == 0:
         raise DataError(f"{args.a}, {args.b}: no vertices to compare")
+    _require_finite(d)
     mu = d.mean()
     print(f"vertices = {len(d)}")
     print(f"min vertex distance = {d.min():.6g}")

@@ -6,26 +6,35 @@ distances there are far from the population mean. Vertices beyond k_sigma
 standard deviations (population formula, strict inequality) mark the wound;
 the filling solid is the volume between the two surfaces over the wound
 region dilated by one ring, closed by a quad strip along the shared rim.
+
+The whole mesh is read by one O(V) distance pass and, for each of the three
+face selections (outlier faces, the one-ring dilation, the dilated faces), by
+one gather of a vertex mask over its faces. Everything after that runs on the
+dilated patch's faces alone, so it costs in proportion to the wound: one
+table of the patch's edges gives each of its components its faces, its rim
+and its non-manifold check, and each component is closed and oriented in its
+own vertex numbering.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MeshError, NoFillingError
+from .errors import ConfigError, MeshError, NoFillingError, NumericalError
 from .losses import vertex_distance
 from .mesh import (
     Mesh,
-    _distinct,
-    boundary_loops,
+    _directed_edges,
+    _rim_loops,
+    _signed_volume,
     components,
     csr_from_pairs,
     edge_key,
     is_watertight,
-    signed_volume,
 )
 
 __all__ = ["FillReport", "extract_filling", "outlier_indices"]
@@ -49,17 +58,29 @@ def outlier_indices(distances: np.ndarray, k_sigma: float = K_SIGMA_DEFAULT) -> 
     a largest magnitude in [0.5, 1): that is exact, so it selects what the
     unscaled set would, but the squared deviations of tiny distances no
     longer underflow, and the selection does not change with the scale.
+    A non-finite distance is a NumericalError that names its vertex.
     """
     check_k_sigma(k_sigma)
     d = np.asarray(distances, dtype=np.float64)
     if d.size == 0:
         raise NoFillingError("empty distance set")
-    if d.max() == d.min():
+    hi, lo = float(d.max()), float(d.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        _require_finite(d)
+    if hi == lo:
         return np.zeros(0, dtype=np.int64)
-    d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
-    mu = d.mean()
-    sigma = np.sqrt(np.mean((d - mu) ** 2))
-    return np.flatnonzero(np.abs(d - mu) > k_sigma * sigma)
+    d = np.ldexp(d, -math.frexp(max(hi, -lo))[1])
+    dev = d - d.mean()
+    sigma = np.sqrt(np.mean(dev**2))
+    return np.flatnonzero(np.abs(dev) > k_sigma * sigma)
+
+
+def _require_finite(d: np.ndarray) -> None:
+    """Raise NumericalError naming the first vertex whose distance is inf or nan."""
+    bad = ~np.isfinite(d)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericalError(f"non-finite vertex distance {float(d[i])} at vertex {i}")
 
 
 @dataclass
@@ -93,59 +114,42 @@ class FillReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _face_components(faces: np.ndarray) -> list[np.ndarray]:
-    """Group faces into edge-connected components (indices into `faces`), ascending.
-
-    Every face is linked to the first face listing each of its edges, and
-    components are ordered by their lowest face index.
-    """
-    face = np.tile(np.arange(len(faces)), 3)
-    key = edge_key(faces.ravel("F"), faces[:, [1, 2, 0]].ravel("F"), int(faces.max()) + 1)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    hub = face[first][inverse]
-    label = components(csr_from_pairs(len(faces), np.r_[face, hub], np.r_[hub, face]))
-    return np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
-
-
 def _close_component(
-    comp_faces: np.ndarray, input_pos: np.ndarray, output_pos: np.ndarray
+    faces: np.ndarray, uses: np.ndarray, bottom: np.ndarray, top: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool, list[str]]:
-    """Bottom (input) and top (output) copies of the patch plus a rim quad strip.
+    """Bottom (input) and top (output) copies of one patch component plus a rim quad strip.
 
-    Returns (positions, faces, closed_flag, notes) with local vertex indexing.
+    faces: (m, 3) indices into bottom and top, the component's input and
+    output positions; uses: for each edge of _directed_edges(faces), how many
+    of the component's faces hold it. Returns (positions, faces, closed_flag,
+    notes); a rim that is not simple leaves the two shells open, with a note.
     """
     notes: list[str] = []
-    verts = _distinct(comp_faces.ravel())
-    nv = len(verts)
-    local_faces = np.searchsorted(verts, comp_faces)
-
-    # probe the open patch for simple rims before committing to a bridge
-    patch = Mesh(output_pos[verts], local_faces)
+    nv = len(bottom)
     try:
-        rims = boundary_loops(patch)
+        rims = _rim_loops(_directed_edges(faces), uses)
         closed = True
     except MeshError as exc:  # pinched rim or non-manifold patch
         notes.append(f"open patches emitted: {exc}")
         rims, closed = [], False
 
     # bottom shell: input positions, reversed winding; top shell: output positions
-    positions = np.concatenate([input_pos[verts], output_pos[verts]])
-    bottom = local_faces[:, ::-1]
-    top = local_faces + nv
-    parts = [bottom, top]
-    if closed:
-        if not rims:
-            notes.append("patch is already closed; no bridge needed")
-        for rim in rims:
-            a = rim
-            b = np.roll(rim, -1)
-            # top boundary edge runs (a, b); the strip supplies (b, a) on top
-            # and (a, b) on the reversed bottom
-            tri1 = np.column_stack([b + nv, a + nv, a])
-            tri2 = np.column_stack([a, b, b + nv])
-            parts += [tri1, tri2]
-    faces = np.concatenate(parts)
-    return positions, faces, closed, notes
+    positions = np.concatenate([bottom, top])
+    parts = [faces[:, ::-1], faces + nv]
+    if closed and not rims:
+        notes.append("patch is already closed; no bridge needed")
+    for a in rims:
+        b = np.concatenate([a[1:], a[:1]])
+        # top boundary edge runs (a, b); the strip supplies (b, a) on top
+        # and (a, b) on the reversed bottom
+        parts += [np.column_stack([b + nv, a + nv, a]), np.column_stack([a, b, b + nv])]
+    return positions, np.concatenate(parts), closed, notes
+
+
+def _faces_within(mark: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """The rows of `faces` whose three corners are all set in the vertex mask `mark`."""
+    corners = mark[faces]
+    return np.compress(corners[:, 0] & corners[:, 1] & corners[:, 2], faces, axis=0)
 
 
 def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
@@ -153,54 +157,69 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
     """Build the printable filling between the wounded input and the reconstruction.
 
     Steps: outlier vertices -> faces whose three corners are all outliers ->
-    dilate by one vertex ring with induced faces -> per connected patch, take
-    the input-side and output-side copies and bridge the shared rim with
-    index-corresponding quads (two triangles each). Components are oriented
-    to positive signed volume. A pinched rim downgrades that component to its
-    two open shells, with a note in the report.
+    dilate by one vertex ring with induced faces -> per edge-connected patch
+    component, in order of its lowest face, take the input-side and
+    output-side copies and bridge the shared rim with index-corresponding
+    quads (two triangles each). Components are oriented to positive signed
+    volume. A pinched rim downgrades that component to its two open shells,
+    with a note in the report. A non-finite distance is a NumericalError.
     """
     check_k_sigma(k_sigma)
-    if not np.array_equal(input_mesh.faces, output_mesh.faces):
+    faces = input_mesh.faces
+    if output_mesh.faces is not faces and not np.array_equal(faces, output_mesh.faces):
         raise NoFillingError("input and output meshes must share face topology")
     d = vertex_distance(input_mesh, output_mesh)
-    outliers = outlier_indices(d, k_sigma)  # rejects an empty set before its mean is taken
+    # rejects an empty or non-finite set before its mean is taken
+    outliers = outlier_indices(d, k_sigma)
     mu = float(d.mean())
     sigma = float(np.sqrt(np.mean((d - mu) ** 2)))
     if outliers.size == 0:
         raise NoFillingError("no filling detected: no distances beyond the outlier threshold")
 
-    is_outlier = np.zeros(input_mesh.n_vertices, dtype=bool)
-    is_outlier[outliers] = True
-    faces = input_mesh.faces
-    patch_faces = faces[is_outlier[faces].all(axis=1)]
-    if len(patch_faces) == 0:
+    mark = np.zeros(input_mesh.n_vertices, dtype=bool)
+    mark[outliers] = True
+    patch = _faces_within(mark, faces)
+    if len(patch) == 0:
         raise NoFillingError("no filling detected: outlier vertices do not form a face patch")
-
     # dilate by one ring: outlier-patch vertices plus direct mesh neighbors
-    in_patch = np.zeros(input_mesh.n_vertices, dtype=bool)
-    in_patch[patch_faces] = True
-    dilated = in_patch.copy()
-    dilated[faces[in_patch[faces].any(axis=1)]] = True
-    dilated_faces = faces[dilated[faces].all(axis=1)]
+    mark[:] = False
+    mark[patch] = True
+    corners = mark[faces]
+    mark[np.compress(corners[:, 0] | corners[:, 1] | corners[:, 2], faces, axis=0)] = True
+    dilated = _faces_within(mark, faces)
+
+    # one table of the patch's edges links each face to the first face holding
+    # each of its edges, which gives the components, ordered by lowest face
+    n, m = input_mesh.n_vertices, len(dilated)
+    directed = _directed_edges(dilated)
+    _, first, inverse, counts = np.unique(
+        edge_key(directed[:, 0], directed[:, 1], n),
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    face = np.tile(np.arange(m), 3)
+    hub = face[first][inverse]
+    label = components(csr_from_pairs(m, np.concatenate([face, hub]), np.concatenate([hub, face])))
+    groups = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+    uses = counts[inverse].reshape(3, m)
+    # number each component's vertices apart, ascending, in one range per component
+    corner, local = np.unique(label[:, None] * n + dilated, return_inverse=True)
+    local = local.reshape(m, 3)
+    vertex = corner % n
+    bottom, top = input_mesh.positions[vertex], output_mesh.positions[vertex]
+    bounds = np.searchsorted(corner // n, np.arange(len(groups) + 1))
 
     all_positions, all_faces, notes = [], [], []
-    offset = 0
     closed_all = True
-    n_components = 0
-    for comp in _face_components(dilated_faces):
-        n_components += 1
+    for comp, lo, hi in zip(groups, bounds[:-1].tolist(), bounds[1:].tolist()):
         pos, fcs, closed, comp_notes = _close_component(
-            dilated_faces[comp], input_mesh.positions, output_mesh.positions
+            local[comp] - lo, uses[:, comp].ravel(), bottom[lo:hi], top[lo:hi]
         )
         closed_all = closed_all and closed
         notes.extend(comp_notes)
-        if closed:
-            part = Mesh(pos, fcs)
-            if signed_volume(part) < 0:
-                fcs = fcs[:, ::-1]
+        if closed and _signed_volume(pos, fcs) < 0:
+            fcs = fcs[:, ::-1]
         all_positions.append(pos)
-        all_faces.append(fcs + offset)
-        offset += len(pos)
+        all_faces.append(fcs + 2 * lo)
     filling = Mesh(np.concatenate(all_positions), np.concatenate(all_faces))
     watertight = closed_all and is_watertight(filling)
     return FillReport(
@@ -211,6 +230,6 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
         outliers=outliers,
         filling=filling,
         watertight=watertight,
-        n_components=n_components,
+        n_components=len(groups),
         notes=notes,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MeshError
-from .mesh import Mesh
+from .mesh import Mesh, _norm
 
 __all__ = ["LossSpec", "reconstruction_loss", "vertex_distance"]
 
@@ -42,11 +42,17 @@ def _positions(m) -> np.ndarray:
 
 
 def vertex_distance(a, b) -> np.ndarray:
-    """Euclidean distance between corresponding vertices of two meshes."""
+    """Euclidean distance between corresponding vertices of two meshes.
+
+    A distance too large for a float64 comes out inf, and one of a non-finite
+    coordinate inf or nan, without a warning: the callers that need the
+    distances finite check them.
+    """
     pa, pb = _positions(a), _positions(b)
     if pa.shape != pb.shape:
         raise MeshError(f"vertex count mismatch: {pa.shape} vs {pb.shape}")
-    return np.linalg.norm(pa - pb, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm(pa - pb)
 
 
 def reconstruction_loss(out, target,

@@ -261,10 +261,12 @@ def components(adj: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 def is_watertight(mesh: Mesh) -> bool:
     """True iff every edge is shared by exactly two faces."""
-    if mesh.n_faces == 0:
+    if mesh.n_faces == 0 or mesh.n_faces % 2:  # 3m edge sides pair up only for even m
         return False
-    _, counts = unique_edges(mesh)
-    return bool(np.all(counts == 2))
+    d = _directed_edges(mesh.faces)
+    keys = np.sort(edge_key(d[:, 0], d[:, 1], mesh.n_vertices))
+    # every key twice: the sorted keys pair up, and no pair repeats the one before
+    return bool((keys[::2] == keys[1::2]).all() and (keys[1:-1:2] != keys[2::2]).all())
 
 
 def boundary_loops(mesh: Mesh) -> list[np.ndarray]:
@@ -277,16 +279,30 @@ def boundary_loops(mesh: Mesh) -> list[np.ndarray]:
     """
     n = mesh.n_vertices
     directed = _directed_edges(mesh.faces)
-    keys, inverse, counts = np.unique(
+    _, inverse, counts = np.unique(
         edge_key(directed[:, 0], directed[:, 1], n), return_inverse=True, return_counts=True
     )
-    bad = np.flatnonzero(counts > 2)
-    if bad.size:
-        raise NonManifoldError(divmod(int(keys[bad[0]]), n), int(counts[bad[0]]))
-    boundary = counts[inverse] == 1
+    return _rim_loops(directed, counts[inverse])
+
+
+def _rim_loops(directed: np.ndarray, uses: np.ndarray) -> list[np.ndarray]:
+    """The rim of a patch walked into loops: boundary_loops on its edges.
+
+    directed: the (3m, 2) edges of _directed_edges over the patch's faces;
+    uses: how many of those faces hold each one's undirected edge. The edges
+    held once are the rim; each loop starts at its lowest vertex, and loops
+    come in the order of those. Raises NonManifoldError naming the lowest
+    edge more than two faces hold, and MeshError when a vertex starts two
+    rim edges, or a walk meets a vertex twice or one that starts no rim
+    edge: such rims are not simple loops.
+    """
+    over = np.flatnonzero(uses > 2)
+    if over.size:
+        pairs = np.sort(directed[over], axis=1)
+        lowest = np.lexsort(pairs.T[::-1])[0]
+        raise NonManifoldError(pairs[lowest], int(uses[over[lowest]]))
     nxt: dict[int, int] = {}
-    for a, b in directed[boundary]:
-        a, b = int(a), int(b)
+    for a, b in directed[uses == 1].tolist():
         if a in nxt:
             raise MeshError(f"non-simple boundary: vertex {a} lies on more than one rim edge pair")
         nxt[a] = b
@@ -374,10 +390,10 @@ def vertex_normals(mesh: Mesh) -> np.ndarray:
     """
     p = mesh.positions
     f = mesh.faces
-    fn = np.cross(p[f[:, 1]] - p[f[:, 0]], p[f[:, 2]] - p[f[:, 0]])
+    fn = _cross(p[f[:, 1]] - p[f[:, 0]], p[f[:, 2]] - p[f[:, 0]])
     corners = f.ravel("F")  # corner 0 of every face, then corner 1, then corner 2
     vn = np.column_stack([np.bincount(corners, np.tile(fn[:, c], 3), len(p)) for c in range(3)])
-    norms = np.linalg.norm(vn, axis=1)
+    norms = _norm(vn)
     ok = norms > 0
     vn[ok] /= norms[ok, None]
     return vn
@@ -393,12 +409,36 @@ def mean_edge_length(mesh: Mesh) -> float:
 def _mean_length(positions: np.ndarray, edges: np.ndarray) -> float:
     """Mean length of the (e, 2) vertex pairs `edges`, summed in their order."""
     d = positions[edges[:, 0]] - positions[edges[:, 1]]
-    return float(np.linalg.norm(d, axis=1).mean())
+    return float(_norm(d).mean())
 
 
 def signed_volume(mesh: Mesh) -> float:
     """Signed enclosed volume by the divergence theorem; meaningful for closed meshes."""
-    p = mesh.positions
-    f = mesh.faces
-    a, b, c = p[f[:, 0]], p[f[:, 1]], p[f[:, 2]]
-    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+    return _signed_volume(mesh.positions, mesh.faces)
+
+
+def _signed_volume(p: np.ndarray, f: np.ndarray) -> float:
+    """signed_volume of the positions `p` and faces `f`, which are not checked."""
+    a, b, c = p[f.T]
+    return float(np.einsum("ij,ij->i", a, _cross(b, c)).sum() / 6.0)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (n, 3) arrays.
+
+    Each component is one product minus another, as np.cross forms it, so the
+    bits are np.cross's without its axis and broadcasting handling.
+    """
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of an (n, 3) array.
+
+    The squares are summed (x + y) + z, numpy's order for a length-3 axis, so
+    the bits are np.linalg.norm(v, axis=1)'s.
+    """
+    sq = v * v
+    return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])

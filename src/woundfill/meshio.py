@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import MeshError, MeshFormatError
-from .mesh import Mesh
+from .mesh import Mesh, _cross, _norm
 
 __all__ = ["load_mesh", "save_mesh", "load_mesh_path", "save_mesh_path"]
 
@@ -308,8 +308,9 @@ def _save_stl(mesh: Mesh) -> bytes:
         )
     p = mesh.positions
     f = mesh.faces
-    normals = np.cross(p[f[:, 1]] - p[f[:, 0]], p[f[:, 2]] - p[f[:, 0]])
-    lens = np.linalg.norm(normals, axis=1)
+    a, b, c = p[f.T]
+    normals = _cross(b - a, c - a)
+    lens = _norm(normals)
     nz = lens > 0
     normals[nz] /= lens[nz, None]
     normals[~nz] = 0.0

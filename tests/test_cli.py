@@ -137,6 +137,24 @@ def test_extract_fill_of_a_pinched_rim_writes_the_open_shells_as_ply_only(tmp_pa
     assert not (fill / "filling.stl").exists()
 
 
+@pytest.mark.parametrize("command", ["extract-fill", "stats"])
+def test_overflowing_distance_exits_3_naming_the_vertex(tmp_path, capsys, command):
+    # vertex 2 sits at +1e308 in one file and -1e308 in the other: its distance overflows
+    for name, x in (("a.obj", "1e308"), ("b.obj", "-1e308")):
+        (tmp_path / name).write_text(f"v 0 0 0\nv 1 0 0\nv {x} 1 0\nv 0 0 1\n"
+                                     "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
+    a, b = tmp_path / "a.obj", tmp_path / "b.obj"
+    args = [a, b] if command == "stats" else ["--input", a, "--output", b,
+                                              "--out", tmp_path / "f"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, *args]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical error: non-finite vertex distance inf at vertex 2\n"
+    assert not (tmp_path / "f").exists()
+
+
 def _ranges_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": {"radius_range": [3, 4]}}))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from woundfill import (
 )
 from woundfill import filling
 from woundfill.mesh import components, vertex_adjacency
-from woundfill.errors import ConfigError, NoFillingError
+from woundfill.errors import ConfigError, NoFillingError, NumericalError
 
 
 def brute_force_outliers(values, k_sigma=2.0):
@@ -64,6 +65,14 @@ def test_outliers_hand_case():
     d = np.array([0.0] * 9 + [10.0])
     # mu = 1, sigma = 3, threshold 6: only the 10 sticks out
     assert outlier_indices(d, 2.0).tolist() == [9]
+
+
+@pytest.mark.parametrize("values, vertex", [([0.0, math.nan, 1.0], 1),
+                                            ([0.0, 1.0, math.inf, math.nan], 2),
+                                            ([-math.inf, 0.0], 0)])
+def test_non_finite_distance_is_a_numerical_error_naming_its_vertex(values, vertex):
+    with pytest.raises(NumericalError, match=f"non-finite vertex distance .* at vertex {vertex}$"):
+        outlier_indices(values)
 
 
 def test_outliers_constant_set_empty():
@@ -122,6 +131,15 @@ def test_outlier_selection_invariant_under_shift_and_scale_random():
 def test_extract_identity_raises_no_filling(sphere2):
     with pytest.raises(NoFillingError, match="no filling detected"):
         extract_filling(sphere2, sphere2)
+
+
+def test_overflowing_distance_is_a_numerical_error_without_warnings(sphere2):
+    far, near = np.array(sphere2.positions), np.array(sphere2.positions)
+    far[7], near[7] = [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite vertex distance inf at vertex 7$"):
+            extract_filling(sphere2.with_positions(far), sphere2.with_positions(near))
 
 
 def test_extract_requires_shared_topology(sphere2, ico):
@@ -372,6 +390,19 @@ def test_pinched_rim_emits_the_two_open_shells():
     assert report.filling.n_vertices == 2 * n and report.filling.n_faces == 2 * output.n_faces
     assert np.array_equal(report.filling.positions,
                           np.concatenate([wounded.positions[:n], output.positions[:n]]))
+
+
+def test_non_manifold_patch_emits_the_two_open_shells():
+    # three moved triangles on one edge, and 100 still vertices
+    pos = np.concatenate([[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1.0]],
+                          np.column_stack([np.arange(100.0), np.full(100, 9.0), np.zeros(100)])])
+    faces = [[2, 1, 0], [0, 1, 3], [4, 1, 0]]
+    moved = pos.copy()
+    moved[:5, 2] -= 0.5
+    report = extract_filling(Mesh(moved, faces), Mesh(pos, faces))
+    assert report.notes == ["open patches emitted: non-manifold edge (0, 1): 3 incident faces"]
+    assert not report.watertight
+    assert report.filling.n_faces == 6
 
 
 def test_each_component_is_oriented_to_positive_volume():

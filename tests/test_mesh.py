@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import euler_characteristic, k_ring, reference_components
+from conftest import _face_edges, euler_characteristic, k_ring, reference_components
 from woundfill import (
     Mesh,
     boundary_loops,
@@ -18,7 +18,15 @@ from woundfill import (
     vertex_normals,
 )
 from woundfill.errors import MeshError, NonManifoldError
-from woundfill.mesh import UNREACHED, bfs, components, csr_from_pairs, vertex_adjacency
+from woundfill.mesh import (
+    UNREACHED,
+    _cross,
+    _norm,
+    bfs,
+    components,
+    csr_from_pairs,
+    vertex_adjacency,
+)
 
 
 def test_mesh_rejects_out_of_range_face():
@@ -73,6 +81,39 @@ def test_watertight_icosahedron(ico):
 def test_watertight_fails_with_missing_face(ico):
     broken = Mesh(ico.positions, ico.faces[1:])
     assert not is_watertight(broken)
+
+
+def test_is_watertight_matches_the_edge_counts():
+    # faces of icosphere(1) dropped and repeated at random: an edge held by
+    # one, three or four faces, or an odd face count, is not watertight
+    base = icosphere(1)
+    rng = np.random.default_rng(8)
+    seen = set()
+    for case in range(200):
+        take = rng.integers(0, 3, size=base.n_faces) if case % 2 else np.ones(base.n_faces, int)
+        if case % 4 == 0:
+            take[rng.integers(0, base.n_faces, size=2)] = 2
+        faces = np.repeat(base.faces, take, axis=0)
+        mesh = Mesh(base.positions, faces)
+        _, counts = np.unique(_face_edges(mesh), axis=0, return_counts=True)
+        expected = len(faces) > 0 and bool((counts == 2).all())
+        assert is_watertight(mesh) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+    assert is_watertight(Mesh(base.positions, np.repeat(base.faces, 2, axis=0))) is False
+
+
+def test_row_cross_and_norm_are_numpys_bit_for_bit():
+    rng = np.random.default_rng(5)
+    scale = 10.0 ** rng.integers(-320, 308, size=(500, 1))
+    a, b = rng.normal(size=(500, 3)) * scale, rng.normal(size=(500, 3)) * scale[::-1]
+    a[:20] = 0.0
+    a[20:40] *= -0.0
+    b[40:45, 1] = np.inf
+    with np.errstate(all="ignore"):
+        assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        for v in (a, b, a - b):
+            assert _norm(v).tobytes() == np.linalg.norm(v, axis=1).tobytes()
 
 
 def test_boundary_loops_empty_for_closed(ico):
