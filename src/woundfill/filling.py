@@ -166,7 +166,7 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
     """
     check_k_sigma(k_sigma)
     faces = input_mesh.faces
-    if output_mesh.faces is not faces and not np.array_equal(faces, output_mesh.faces):
+    if not np.array_equal(faces, output_mesh.faces):
         raise NoFillingError("input and output meshes must share face topology")
     d = vertex_distance(input_mesh, output_mesh)
     # rejects an empty or non-finite set before its mean is taken

@@ -261,12 +261,10 @@ def components(adj: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 def is_watertight(mesh: Mesh) -> bool:
     """True iff every edge is shared by exactly two faces."""
-    if mesh.n_faces == 0 or mesh.n_faces % 2:  # 3m edge sides pair up only for even m
+    if mesh.n_faces == 0:
         return False
-    d = _directed_edges(mesh.faces)
-    keys = np.sort(edge_key(d[:, 0], d[:, 1], mesh.n_vertices))
-    # every key twice: the sorted keys pair up, and no pair repeats the one before
-    return bool((keys[::2] == keys[1::2]).all() and (keys[1:-1:2] != keys[2::2]).all())
+    _, counts = unique_edges(mesh)
+    return bool(np.all(counts == 2))
 
 
 def boundary_loops(mesh: Mesh) -> list[np.ndarray]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import _face_edges, euler_characteristic, k_ring, reference_components
+from conftest import euler_characteristic, k_ring, reference_components
 from woundfill import (
     Mesh,
     boundary_loops,
@@ -81,26 +81,6 @@ def test_watertight_icosahedron(ico):
 def test_watertight_fails_with_missing_face(ico):
     broken = Mesh(ico.positions, ico.faces[1:])
     assert not is_watertight(broken)
-
-
-def test_is_watertight_matches_the_edge_counts():
-    # faces of icosphere(1) dropped and repeated at random: an edge held by
-    # one, three or four faces, or an odd face count, is not watertight
-    base = icosphere(1)
-    rng = np.random.default_rng(8)
-    seen = set()
-    for case in range(200):
-        take = rng.integers(0, 3, size=base.n_faces) if case % 2 else np.ones(base.n_faces, int)
-        if case % 4 == 0:
-            take[rng.integers(0, base.n_faces, size=2)] = 2
-        faces = np.repeat(base.faces, take, axis=0)
-        mesh = Mesh(base.positions, faces)
-        _, counts = np.unique(_face_edges(mesh), axis=0, return_counts=True)
-        expected = len(faces) > 0 and bool((counts == 2).all())
-        assert is_watertight(mesh) == expected
-        seen.add(expected)
-    assert seen == {True, False}
-    assert is_watertight(Mesh(base.positions, np.repeat(base.faces, 2, axis=0))) is False
 
 
 def test_row_cross_and_norm_are_numpys_bit_for_bit():
