@@ -116,7 +116,7 @@ def cmd_eval(args) -> int:
 def cmd_extract_fill(args) -> int:
     cfg = RunConfig.load(args.config, _overrides(args))
     input_mesh = load_mesh_path(args.input)
-    output_mesh = load_mesh_path(args.output)
+    output_mesh = load_mesh_path(args.output, like=input_mesh)
     report = extract_filling(input_mesh, output_mesh, cfg.extraction["k_sigma"])
     out = Path(cfg.resolve_path("out_dir", "--out"))
     out.mkdir(parents=True, exist_ok=True)

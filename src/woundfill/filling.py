@@ -220,7 +220,7 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
             fcs = fcs[:, ::-1]
         all_positions.append(pos)
         all_faces.append(fcs + 2 * lo)
-    filling = Mesh(np.concatenate(all_positions), np.concatenate(all_faces))
+    filling = Mesh._adopt(np.concatenate(all_positions), np.concatenate(all_faces))
     watertight = closed_all and is_watertight(filling)
     return FillReport(
         distances=d,

@@ -47,6 +47,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(given, dtype, adopt: bool) -> np.ndarray:
+    """given as an array of dtype, in memory that no caller can write through.
+
+    A writable array of the caller's, or a view of one, is copied, so the
+    caller's array stays writable and its later writes do not reach the mesh;
+    with adopt, the caller allocated it and hands it over, and it is kept. A
+    conversion is new memory, and a read-only array, such as another mesh's,
+    is kept as it is.
+    """
+    a = np.asarray(given, dtype=dtype)
+    if not adopt and a.flags.writeable and (a is given or a.base is not None):
+        return a.copy()
+    return a
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Indexed triangle surface with optional named per-vertex scalar channels.
@@ -55,6 +70,9 @@ class Mesh:
     faces: (m, 3) int64 vertex-index triples; all indices valid, no face
         repeats a vertex.
     attributes: mapping of channel name to (n,) float64 values.
+
+    The mesh holds read-only arrays. It copies a writable array it is given,
+    so the caller can go on writing to it; a read-only one it keeps.
     """
 
     positions: np.ndarray
@@ -62,8 +80,19 @@ class Mesh:
     attributes: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
-        fac = np.asarray(self.faces, dtype=np.int64)
+        self._check(self.positions, self.faces, self.attributes, adopt=False)
+
+    @classmethod
+    def _adopt(cls, positions, faces, attributes=None) -> "Mesh":
+        """Mesh(positions, faces, attributes) on arrays the caller allocated and hands
+        over: they are checked the same way, and frozen rather than copied."""
+        out = object.__new__(cls)
+        out._check(positions, faces, {} if attributes is None else attributes, adopt=True)
+        return out
+
+    def _check(self, positions, faces, attributes, adopt: bool) -> None:
+        pos = _owned(positions, np.float64, adopt)
+        fac = _owned(faces, np.int64, adopt)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise MeshError(f"positions must be (n, 3), got {pos.shape}")
         if fac.size == 0:
@@ -87,13 +116,13 @@ class Mesh:
             )
             if degen.any():
                 raise MeshError(f"degenerate face {int(np.flatnonzero(degen)[0])}: repeated vertex index")
-        self._freeze(pos, fac)
+        self._freeze(pos, fac, attributes, adopt)
 
-    def _freeze(self, pos: np.ndarray, fac: np.ndarray) -> None:
+    def _freeze(self, pos: np.ndarray, fac: np.ndarray, attributes, adopt: bool) -> None:
         """Check the attributes against the finite (n, 3) float64 `pos`, then set every field."""
         attrs = {}
-        for name, vals in self.attributes.items():
-            vals = np.asarray(vals, dtype=np.float64)
+        for name, vals in attributes.items():
+            vals = _owned(vals, np.float64, adopt)
             if vals.shape != (len(pos),):
                 raise MeshError(
                     f"attribute {name!r} must have shape ({len(pos)},), got {vals.shape}"
@@ -108,14 +137,13 @@ class Mesh:
                      attributes: dict[str, np.ndarray]) -> "Mesh":
         """A mesh on `mesh`'s frozen faces array (the same object) with new positions,
         which must have mesh's shape, and attributes, both checked as __post_init__
-        checks them. The faces, which `mesh` has passed, are not range- and
-        degeneracy-checked again."""
+        checks them and adopted as Mesh._adopt adopts them. The faces, which `mesh`
+        has passed, are not range- and degeneracy-checked again."""
         pos = np.asarray(positions, dtype=np.float64)
         if not np.isfinite(pos).all():
             raise MeshError("positions contain non-finite values")
         out = object.__new__(cls)
-        object.__setattr__(out, "attributes", attributes)
-        out._freeze(pos, mesh.faces)
+        out._freeze(pos, mesh.faces, attributes, adopt=True)
         return out
 
     @property
@@ -134,7 +162,8 @@ class Mesh:
         shape is checked in full, as the constructor checks it.
         """
         if np.shape(positions) == self.positions.shape:
-            return Mesh._on_faces_of(self, positions, self.attributes)
+            return Mesh._on_faces_of(self, _owned(positions, np.float64, False),
+                                     self.attributes)
         return Mesh(positions, self.faces, dict(self.attributes))
 
 
@@ -350,7 +379,7 @@ def fill_holes(mesh: Mesh) -> Mesh:
         fan[:, 2] = next_index
         new_faces.append(fan)
         next_index += 1
-    return Mesh(
+    return Mesh._adopt(
         np.concatenate(positions),
         np.concatenate(new_faces),
         {name: np.concatenate(chunks) for name, chunks in attrs.items()},
@@ -372,7 +401,7 @@ def keep_largest_component(mesh: Mesh) -> tuple[Mesh, np.ndarray]:
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     face_keep = np.all(label[mesh.faces] == best, axis=1)
-    out = Mesh(
+    out = Mesh._adopt(
         mesh.positions[keep],
         remap[mesh.faces[face_keep]],
         {name: vals[keep] for name, vals in mesh.attributes.items()},

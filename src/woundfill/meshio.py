@@ -124,7 +124,7 @@ def _load_obj(data: bytes) -> Mesh:
         warnings.warn(f"OBJ: ignored directives {sorted(ignored)}", stacklevel=3)
     if not positions:
         raise MeshFormatError("OBJ contains no vertices")
-    return Mesh(np.array(positions), np.array(faces, dtype=np.int64).reshape(-1, 3))
+    return Mesh._adopt(np.array(positions), np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
 def _save_obj(mesh: Mesh) -> bytes:
@@ -192,7 +192,7 @@ def _load_ply(data: bytes, like: Mesh | None = None) -> Mesh:
         raise MeshFormatError("PLY has no vertex element")
     if like is not None and faces is like.faces and len(positions) == like.n_vertices:
         return Mesh._on_faces_of(like, positions, attributes)
-    return Mesh(positions, faces, attributes)
+    return Mesh._adopt(positions, faces, attributes)
 
 
 def _like_records(like: Mesh, dtype: np.dtype) -> bytes:
@@ -310,14 +310,13 @@ def _save_stl(mesh: Mesh) -> bytes:
     f = mesh.faces
     a, b, c = p[f.T]
     normals = _cross(b - a, c - a)
-    lens = _norm(normals)
-    nz = lens > 0
-    normals[nz] /= lens[nz, None]
-    normals[~nz] = 0.0
+    lens = _norm(normals)[:, None]
+    unit = np.zeros_like(normals)  # stays zero where a face has no area
+    np.divide(normals, lens, out=unit, where=lens > 0)
 
     record = np.zeros(mesh.n_faces, dtype=np.dtype([("n", "<f4", (3,)),
                                                     ("v", "<f4", (3, 3)),
                                                     ("attr", "<u2")]))
-    record["n"] = normals
+    record["n"] = unit
     record["v"] = p[f]
     return _STL_HEADER + struct.pack("<I", mesh.n_faces) + record.tobytes()

@@ -10,21 +10,29 @@ of the coefficient and density gradients contract over B*I (or B*O)
 columns, and the basis, bias and residual-matrix gradients over n*B rows.
 
 Each operator reads a ConvTopology in CSR form. vc_conv never builds the
-per-edge weights W_e = sum_k a_ek B_k: its per-edge work is three passes over
-the rows r of one side (output or input rows) and the edges e of each row:
+per-edge weights W_e = sum_k a_ek B_k: its per-edge work runs over the rows r
+of one side (output or input rows) and the edges e of each row:
   _contract       sum_e f_e^T a_e per row: z from x on output rows (I <= O; then
                   y = z B, d_B = z^T g), w from g on input rows (I > O backward;
                   then d_x = w B^T, d_B = x^T w)
-  _edge_products  f_e^T q_r, which is d_a: from x and p = g B^T on output rows
-                  (I <= O), from g and t = x B on input rows (I > O)
-  _spread         a_e q_r summed over the other side's rows: y from t on input
-                  rows (I > O forward), d_x from p on output rows (I <= O backward)
+  _edge_products  g_e^T t_j on input rows, which is d_a (I > O backward)
+  _spread         a_e t_j on input rows summed over the output rows: y (I > O)
+  _output_row_backward
+                  the I <= O backward's one pass over output rows: each block
+                  forms its own rows of p = g B^T, then d_a = x_e^T p_r and,
+                  when d_x is asked for, the per-edge rows a_e p_r^T, which are
+                  summed over the input rows after the pass
 Passes run in blocks of whole CSR rows, padded to the block's longest row, at
 most BLOCK_EDGES entries each, so the scratch a call holds is bounded by the
-block and the vertex-sized arrays, not by the edge count; both grow with B*d.
+block, the vertex-sized arrays and the per-edge rows it writes (d_a, and the
+per-edge rows that _spread and _output_row_backward sum), not by a product
+over all the edges; all grow with B*d.
 A pass writes whole blocks at their edge ids, the padding into one scratch row
 at index edge_count. Each topology builds its block plans once. Forward passes
-and gradients are bit-reproducible per numpy/BLAS build, thread count and B.
+and gradients are bit-reproducible per numpy/BLAS build, thread count, B and
+BLOCK_EDGES: the blocks fix the order of the row sums and the row count of
+each block's p product, which BLAS may round with another kernel when it is
+small (OpenBLAS 0.3.31 runs a one-row product through gemv).
 
 The density layers are vc convolutions with one basis matrix (M = 1): the
 coefficients are the normalized densities r', the basis is C^T, or the
@@ -238,22 +246,50 @@ def _contract(f: np.ndarray, c: np.ndarray, topology: ConvTopology, rows: str) -
     return out
 
 
-def _edge_products(f: np.ndarray, q: np.ndarray, topology: ConvTopology, rows: str) -> np.ndarray:
-    """f_e^T q_r for each edge e of each row r, as (edge_count, M); q is (n, D, M)."""
+def _edge_products(f: np.ndarray, q: np.ndarray, topology: ConvTopology) -> np.ndarray:
+    """f_e^T q_j for each edge e of each input row j, as (edge_count, M); q is (n_in, D, M)."""
     out = np.empty((topology.edge_count + 1, q.shape[2]))
-    for r0, r1, edge, target in _blocks(topology, rows):
+    for r0, r1, edge, target in _blocks(topology, "in"):
         out[edge.ravel()] = (np.take(f, target, axis=0) @ q[r0:r1]).reshape(-1, q.shape[2])
     return out[:-1]
 
 
-def _spread(q: np.ndarray, c: np.ndarray, topology: ConvTopology, rows: str) -> np.ndarray:
-    """c_e q_r for each edge e of each row r, summed over the other side's rows; q is (n, M, D)."""
+def _spread(q: np.ndarray, c: np.ndarray, topology: ConvTopology) -> np.ndarray:
+    """c_e q_j for each edge e of each input row j, summed over the output rows; q is
+    (n_in, M, D)."""
     per_edge = np.empty((topology.edge_count + 1, q.shape[2]))
-    for r0, r1, edge, _ in _blocks(topology, rows):
+    for r0, r1, edge, _ in _blocks(topology, "in"):
         products = np.take(c, edge, axis=0, mode="clip") @ q[r0:r1]
         per_edge[edge.ravel()] = products.reshape(-1, q.shape[2])
     per_edge[-1] = 0.0
-    return _row_sums(per_edge, topology, "in" if rows == "out" else "out")
+    return _row_sums(per_edge, topology, "out")
+
+
+def _output_row_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
+                         g: np.ndarray, input_grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(d_coeffs, d_x or None) of the I <= O backward, in one pass over the output rows.
+
+    Each block of output rows r forms its own p_r, whose row b*I + i holds
+    (B_k g_rb)_i for each k, so contracting over its B*I rows sums the samples.
+    It writes d_a_e = x_e^T p_r for each edge e of its rows and, when
+    input_grad, the per-edge d_x rows a_e p_r^T, which are then summed over the
+    input rows. p is never held for more than one block.
+    """
+    m, i, o = params.basis.shape
+    by_input = params.basis.transpose(1, 0, 2).reshape(i * m, o)
+    xs, gs = _zero_row(_vertex_rows(x)), _vertex_rows(g)
+    d_coeffs = np.empty((topology.edge_count + 1, m))
+    per_edge = np.empty((topology.edge_count + 1, xs.shape[1])) if input_grad else None
+    for r0, r1, edge, target in _blocks(topology, "out"):
+        p = (gs[r0:r1].reshape(-1, o) @ by_input.T).reshape(r1 - r0, -1, m)
+        d_coeffs[edge.ravel()] = (np.take(xs, target, axis=0) @ p).reshape(-1, m)
+        if input_grad:
+            products = np.take(params.coeffs, edge, axis=0, mode="clip") @ p.transpose(0, 2, 1)
+            per_edge[edge.ravel()] = products.reshape(-1, xs.shape[1])
+    if not input_grad:
+        return d_coeffs[:-1], None
+    per_edge[-1] = 0.0
+    return d_coeffs[:-1], _row_sums(per_edge, topology, "in").reshape(x.shape)
 
 
 def _zero_row(a: np.ndarray) -> np.ndarray:
@@ -316,7 +352,7 @@ def _conv(params: VcConvParams, topology: ConvTopology,
     else:
         # per input row j: t_j = (x_j^T B_k)_k, then c_e^T t_j summed over the output rows
         product = _vertex_products(x, params)
-        y = _spread(product, params.coeffs, topology, "in")
+        y = _spread(product, params.coeffs, topology)
     y = y.reshape(_out_shape(x, topology.n_out, o))
     y += params.bias
     return y, product
@@ -338,21 +374,15 @@ def _conv_backward(params: VcConvParams, topology: ConvTopology, x: np.ndarray,
                    product: np.ndarray, g: np.ndarray, input_grad: bool):
     """vc_conv_backward on _conv's checked x and product and a checked upstream gradient g."""
     m, i, o = params.basis.shape
-    c = params.coeffs
-    d_x = None
     if i <= o:
-        by_input = params.basis.transpose(1, 0, 2).reshape(i * m, o)
-        # p[r][b*I + :, k] = B_k g_rb: contracting over its B*I rows sums the samples
-        p = (_sample_rows(g) @ by_input.T).reshape(topology.n_out, -1, m)
-        d_coeffs = _edge_products(_zero_row(_vertex_rows(x)), p, topology, "out")
-        if input_grad:
-            d_x = _spread(p.transpose(0, 2, 1), c, topology, "out").reshape(x.shape)
+        d_coeffs, d_x = _output_row_backward(params, topology, x, g, input_grad)
         d_basis = (product.reshape(-1, i * m).T @ _sample_rows(g)).reshape(i, m, o)
         d_basis = d_basis.transpose(1, 0, 2)
     else:
         gs = _zero_row(_vertex_rows(g))
-        w = _contract(gs, c, topology, "in").reshape(-1, o * m)
-        d_coeffs = _edge_products(gs, product.transpose(0, 2, 1), topology, "in")
+        w = _contract(gs, params.coeffs, topology, "in").reshape(-1, o * m)
+        d_coeffs = _edge_products(gs, product.transpose(0, 2, 1), topology)
+        d_x = None
         if input_grad:
             d_x = (w @ params.basis.transpose(2, 0, 1).reshape(o * m, i)).reshape(x.shape)
         d_basis = (_sample_rows(x).T @ w).reshape(i, o, m).transpose(2, 0, 1)

@@ -136,7 +136,7 @@ def _dent(mesh: Mesh, adj, normals: np.ndarray, spec: ScarSpec) -> tuple[Mesh, S
     affected = np.flatnonzero(displacement > 0)
     positions = np.array(mesh.positions)
     positions[affected] -= displacement[affected, None] * normals[affected]
-    return mesh.with_positions(positions), ScarMask(affected, displacement)
+    return Mesh._on_faces_of(mesh, positions, mesh.attributes), ScarMask(affected, displacement)
 
 
 def sample_scar_spec(
@@ -178,7 +178,7 @@ def icosahedron() -> Mesh:
         ],
         dtype=np.int64,
     )
-    return Mesh(verts, faces)
+    return Mesh._adopt(verts, faces)
 
 
 def icosphere(subdivisions: int) -> Mesh:
@@ -204,7 +204,7 @@ def icosphere(subdivisions: int) -> Mesh:
         a, b, c = faces.T
         ab, bc, ca = (n + np.argsort(np.argsort(first)))[inverse].reshape(-1, 3).T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
-    return Mesh(verts, faces)
+    return Mesh._adopt(verts, faces)
 
 
 def synth_head(seed: int, subdivisions: int = 2) -> Mesh:
@@ -231,7 +231,7 @@ def _bump(base: Mesh, seed: int) -> Mesh:
     factor = 1.0 + sum(
         amps[i] * np.exp((d @ dirs[i] - 1.0) / widths[i]) for i in range(n_lobes)
     )
-    return base.with_positions(d * factor[:, None] * axes[None, :])
+    return Mesh._on_faces_of(base, d * factor[:, None] * axes[None, :], base.attributes)
 
 
 # --- dataset ------------------------------------------------------------

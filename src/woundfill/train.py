@@ -10,7 +10,9 @@ forward, one reconstruction_loss call giving the B per-sample losses and
 their (n, B, 3) gradient, and one backward, whose ops kernels sum each
 parameter's gradient over the samples. The backward writes into one
 gradient vector kept for the run, which is scaled by 1/B with one multiply,
-and adam_step updates the model's parameter vector in place. Batch
+and adam_step updates the model's parameter vector in place. The batch's
+output, cache and loss gradient are dropped before that step, so they are
+not held through it, the val pass or the checkpoint write. Batch
 composition and order are fixed by the seed, so runs with the same seed are
 byte-reproducible.
 
@@ -186,6 +188,7 @@ def train(
                 batch_loss += value
             scale = 1.0 / len(batch)
             model.backward(cache, grad_out, out=grad)
+            del out, cache, grad_out  # consumed: not held through Adam, val and the checkpoint
             grad *= scale
             adam_step(model.vector, grad, state)
             epoch_losses.append(batch_loss * scale)
@@ -284,7 +287,7 @@ def evaluate(
         total += float(d.sum())
         count += len(d)
         if out_dir is not None:
-            recon = Mesh(out_positions, wounded.faces, {"error": d})
+            recon = Mesh._adopt(out_positions, wounded.faces, {"error": d})
             save_mesh_path(recon, out_dir / f"{name}_recon.ply")
     means = [m["mean"] for m in per_mesh]
     return EvalReport(

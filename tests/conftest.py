@@ -116,6 +116,22 @@ def euler_characteristic(mesh: Mesh) -> int:
     return mesh.n_vertices - len(np.unique(_face_edges(mesh), axis=0)) + mesh.n_faces
 
 
+def reference_stl_body(mesh: Mesh) -> bytes:
+    """A binary STL after its 80-byte header, by the writer's earlier formula: np.cross
+    face normals divided by their np.linalg.norm lengths through a boolean mask, and set
+    to zero where the length is zero."""
+    p, f = mesh.positions, mesh.faces
+    normals = np.cross(p[f[:, 1]] - p[f[:, 0]], p[f[:, 2]] - p[f[:, 0]])
+    lens = np.linalg.norm(normals, axis=1)
+    nz = lens > 0
+    normals[nz] /= lens[nz, None]
+    normals[~nz] = 0.0
+    records = np.zeros(len(f), dtype=[("n", "<f4", (3,)), ("v", "<f4", (3, 3)), ("a", "<u2")])
+    records["n"] = normals
+    records["v"] = p[f]
+    return np.uint32(len(f)).astype("<u4").tobytes() + records.tobytes()
+
+
 def pinched_rim_pair() -> tuple[Mesh, Mesh]:
     """(wounded, reconstruction) whose one filling patch has a pinched rim.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -16,6 +17,7 @@ from woundfill import (
     save_mesh_path,
 )
 from woundfill.checkpoint import MAGIC, save_checkpoint
+from woundfill import cli
 from woundfill.cli import main
 from woundfill.scars import load_manifest
 
@@ -108,18 +110,31 @@ def test_eval_identity(tmp_path, gen_dir):
     assert list(out.glob("*_recon.ply"))
 
 
-def test_extract_fill_cli(tmp_path):
+# sha256 of what extract-fill wrote before it loaded --output against --input
+EXTRACT_FILL_SHA256 = {
+    "fill_report.json": "394cf7dbbd23977a20930916967a053a56057b45d814e618ba958af6d8993fef",
+    "filling.ply": "71d6a01d712e9f7f3383e5471a127959e1e1ed1e755a127b1fe80bffdcd43978",
+    "filling.stl": "cfb96082f05185f64e927078ae641da33730367a57447db23cd074b0bb6fe641",
+}
+
+
+def test_extract_fill_cli(tmp_path, monkeypatch):
     data = tmp_path / "d"
     assert run(["gen-data", "--out", data, "--count", "1", "--scars", "1",
                 "--seed", "3", "--ratios", "1.0", "0.0", "0.0",
                 "--subdivisions", "3", "--config", _ranges_config(tmp_path)]) == 0
+    pairs, real = [], cli.extract_filling
+    monkeypatch.setattr(cli, "extract_filling",
+                        lambda a, b, k: pairs.append((a, b)) or real(a, b, k))
     fill = tmp_path / "fill"
     assert run(["extract-fill", "--input", data / "0000_00.ply",
                 "--output", data / "0000_gt.ply", "--out", fill]) == 0
+    [(wounded, output)] = pairs
+    assert output.faces is wounded.faces  # the output file is loaded against the input
     report = json.loads((fill / "fill_report.json").read_text())
     assert report["watertight"]
-    assert (fill / "filling.stl").exists()
-    assert (fill / "filling.ply").exists()
+    for name, digest in EXTRACT_FILL_SHA256.items():
+        assert hashlib.sha256((fill / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_extract_fill_of_a_pinched_rim_writes_the_open_shells_as_ply_only(tmp_path, capsys):

@@ -61,6 +61,22 @@ def test_with_positions_shares_the_faces_and_checks_the_rest(ico):
         ico.with_positions(ico.positions[:-1])
 
 
+def test_mesh_leaves_the_callers_arrays_writable_and_unseen(ico):
+    positions, faces, error = ico.positions.copy(), ico.faces.copy(), np.zeros(ico.n_vertices)
+    meshes = [Mesh(positions, faces, {"error": error}), ico.with_positions(positions),
+              Mesh(positions[:, :3], faces[:])]  # views of the caller's arrays too
+    positions[0], faces[0], error[0] = 5.0, faces[1], 1.0  # the caller's arrays stay writable
+    for mesh in meshes:
+        assert np.array_equal(mesh.positions, ico.positions)
+        assert np.array_equal(mesh.faces, ico.faces)
+        assert not mesh.positions.flags.writeable and not mesh.faces.flags.writeable
+    assert meshes[0].attributes["error"][0] == 0.0
+    # read-only arrays, such as another mesh's, are kept; so are arrays handed over
+    assert Mesh(ico.positions, ico.faces).faces is ico.faces
+    handed = np.array(ico.positions)
+    assert Mesh._adopt(handed, ico.faces).positions is handed
+
+
 def test_mesh_is_immutable(ico):
     with pytest.raises(ValueError):
         ico.positions[0, 0] = 5.0

@@ -6,6 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from woundfill import Mesh, icosahedron, icosphere, load_mesh, load_mesh_path, save_mesh, save_mesh_path
+from conftest import reference_stl_body
 from woundfill import meshio
 from woundfill.errors import MeshError, MeshFormatError, WoundfillError
 
@@ -253,6 +254,20 @@ def test_stl_vertex_payload(ico):
     assert np.allclose(rec["v"], ico.positions[ico.faces].astype(np.float32))
     # normals are unit length for a non-degenerate mesh
     assert np.allclose(np.linalg.norm(rec["n"], axis=1), 1.0, atol=1e-6)
+
+
+def test_stl_bytes_equal_the_masked_normal_formula(ico):
+    # zero-area faces: two corners at one point, three collinear corners, and edges of
+    # 1e-85 whose cross product (-1e-170) is non-zero but whose squared length underflows
+    extra = np.array([ico.positions[0], [2.0, 0.0, 0.0], [4.0, 0.0, 0.0], [6.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0], [0.0, 1e-85, 0.0], [1e-85, 0.0, 0.0]])
+    n = ico.n_vertices
+    faces = [[0, n, 1], [n + 1, n + 2, n + 3], [n + 4, n + 5, n + 6]]
+    mesh = Mesh(np.vstack([ico.positions, extra]), np.vstack([ico.faces, faces]))
+    data = save_mesh(mesh, "stl")
+    assert data[80:] == reference_stl_body(mesh)
+    normals = np.frombuffer(data[84:], dtype=[("n", "<f4", (3,)), ("rest", "V38")])["n"]
+    assert not normals[-3:].any() and not np.signbit(normals[-3:]).any()
 
 
 def test_unknown_format_rejected(ico):

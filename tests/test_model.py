@@ -228,25 +228,31 @@ def test_backward_equals_the_public_operators_bit_for_bit(branchy_model, monkeyp
 
 def test_backward_does_not_form_the_first_blocks_input_gradient(branchy_model, monkeypatch):
     # enc0 maps 3 -> 16 features, so its conv and density layer take the I <= O kernels,
-    # whose d_x is the only _spread over output rows
+    # whose one pass over the output rows forms d_x only when asked to
     mesh, model = branchy_model
     first = model.blocks[0]
-    spread, seen = ops._spread, []
+    fused, seen = ops._output_row_backward, []
 
-    def spy(q, c, topology, rows):
-        seen.append((id(topology), rows))
-        return spread(q, c, topology, rows)
+    def spy(params, topology, x, g, input_grad):
+        d_coeffs, d_x = fused(params, topology, x, g, input_grad)
+        seen.append((id(topology), input_grad, d_x is not None))
+        return d_coeffs, d_x
 
-    monkeypatch.setattr(ops, "_spread", spy)
+    monkeypatch.setattr(ops, "_output_row_backward", spy)
     _, cache = model.forward(mesh.positions, keep_cache=True)
     g = np.ones_like(mesh.positions)
-    enc0_dx = {(id(first.conv_topology), "out"), (id(first.pool_topology), "out")}
+    enc0 = (first.conv_topology, first.pool_topology)
+
+    def calls(topology):  # (input_grad, d_x formed) of each fused pass on the topology
+        return {(asked, formed) for t, asked, formed in seen if t == id(topology)}
+
     seen.clear()
     model.backward(cache, g)
-    assert seen and not enc0_dx & set(seen)
+    assert all(calls(t) == {(False, False)} for t in enc0)
+    assert any(formed for _, _, formed in seen)  # later blocks still form theirs
     seen.clear()
     model.input_gradient(cache, g)
-    assert enc0_dx <= set(seen)
+    assert all(calls(t) == {(True, True)} for t in enc0)
 
 
 def test_backward_runs_each_public_backward_once_per_block(branchy_model, monkeypatch):

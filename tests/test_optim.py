@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from woundfill import adam_init, adam_step
+from woundfill import adam_init, adam_step, optim
 from woundfill.errors import NumericalError
 
 SHAPES = {"a": (3, 2), "b": (4,)}
@@ -125,3 +126,34 @@ def test_mismatched_vectors_are_refused():
     with pytest.raises(ValueError):
         adam_init(np.zeros(9), SHAPES)
     assert state.step == 0
+
+
+def test_chunked_steps_equal_one_pass_over_the_vector(monkeypatch):
+    # chunks of 3 and 4 entries over 10, the last one short, against a single chunk
+    rng = np.random.default_rng(5)
+    params = make_params(rng)
+    grad_seq = [rng.normal(size=params.shape) for _ in range(4)]
+
+    def run(chunk):
+        monkeypatch.setattr(optim, "CHUNK", chunk)
+        p = params.copy()
+        state = adam_init(p, SHAPES, lr=3e-3)
+        for g in grad_seq:
+            adam_step(p, g.copy(), state)
+        return p.tobytes() + state.m.tobytes() + state.v.tobytes()
+
+    assert run(3) == run(4) == run(len(params))
+
+
+def test_adam_holds_and_allocates_under_a_quarter_vector_beyond_its_moments():
+    # the parameter count of the benchmark's train-deep model (V = 2562, widths 3/16/32)
+    params = np.random.default_rng(6).normal(size=336_311)
+    grads = np.random.default_rng(7).normal(size=params.shape)
+    tracemalloc.start()
+    try:
+        state = adam_init(params, {"w": params.shape})
+        adam_step(params, grads, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - state.m.nbytes - state.v.nbytes < params.nbytes / 4

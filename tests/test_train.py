@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import re
 import struct
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,8 +15,12 @@ from woundfill import (
     Mesh,
     TrainSettings,
     evaluate,
+    adam_init,
+    adam_step,
     make_dataset,
+    reconstruction_loss,
     save_mesh_path,
+    synth_head,
     train,
 )
 from conftest import reference_train
@@ -157,6 +163,69 @@ def test_train_runs_each_uneven_batch_as_one_stack(tmp_path, monkeypatch):
     train_batches = [(42, 2, 3), (42, 2, 3), (42, 1, 3)]
     assert backwards == train_batches * 4  # two epochs of two runs
     assert forwards == (train_batches + [(42, 2, 3), (42, 1, 3)]) * 4
+
+
+def test_train_drops_the_batch_output_cache_and_loss_gradient_before_adam(dataset, tmp_path,
+                                                                          monkeypatch):
+    manifest, root = dataset
+    consumed, alive = [], []
+    forward, backward = Autoencoder.forward, Autoencoder.backward
+
+    def forward_spy(self, x, keep_cache=False):
+        result = forward(self, x, keep_cache)
+        if keep_cache:
+            out, cache = result
+            consumed.extend(weakref.ref(a) for a in (out, *(h for h, _, _ in cache)))
+        return result
+
+    def backward_spy(self, cache, grad_out, out=None):
+        consumed.append(weakref.ref(grad_out))
+        return backward(self, cache, grad_out, out)
+
+    def adam_spy(params, grads, state):
+        alive.append(sum(ref() is not None for ref in consumed))
+        consumed.clear()
+        adam_step(params, grads, state)
+
+    monkeypatch.setattr(Autoencoder, "forward", forward_spy)
+    monkeypatch.setattr(Autoencoder, "backward", backward_spy)
+    monkeypatch.setattr(train_module, "adam_step", adam_spy)
+    train(manifest, root, ARCH, TrainSettings(epochs=2, seed=3), tmp_path)
+    assert alive == [0, 0]
+
+
+def test_a_training_step_stays_within_its_memory_budget():
+    # the benchmark's train-deep step: V = 2562, widths 3/16/32, B = 4. Over what is live
+    # before it (model, data, gradient vector, Adam state) the step peaked at 10.08 MiB
+    # (tracemalloc, numpy 2.4): the forward's saved arrays, output and loss gradient
+    # (6.45 MiB), then the backward's peak over them. The budget allows 5% more; the
+    # step peaked at 11.11 MiB when the backward held the whole I <= O product p and the
+    # previous block's gradients.
+    mesh = synth_head(1, 4)
+    model = Autoencoder.build(mesh, Architecture((1.0, 0.25, 0.0625), (3, 16, 32)), 0)
+    rng = np.random.default_rng(8)
+    x = mesh.positions[:, None] + rng.normal(scale=0.01, size=(mesh.n_vertices, 4, 3))
+    target = np.repeat(mesh.positions[:, None], 4, axis=1)
+    grad = np.empty_like(model.vector)
+    state = adam_init(model.vector, model.shapes)
+
+    def step():
+        out, cache = model.forward(x, keep_cache=True)
+        grad_out = reconstruction_loss(out, target, "l2")[1]
+        model.backward(cache, grad_out, out=grad)
+        del out, cache, grad_out
+        grad[...] *= 0.25
+        adam_step(model.vector, grad, state)
+
+    step()  # builds the topologies' block plans
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * 10.08 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("metric, target, batch_size, max_steps", [
