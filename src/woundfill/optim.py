@@ -60,8 +60,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One update of the vector `params` in place; m, v and state.step advance.
 
     grads is consumed: once m and v have read a chunk of it, the chunk holds
-    the denominator. A non-finite gradient raises NumericalError naming the first parameter
-    array that holds one, before anything changes. The arithmetic is
+    the denominator. A non-finite gradient raises NumericalError naming the
+    first parameter array that holds one, before anything changes. The arithmetic is
     m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p - (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), in that operation order,
     elementwise, so each entry gets the bits a per-array update gives it.

@@ -117,7 +117,7 @@ def euler_characteristic(mesh: Mesh) -> int:
 
 
 def reference_stl_body(mesh: Mesh) -> bytes:
-    """A binary STL after its 80-byte header, by the writer's earlier formula: np.cross
+    """A binary STL after its 80-byte header, its normals formed the plain way: np.cross
     face normals divided by their np.linalg.norm lengths through a boolean mask, and set
     to zero where the length is zero."""
     p, f = mesh.positions, mesh.faces

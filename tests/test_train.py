@@ -14,9 +14,9 @@ from woundfill import (
     LossSpec,
     Mesh,
     TrainSettings,
-    evaluate,
     adam_init,
     adam_step,
+    evaluate,
     make_dataset,
     reconstruction_loss,
     save_mesh_path,
@@ -198,9 +198,9 @@ def test_a_training_step_stays_within_its_memory_budget():
     # the benchmark's train-deep step: V = 2562, widths 3/16/32, B = 4. Over what is live
     # before it (model, data, gradient vector, Adam state) the step peaked at 10.08 MiB
     # (tracemalloc, numpy 2.4): the forward's saved arrays, output and loss gradient
-    # (6.45 MiB), then the backward's peak over them. The budget allows 5% more; the
-    # step peaked at 11.11 MiB when the backward held the whole I <= O product p and the
-    # previous block's gradients.
+    # (6.45 MiB), then the backward's peak over them. The budget allows 5% more. A
+    # backward that holds the whole I <= O product p and each block's gradients through
+    # the next block's backward peaks at 11.11 MiB.
     mesh = synth_head(1, 4)
     model = Autoencoder.build(mesh, Architecture((1.0, 0.25, 0.0625), (3, 16, 32)), 0)
     rng = np.random.default_rng(8)
