@@ -154,18 +154,6 @@ class Mesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def with_positions(self, positions: np.ndarray) -> "Mesh":
-        """Same topology and attributes, new coordinates.
-
-        Positions of this mesh's shape give a mesh that shares this one's
-        frozen faces array, whose indices are not checked again; any other
-        shape is checked in full, as the constructor checks it.
-        """
-        if np.shape(positions) == self.positions.shape:
-            return Mesh._on_faces_of(self, _owned(positions, np.float64, False),
-                                     self.attributes)
-        return Mesh(positions, self.faces, dict(self.attributes))
-
 
 def edge_key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Integer key of the undirected edge (a, b) over n vertices: min * n + max.

@@ -308,7 +308,8 @@ def _save_stl(mesh: Mesh) -> bytes:
         )
     p = mesh.positions
     f = mesh.faces
-    a, b, c = p[f.T]
+    corners = p[f]
+    a, b, c = corners.swapaxes(0, 1)
     normals = _cross(b - a, c - a)
     lens = _norm(normals)[:, None]
     unit = np.zeros_like(normals)  # stays zero where a face has no area
@@ -318,5 +319,5 @@ def _save_stl(mesh: Mesh) -> bytes:
                                                     ("v", "<f4", (3, 3)),
                                                     ("attr", "<u2")]))
     record["n"] = unit
-    record["v"] = p[f]
+    record["v"] = corners
     return _STL_HEADER + struct.pack("<I", mesh.n_faces) + record.tobytes()

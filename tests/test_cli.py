@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import format_2_hierarchy, pinched_rim_pair
+import woundfill
 from woundfill import (
     Architecture,
     Autoencoder,
@@ -24,6 +29,16 @@ from woundfill.scars import load_manifest
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_json(path):
+    """The JSON file at path, which must be strict JSON: json.dumps writes a non-finite
+    float as NaN or Infinity, which other JSON readers refuse."""
+    def refuse(constant):
+        raise ValueError(f"{path}: non-finite JSON constant {constant}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +72,7 @@ def test_gen_data_split_ratio_override(tmp_path):
     assert run(["gen-data", "--out", out, "--count", "10", "--scars", "1",
                 "--seed", "1", "--ratios", "0.8", "0.1", "0.1",
                 "--subdivisions", "1"]) == 0
-    doc = json.loads((out / "manifest.json").read_text())
+    doc = read_json(out / "manifest.json")
     heads = {s: set() for s in ("train", "val", "test")}
     for e in doc["entries"]:
         heads[e["split"]].add(e["head"])
@@ -97,7 +112,7 @@ def test_train_eval_round_trip(tmp_path, gen_dir):
     assert (run_dir / "metrics.csv").read_text().startswith("epoch,split,loss")
     assert run(["eval", "--data", gen_dir, "--out", run_dir,
                 "--checkpoint", run_dir / "model.ckpt", "--split", "test"]) == 0
-    report = json.loads((run_dir / "eval_test.json").read_text())
+    report = read_json(run_dir / "eval_test.json")
     assert report["min_vertex_distance"] <= report["mean_vertex_distance"]
     assert report["mean_vertex_distance"] <= report["max_vertex_distance"]
 
@@ -131,7 +146,7 @@ def test_extract_fill_cli(tmp_path, monkeypatch):
                 "--output", data / "0000_gt.ply", "--out", fill]) == 0
     [(wounded, output)] = pairs
     assert output.faces is wounded.faces  # the output file is loaded against the input
-    report = json.loads((fill / "fill_report.json").read_text())
+    report = read_json(fill / "fill_report.json")
     assert report["watertight"]
     for name, digest in EXTRACT_FILL_SHA256.items():
         assert hashlib.sha256((fill / name).read_bytes()).hexdigest() == digest, name
@@ -147,7 +162,7 @@ def test_extract_fill_of_a_pinched_rim_writes_the_open_shells_as_ply_only(tmp_pa
     out = capsys.readouterr().out
     assert "note: open patches emitted: non-simple boundary" in out
     assert "watertight = False" in out
-    assert not json.loads((fill / "fill_report.json").read_text())["watertight"]
+    assert not read_json(fill / "fill_report.json")["watertight"]
     assert (fill / "filling.ply").exists()
     assert not (fill / "filling.stl").exists()
 
@@ -176,11 +191,14 @@ def _ranges_config(tmp_path):
     return cfg
 
 
-def test_extract_fill_identity_exits_2(tmp_path, gen_dir):
+def test_extract_fill_identity_exits_2(tmp_path, capsys, gen_dir):
     src = next(gen_dir.glob("*_00.ply"))
     code = run(["extract-fill", "--input", src, "--output", src,
                 "--out", tmp_path / "f"])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == "data error: no filling detected: no distances beyond the outlier threshold\n"
+    assert not (tmp_path / "f").exists()
 
 
 def test_stats_prints_distances(capsys, gen_dir):
@@ -564,6 +582,32 @@ def test_train_on_relabelled_val_split_exits_2(tmp_path, capsys, gen_dir):
     assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
+def test_diverging_train_exits_3_without_a_checkpoint(tmp_path, capsys, gen_dir):
+    # one Adam step at lr 1e100 overflows the loss on gen_dir's val head to NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["train", "--data", gen_dir, "--out", tmp_path / "run", "--max-steps", "1",
+                    "--lr", "1e100"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert err == "numerical error: validation diverged: loss=nan at epoch 0\n"
+    assert "checkpoint:" not in out
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_non_finite_train_file_exits_2_naming_it(tmp_path, capsys, gen_dir):
+    # the last train wounded file is loaded against the split's first mesh
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    path = data / load_manifest(data / "manifest.json").split_entries("train")[-1].wounded_file
+    raw = bytearray(path.read_bytes())
+    start = raw.index(b"end_header\n") + len(b"end_header\n")
+    raw[start:start + 4] = np.float32(np.nan).tobytes()  # vertex 0's x
+    path.write_bytes(bytes(raw))
+    assert run(["train", "--data", data, "--out", tmp_path / "run", "--max-steps", "2"]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: positions contain non-finite values\n"
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 def test_removed_activation_key_exits_1(tmp_path, capsys, gen_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"architecture": {"activation": "relu"}}))
@@ -593,3 +637,47 @@ def test_help_shows_value_names(capsys, command, usage):
     with pytest.raises(SystemExit):
         run([command, "--help"])
     assert usage in capsys.readouterr().out
+
+
+# gen-data, train and eval as a user runs them. gen-data makes several scars per head, so
+# the graph and normals shared across scars are compared too. d has 2 train pairs, so the
+# l1 run's batch is short of its size of 3. Only a 3-level model has an encoder block after
+# the first (enc1, 16 -> 32 features) form its input gradient in the I <= O backward's row
+# pass.
+PIPELINE = [
+    ["gen-data", "--out", "h", "--count", "3", "--scars", "3", "--subdivisions", "3"],
+    ["gen-data", "--out", "d", "--count", "3"],
+    ["train", "--data", "d", "--out", "t", "--max-steps", "2"],
+    ["train", "--data", "d", "--out", "l1", "--max-steps", "2", "--loss-metric", "l1",
+     "--batch", "3"],
+    ["train", "--data", "d", "--out", "r", "--max-steps", "2",
+     "--arch-ratios", "1", "0.25", "0.0625", "--widths", "3", "16", "32"],
+    ["eval", "--data", "d", "--out", "t", "--checkpoint", "t/model.ckpt"],
+]
+
+
+def test_outputs_are_byte_identical_across_hash_seeds_and_blas_threads(tmp_path):
+    # the hash seed and the BLAS thread count are fixed when a process starts, so each
+    # setting gets a process of its own; the benchmark sets the thread count to nproc
+    script = ("import json, sys\n"
+              "from woundfill.cli import main\n"
+              "for args in json.loads(sys.argv[1]):\n"
+              "    if main(args):\n"
+              "        sys.exit(f'woundfill {\" \".join(args)} failed')\n")
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+           "PYTHONPATH": str(Path(woundfill.__file__).resolve().parents[1])}
+    procs = []
+    for n in ("1", "2"):
+        (tmp_path / n).mkdir()
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", script, json.dumps(PIPELINE)], cwd=tmp_path / n,
+            env={**env, "PYTHONHASHSEED": n, "OPENBLAS_NUM_THREADS": n},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+    for proc in procs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    trees = [{str(p.relative_to(tmp_path / n)): p.read_bytes()
+              for p in sorted((tmp_path / n).rglob("*")) if p.is_file()} for n in ("1", "2")]
+    assert list(trees[0]) == list(trees[1])
+    differs = next((name for name, data in trees[0].items() if data != trees[1][name]), None)
+    assert differs is None, f"{differs} differs between hash seeds and thread counts 1 and 2"

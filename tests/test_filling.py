@@ -51,7 +51,7 @@ def test_distance_set_identical(ico):
 
 
 def test_distance_set_translation(ico):
-    moved = ico.with_positions(ico.positions + [0.0, 0.0, 2.0])
+    moved = Mesh(ico.positions + [0.0, 0.0, 2.0], ico.faces)
     assert np.allclose(vertex_distance(ico, moved), 2.0)
 
 
@@ -139,7 +139,7 @@ def test_overflowing_distance_is_a_numerical_error_without_warnings(sphere2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="non-finite vertex distance inf at vertex 7$"):
-            extract_filling(sphere2.with_positions(far), sphere2.with_positions(near))
+            extract_filling(Mesh(far, sphere2.faces), Mesh(near, sphere2.faces))
 
 
 def test_extract_requires_shared_topology(sphere2, ico):

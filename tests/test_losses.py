@@ -17,7 +17,7 @@ def test_vertex_distance_345():
 
 
 def test_vertex_distance_translation(ico):
-    shifted = ico.with_positions(ico.positions + [1.0, 0.0, 0.0])
+    shifted = Mesh(ico.positions + [1.0, 0.0, 0.0], ico.faces)
     assert np.allclose(vertex_distance(ico, shifted), 1.0)
 
 

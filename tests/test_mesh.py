@@ -46,24 +46,19 @@ def test_mesh_rejects_nonfinite_positions():
         Mesh(pos, [[0, 1, 2]])
 
 
-def test_with_positions_shares_the_faces_and_checks_the_rest(ico):
-    mesh = Mesh(ico.positions, ico.faces, {"error": np.arange(ico.n_vertices)})
-    moved = mesh.with_positions(mesh.positions * 2.0)
-    assert moved.faces is mesh.faces
-    assert np.array_equal(moved.positions, mesh.positions * 2.0)
-    assert np.array_equal(moved.attributes["error"], mesh.attributes["error"])
-    bad = np.array(mesh.positions)
+def test_new_positions_on_a_meshs_faces_are_checked(ico):
+    bad = np.array(ico.positions)
     bad[4, 0] = np.inf
     with pytest.raises(MeshError, match="non-finite"):
-        mesh.with_positions(bad)
+        Mesh(bad, ico.faces)
     # another vertex count is checked in full: here a face indexes a vertex that is gone
     with pytest.raises(MeshError, match="face index out of range"):
-        ico.with_positions(ico.positions[:-1])
+        Mesh(ico.positions[:-1], ico.faces)
 
 
 def test_mesh_leaves_the_callers_arrays_writable_and_unseen(ico):
     positions, faces, error = ico.positions.copy(), ico.faces.copy(), np.zeros(ico.n_vertices)
-    meshes = [Mesh(positions, faces, {"error": error}), ico.with_positions(positions),
+    meshes = [Mesh(positions, faces, {"error": error}), Mesh(positions, ico.faces),
               Mesh(positions[:, :3], faces[:])]  # views of the caller's arrays too
     positions[0], faces[0], error[0] = 5.0, faces[1], 1.0  # the caller's arrays stay writable
     for mesh in meshes:
