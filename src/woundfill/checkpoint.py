@@ -13,8 +13,9 @@ block's length follows. Writes go to a temp file in the same directory
 followed by an atomic rename; a failed write removes the temp file.
 
 Loading refuses every format version but 3, then reads the header as the
-_Header dataclass (errors.from_json), so a damaged file, or one with a key
-the reader does not know, raises DataError naming it. The byte count after
+_Header dataclass (errors.from_json), so a damaged file, one with a key
+the reader does not know, or an architecture the writer would refuse,
+raises DataError naming it. The byte count after
 the header must equal what the header declares before any array is made;
 the index blocks then build the hierarchy, whose own checks (ascending
 rows, coverage, level joins) become DataErrors, and the block index must
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MeshError, as_json, from_json
+from .errors import DataError, MeshError, as_json, from_json
 from .hierarchy import ConvTopology, MeshHierarchy
 from .model import Architecture, Autoencoder, parameter_shapes
 
@@ -138,10 +139,7 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
         if (version := header.get("format_version")) != FORMAT_VERSION:
             raise DataError(f"{path}: checkpoint format version {version!r} is not supported; "
                             f"this build reads version {FORMAT_VERSION} only")
-        try:
-            header = from_json(_Header, header, path, "checkpoint header")
-        except ConfigError as exc:
-            raise DataError(f"{path}: invalid checkpoint: {exc}") from exc
+        header = from_json(_Header, header, path, "checkpoint header")
         architecture, h = header.architecture, header.hierarchy
         if len(architecture.widths) != len(h.level_sizes):
             raise DataError(f"{path}: architecture widths do not match the hierarchy levels")

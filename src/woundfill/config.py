@@ -16,7 +16,11 @@ A value must have the JSON type of its field's annotation, as
 errors.read_json reads it for the manifest and the checkpoint header too: an
 integer for int, any finite number for float (NaN and Infinity are errors), a
 list of the given length and element type for a tuple, null only where None
-is allowed. Unknown sections or keys are errors, not warnings.
+is allowed. Unknown sections or keys are errors, not warnings. The values
+are then checked by building what they configure: a DatasetManifest without
+entries, the Architecture and the TrainSettings, each of which checks itself
+when it is built, and k_sigma by filling.check_k_sigma, so each rule is
+written once, in the library, and a value that breaks one is a ConfigError.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import ConfigError, read_json
 from .filling import check_k_sigma, extract_filling
 from .losses import LossSpec
 from .model import Architecture
-from .scars import ScarRanges, make_dataset
+from .scars import DatasetManifest, ScarRanges, make_dataset
 from .train import TrainSettings
 
 __all__ = ["RunConfig"]
@@ -112,21 +116,13 @@ class RunConfig:
         return cfg
 
     def validate(self):
-        ds = self.dataset
-        if min(ds["count"], ds["scars_per_mesh"], ds["subdivisions"]) < 1 or ds["seed"] < 0:
-            raise ConfigError("dataset.count/scars_per_mesh/subdivisions must be >= 1, seed >= 0")
-        ratios = ds["split_ratios"]
-        if not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
-            raise ConfigError(f"dataset.split_ratios must be >= 0 and sum to 1, got {ratios}")
-        self.scar_ranges()
+        DatasetManifest(**self.dataset_kwargs())
         self.model_architecture()
-        self.train_settings().validate()
+        self.train_settings()
         check_k_sigma(self.extraction["k_sigma"])
 
     def scar_ranges(self) -> ScarRanges:
-        ranges = ScarRanges(self.dataset["radius_range"], self.dataset["depth_range"])
-        ranges.validate()
-        return ranges
+        return ScarRanges(self.dataset["radius_range"], self.dataset["depth_range"])
 
     def dataset_kwargs(self) -> dict:
         """make_dataset's keyword arguments."""

@@ -6,7 +6,8 @@ The CLI maps these onto exit codes: config problems -> 1, data problems
 The config, manifest.json and the checkpoint's scalar header are read by
 :func:`read_json`, which checks each JSON value against the annotation of the
 field it fills; :func:`from_json` builds a dataclass that way, so a damaged
-file, or one with a key the dataclass does not declare at any depth, raises
+file, one with a key the dataclass does not declare at any depth, or one
+whose values break a rule the dataclass checks when it is built, raises
 DataError naming it, and :func:`as_json` writes one back. Arrays do not go
 through JSON: the checkpoint stores them as raw blocks.
 """
@@ -123,7 +124,8 @@ def read_json(value, hint, path, what: str):
 
 def from_json(cls, doc, path, what: str):
     """The dataclass `cls` from a JSON object holding exactly its fields, each read as its
-    annotation; a missing, mistyped or unknown key is a DataError naming it and path."""
+    annotation; a missing, mistyped or unknown key is a DataError naming it and path, and
+    so is a ConfigError or DataError that cls raises when it is built from the values."""
     specs = _json_fields(cls)
     values = []
     for _, key, hint in specs:
@@ -136,7 +138,10 @@ def from_json(cls, doc, path, what: str):
     if len(doc) > len(specs):  # every declared key is present, so the others are unknown
         unknown = min(doc.keys() - {key for _, key, _ in specs})
         raise DataError(f"{path}: {what} has unknown key {unknown!r} in {cls.__name__}")
-    return cls(*values)
+    try:
+        return cls(*values)
+    except (ConfigError, DataError) as exc:
+        raise DataError(f"{path}: invalid {what}: {exc}") from exc
 
 
 def as_json(value):

@@ -164,7 +164,6 @@ def extract_filling(input_mesh: Mesh, output_mesh: Mesh,
     volume. A pinched rim downgrades that component to its two open shells,
     with a note in the report. A non-finite distance is a NumericalError.
     """
-    check_k_sigma(k_sigma)
     faces = input_mesh.faces
     if not np.array_equal(faces, output_mesh.faces):
         raise NoFillingError("input and output meshes must share face topology")

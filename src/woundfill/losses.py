@@ -28,7 +28,7 @@ class LossSpec:
     target: str = "ground_truth"
     metric: str = "l2"
 
-    def validate(self):
+    def __post_init__(self):
         if self.target not in TARGETS:
             raise ConfigError(f"loss target must be one of {TARGETS}, got {self.target!r}")
         if self.metric not in METRICS:

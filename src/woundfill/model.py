@@ -75,9 +75,6 @@ class Architecture:
     m_clamp: tuple[int, int] = M_CLAMP_DEFAULT
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if len(self.widths) != len(self.ratios):
             raise ConfigError(
                 f"widths (len {len(self.widths)}) must match ratios (len {len(self.ratios)})"

@@ -7,17 +7,21 @@ icospheres, so everything here runs at desk scale and is reproducible from
 a single integer seed. Subdivision keys edges with mesh.edge_key and numbers
 each pass's midpoints by their edge's first appearance in face order.
 
-manifest.json is the DatasetManifest dataclass written by errors.as_json and
-read back by errors.from_json, each value checked against its field's
-annotation, so a damaged manifest, or one with a key the dataclasses do not
-declare, raises DataError naming the file.
+Each dataclass here checks its values when it is built, so no function
+re-checks one it is handed: a bad ScarSpec is a DataError, a bad ScarRanges
+or DatasetManifest a ConfigError, which is what a bad make_dataset argument
+raises. manifest.json is the DatasetManifest dataclass written by
+errors.as_json and read back by errors.from_json, each value checked against
+its field's annotation and then by the record it builds, so a damaged
+manifest, one with a key the dataclasses do not declare, or one holding
+values make_dataset would refuse, raises DataError naming the file.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -65,7 +69,7 @@ class ScarSpec:
     profile: str = "quadratic"
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not isinstance(self.center, Integral):
             raise DataError(f"scar center must be an integer vertex index, got {self.center!r}")
         if not isinstance(self.radius, Integral) or self.radius <= 0:
@@ -91,7 +95,7 @@ class ScarRanges:
     radius: tuple[int, int] = (3, 8)
     depth: tuple[float, float] = (0.5, 2.0)
 
-    def validate(self):
+    def __post_init__(self):
         if len(self.radius) != 2 or not 1 <= self.radius[0] <= self.radius[1]:
             raise ConfigError(f"bad radius range {self.radius}: need [lo, hi] with 1 <= lo <= hi")
         if len(self.depth) != 2 or not 0 < self.depth[0] <= self.depth[1] < np.inf:
@@ -107,7 +111,6 @@ def generate_scar(mesh: Mesh, spec: ScarSpec) -> tuple[Mesh, ScarMask]:
     graph and normals are derived here; make_dataset derives them once per
     dataset and once per head, and dents with the same code.
     """
-    spec.validate()
     if not 0 <= spec.center < mesh.n_vertices:
         raise DataError(f"scar center {spec.center} outside mesh of {mesh.n_vertices} vertices")
     if not is_watertight(mesh):
@@ -116,7 +119,7 @@ def generate_scar(mesh: Mesh, spec: ScarSpec) -> tuple[Mesh, ScarMask]:
 
 
 def _dent(mesh: Mesh, adj, normals: np.ndarray, spec: ScarSpec) -> tuple[Mesh, ScarMask]:
-    """The scar of a checked spec on a watertight mesh, its edge graph adj and its normals.
+    """The scar of spec on a watertight mesh, its edge graph adj and its normals.
 
     The search stops at spec.radius hops, where the dent ends; one that empties
     sooner has reached the center's eccentricity, the radius it clamps to.
@@ -146,7 +149,6 @@ def sample_scar_spec(
     ranges: ScarRanges = ScarRanges(),
 ) -> ScarSpec:
     """Draw a uniform ScarSpec; advances rng by exactly four draws."""
-    ranges.validate()
     center = int(rng.integers(0, n_vertices))
     radius = int(rng.integers(ranges.radius[0], ranges.radius[1] + 1))
     depth = float(rng.uniform(ranges.depth[0], ranges.depth[1])) * mean_edge
@@ -246,6 +248,10 @@ class ManifestEntry:
     split: str
     spec: ScarSpec
 
+    def __post_init__(self):
+        if self.split not in SPLITS:
+            raise DataError(f"split {self.split!r} is not one of {SPLITS}")
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -256,6 +262,18 @@ class DatasetManifest:
     split_ratios: tuple[float, float, float]
     ranges: ScarRanges
     entries: tuple[ManifestEntry, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if min(self.count, self.scars_per_mesh, self.subdivisions) < 1:
+            raise ConfigError("count, scars_per_mesh and subdivisions must be >= 1, got "
+                              f"{self.count}, {self.scars_per_mesh}, {self.subdivisions}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        ratios = self.split_ratios
+        if len(ratios) != 3 or not (all(r >= 0 for r in ratios)
+                                    and abs(sum(ratios) - 1.0) <= 1e-9):
+            raise ConfigError(f"split_ratios must be three split ratios (train, val, test), "
+                              f"each >= 0, that sum to 1; got {ratios}")
 
     def split_entries(self, split: str) -> list[ManifestEntry]:
         if split not in SPLITS:
@@ -272,11 +290,7 @@ class DatasetManifest:
             doc = json.loads(text)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: manifest is not UTF-8 JSON ({exc})") from None
-        manifest = from_json(cls, doc, path, "manifest")
-        for entry in manifest.entries:
-            if entry.split not in SPLITS:
-                raise DataError(f"{path}: manifest split {entry.split!r} is not one of {SPLITS}")
-        return manifest
+        return from_json(cls, doc, path, "manifest")
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -284,11 +298,8 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def _split_assignment(count: int, ratios: tuple[float, float, float], seed: int) -> list[str]:
-    """Seeded shuffle of head ids, then contiguous train/val/test slices."""
-    if not abs(sum(ratios) - 1.0) <= 1e-9:  # also rejects NaN
-        raise DataError(f"split ratios must sum to 1, got {ratios}")
-    if not all(r >= 0 for r in ratios):
-        raise DataError(f"split ratios must be non-negative, got {ratios}")
+    """Seeded shuffle of head ids, then contiguous train/val/test slices; the ratios are
+    a DatasetManifest's."""
     order = np.random.default_rng([seed, 1]).permutation(count)
     n_train = int(np.floor(ratios[0] * count))
     n_val = int(np.floor(ratios[1] * count))
@@ -314,18 +325,12 @@ def make_dataset(
     splits. The heads share one closed icosphere, so its edge list and edge
     graph are built once per dataset, and each head's mean edge length (over
     that list, as mean_edge_length orders it) and vertex normals once per
-    head. Arguments are checked before anything is written.
+    head. The arguments are checked, as the DatasetManifest they make, before
+    anything is written; a bad one is a ConfigError.
     """
-    if count < 1 or scars_per_mesh < 1:
-        raise DataError("count and scars_per_mesh must be >= 1")
-    if subdivisions < 1:
-        raise DataError("subdivisions must be >= 1")
-    if len(split_ratios) != 3:
-        raise DataError(f"split_ratios must be (train, val, test), got {split_ratios}")
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-    ranges.validate()
-    splits = _split_assignment(count, split_ratios, seed)
+    header = DatasetManifest(seed, count, scars_per_mesh, subdivisions, tuple(split_ratios),
+                             ranges)
+    splits = _split_assignment(count, header.split_ratios, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = icosphere(subdivisions)
@@ -345,14 +350,6 @@ def make_dataset(
             wounded_file = f"{head:04d}_{scar:02d}.ply"
             save_mesh_path(wounded, out / wounded_file)
             entries.append(ManifestEntry(head, scar, gt_file, wounded_file, splits[head], spec))
-    manifest = DatasetManifest(
-        seed=seed,
-        count=count,
-        scars_per_mesh=scars_per_mesh,
-        subdivisions=subdivisions,
-        split_ratios=tuple(split_ratios),
-        ranges=ranges,
-        entries=tuple(entries),
-    )
+    manifest = replace(header, entries=tuple(entries))
     (out / "manifest.json").write_text(manifest.to_json())
     return manifest

@@ -55,7 +55,7 @@ class TrainSettings:
     loss: LossSpec = field(default_factory=LossSpec)
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 0:
             raise ConfigError("training.batch_size/epochs must be >= 1, patience >= 0")
         if self.max_steps is not None and self.max_steps < 1:
@@ -66,7 +66,6 @@ class TrainSettings:
             raise ConfigError("training.lr and training.eps must be finite and > 0")
         if self.seed < 0:
             raise ConfigError(f"training.seed must be >= 0, got {self.seed}")
-        self.loss.validate()
 
 
 @dataclass
@@ -149,7 +148,6 @@ def train(
     non-finite train or val loss is a NumericalError. Metrics are appended
     to metrics.csv as `epoch,split,loss`.
     """
-    settings.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_pairs = load_pairs(manifest, data_dir, "train")

@@ -1,3 +1,5 @@
+import contextlib
+import warnings
 from collections import deque
 
 import numpy as np
@@ -7,6 +9,16 @@ from woundfill import Autoencoder, Mesh, icosahedron, icosphere, reconstruction_
 from woundfill.hierarchy import ConvTopology, MeshHierarchy
 from woundfill.ops import elu, elu_backward, vc_conv, vc_conv_backward, vd_res, vd_res_backward
 from woundfill.train import load_pairs
+
+
+@contextlib.contextmanager
+def clamps_ignored():
+    """Ignores make_dataset's documented scar radius clamp warning. A module-scoped fixture
+    uses this, not the test's filterwarnings mark, because a mark covers the fixture only
+    in the test that happens to set it up first."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"scar radius .* clamping", UserWarning)
+        yield
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import format_2_hierarchy, pinched_rim_pair
+from conftest import clamps_ignored, format_2_hierarchy, pinched_rim_pair
 import woundfill
 from woundfill import (
     Architecture,
@@ -44,9 +44,10 @@ def read_json(path):
 @pytest.fixture(scope="module")
 def gen_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "data"
-    code = run(["gen-data", "--out", out, "--count", "4", "--scars", "2",
-                "--seed", "7", "--ratios", "0.5", "0.25", "0.25",
-                "--subdivisions", "1"])
+    with clamps_ignored():
+        code = run(["gen-data", "--out", out, "--count", "4", "--scars", "2",
+                    "--seed", "7", "--ratios", "0.5", "0.25", "0.25",
+                    "--subdivisions", "1"])
     assert code == 0
     return out
 
@@ -57,6 +58,7 @@ def test_gen_data_file_counts(gen_dir):
     assert (gen_dir / "manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:scar radius .* clamping:UserWarning")
 def test_gen_data_rerun_identical(gen_dir, tmp_path):
     out2 = tmp_path / "data2"
     assert run(["gen-data", "--out", out2, "--count", "4", "--scars", "2",
@@ -67,6 +69,7 @@ def test_gen_data_rerun_identical(gen_dir, tmp_path):
         assert f.read_bytes() == (out2 / f.name).read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:scar radius .* clamping:UserWarning")
 def test_gen_data_split_ratio_override(tmp_path):
     out = tmp_path / "d"
     assert run(["gen-data", "--out", out, "--count", "10", "--scars", "1",
@@ -624,6 +627,19 @@ def test_non_json_manifest_exits_2(tmp_path, capsys, gen_dir, command):
     args = [command, "--data", data, "--out", tmp_path / "run"]
     assert run(args + (["--identity"] if command == "eval" else [])) == 2
     assert str(data / "manifest.json") in capsys.readouterr().err
+
+
+def test_out_of_rule_manifest_spec_train_exits_2(tmp_path, capsys, gen_dir):
+    # well-typed JSON, but a scar radius that make_dataset would never write
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["entries"][0]["spec"]["radius"] = 0
+    (data / "manifest.json").write_text(json.dumps(doc))
+    assert run(["train", "--data", data, "--out", tmp_path / "run", "--max-steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data / 'manifest.json'}: ") and "radius" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command, usage", [

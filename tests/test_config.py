@@ -68,6 +68,8 @@ def test_wrong_type_exits_1_naming_the_key(tmp_path, capsys, section, key, value
     ("training", "seed", -1),
     ("dataset", "seed", -1),
     ("dataset", "radius_range", [8, 3]),
+    ("dataset", "count", 0),
+    ("dataset", "split_ratios", [0.5, 0.5, 0.5]),
 ])
 def test_out_of_range_value_exits_1(tmp_path, capsys, section, key, value):
     cfg = write_config(tmp_path, {section: {key: value}})
@@ -118,7 +120,7 @@ def test_train_validates_its_settings(tmp_path):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_train_settings_reject_non_finite_values(key, value):
     with pytest.raises(ConfigError, match=key):
-        TrainSettings(**{key: value}).validate()
+        TrainSettings(**{key: value})
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -78,9 +78,9 @@ def test_loss_invariant_under_rigid_translation():
 
 
 def test_loss_spec_validation():
-    LossSpec().validate()
-    LossSpec("input", "l1").validate()
+    LossSpec()
+    LossSpec("input", "l1")
     with pytest.raises(ConfigError):
-        LossSpec("other", "l2").validate()
+        LossSpec("other", "l2")
     with pytest.raises(ConfigError):
-        LossSpec("input", "l3").validate()
+        LossSpec("input", "l3")

@@ -113,17 +113,17 @@ def test_end_to_end_gradients_match_finite_differences(small_model):
 
 def test_architecture_validation():
     with pytest.raises(ConfigError, match="widths"):
-        Architecture(ratios=(1.0, 0.5), widths=(3,)).validate()
+        Architecture(ratios=(1.0, 0.5), widths=(3,))
     with pytest.raises(ConfigError, match="xyz"):
-        Architecture(ratios=(1.0, 0.5), widths=(4, 8)).validate()
+        Architecture(ratios=(1.0, 0.5), widths=(4, 8))
     with pytest.raises(ConfigError, match="xyz"):
-        Architecture(ratios=(), widths=()).validate()
+        Architecture(ratios=(), widths=())
     for m_clamp in ((17, 4), (0, 0), (4,)):
         with pytest.raises(ConfigError, match="m_clamp"):
-            Architecture(m_clamp=m_clamp).validate()
+            Architecture(m_clamp=m_clamp)
     for ratios in ((0.5, 0.25), (1.0, 1.0), (1.0, 0.9, 0.95), (1.0, 0.0), (1.0, -0.5)):
         with pytest.raises(ConfigError, match="ratios"):
-            Architecture(ratios=ratios, widths=(3,) * len(ratios)).validate()
+            Architecture(ratios=ratios, widths=(3,) * len(ratios))
 
 
 @pytest.mark.parametrize("fields, match", [

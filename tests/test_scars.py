@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import k_ring
+from conftest import clamps_ignored, k_ring
 from woundfill import (
     ScarRanges,
     ScarSpec,
@@ -129,28 +129,26 @@ def test_scar_center_out_of_range(head):
 
 def test_scar_spec_validation():
     with pytest.raises(DataError):
-        ScarSpec(center=0, radius=0, max_depth=0.1).validate()
+        ScarSpec(center=0, radius=0, max_depth=0.1)
     with pytest.raises(DataError):
-        ScarSpec(center=0, radius=3, max_depth=-1.0).validate()
+        ScarSpec(center=0, radius=3, max_depth=-1.0)
     with pytest.raises(DataError):
-        ScarSpec(center=0, radius=3, max_depth=0.1, profile="gaussian").validate()
+        ScarSpec(center=0, radius=3, max_depth=0.1, profile="gaussian")
 
 
-BAD_SPECS = {  # name: (the field the error names, spec)
-    "nan-depth": ("max_depth", ScarSpec(center=0, radius=3, max_depth=float("nan"))),
-    "inf-depth": ("max_depth", ScarSpec(center=0, radius=3, max_depth=float("inf"))),
-    "fractional-center": ("center", ScarSpec(center=1.5, radius=3, max_depth=0.1)),
-    "fractional-radius": ("radius", ScarSpec(center=0, radius=2.5, max_depth=0.1)),
+BAD_SPECS = {  # name: (the field the error names, the spec's keywords)
+    "nan-depth": ("max_depth", dict(center=0, radius=3, max_depth=float("nan"))),
+    "inf-depth": ("max_depth", dict(center=0, radius=3, max_depth=float("inf"))),
+    "fractional-center": ("center", dict(center=1.5, radius=3, max_depth=0.1)),
+    "fractional-radius": ("radius", dict(center=0, radius=2.5, max_depth=0.1)),
 }
 
 
 @pytest.mark.parametrize("name", BAD_SPECS)
-def test_bad_scar_spec_is_data_error(head, name):
-    field, spec = BAD_SPECS[name]
+def test_bad_scar_spec_is_data_error(name):
+    field, keywords = BAD_SPECS[name]
     with pytest.raises(DataError, match=field):
-        spec.validate()
-    with pytest.raises(DataError):
-        generate_scar(head, spec)
+        ScarSpec(**keywords)
 
 
 def test_sample_scar_spec_degenerate_ranges():
@@ -287,7 +285,7 @@ def test_manifest_is_valid_json(tmp_path):
 
 
 def test_make_dataset_bad_ratios(tmp_path):
-    with pytest.raises(DataError, match="sum to 1"):
+    with pytest.raises(ConfigError, match="sum to 1"):
         make_dataset(tmp_path / "d", count=2, split_ratios=(0.5, 0.2, 0.2))
     assert not (tmp_path / "d").exists()
 
@@ -295,7 +293,7 @@ def test_make_dataset_bad_ratios(tmp_path):
 @pytest.mark.parametrize("ratios", [(np.nan, 0.5, 0.5), (0.5, 0.5, np.nan),
                                     (np.inf, -np.inf, 1.0)], ids=["first", "last", "inf"])
 def test_make_dataset_rejects_non_finite_ratios(tmp_path, ratios):
-    with pytest.raises(DataError, match="split ratios"):
+    with pytest.raises(ConfigError, match="split ratios"):
         make_dataset(tmp_path / "d", count=2, split_ratios=ratios)
     assert not (tmp_path / "d").exists()
 
@@ -316,19 +314,19 @@ def test_manifest_specs_replay_each_heads_rng(tmp_path):
 
 def test_make_dataset_rejects_two_split_ratios(tmp_path):
     # the manifest field is a 3-tuple, so such a dataset could not be read back
-    with pytest.raises(DataError, match="split_ratios"):
+    with pytest.raises(ConfigError, match="split_ratios"):
         make_dataset(tmp_path / "d", count=2, split_ratios=(0.5, 0.5))
     assert not (tmp_path / "d").exists()
 
 
 def test_make_dataset_rejects_negative_seed(tmp_path):
-    with pytest.raises(DataError, match="seed"):
+    with pytest.raises(ConfigError, match="seed"):
         make_dataset(tmp_path / "d", count=2, seed=-1)
     assert not (tmp_path / "d").exists()
 
 
 def test_make_dataset_rejects_zero_subdivisions(tmp_path):
-    with pytest.raises(DataError, match="subdivisions"):
+    with pytest.raises(ConfigError, match="subdivisions"):
         make_dataset(tmp_path / "d", count=2, subdivisions=0)
     assert not (tmp_path / "d").exists()
 
@@ -378,11 +376,11 @@ def test_wounded_meshes_match_specs(tmp_path):
 
 
 def test_scar_ranges_validation():
-    for ranges in (ScarRanges(radius=(3,)), ScarRanges(radius=(8, 3)), ScarRanges(radius=(0, 3)),
-                   ScarRanges(depth=(0.5, 1.0, 2.0)), ScarRanges(depth=(0.0, 1.0)),
-                   ScarRanges(depth=(0.5, float("inf")))):
+    for keywords in (dict(radius=(3,)), dict(radius=(8, 3)), dict(radius=(0, 3)),
+                     dict(depth=(0.5, 1.0, 2.0)), dict(depth=(0.0, 1.0)),
+                     dict(depth=(0.5, float("inf")))):
         with pytest.raises(ConfigError, match="range"):
-            ranges.validate()
+            ScarRanges(**keywords)
 
 
 # sha256 of the manifest below as the writer wrote it before it was derived from the fields
@@ -409,7 +407,8 @@ def test_manifest_json_is_pinned():
 @pytest.fixture(scope="module")
 def manifest_path(tmp_path_factory):
     root = tmp_path_factory.mktemp("manifest")
-    make_dataset(root, count=2, scars_per_mesh=2, seed=5, subdivisions=1)
+    with clamps_ignored():
+        make_dataset(root, count=2, scars_per_mesh=2, seed=5, subdivisions=1)
     return root / "manifest.json"
 
 
@@ -424,6 +423,13 @@ EDITS = {
     "float-center": lambda doc: doc["entries"][1]["spec"].update(center=1.5),
     "split-ratios-length": lambda doc: doc.update(split_ratios=[1, "a", None, 4, 5]),
     "string-radius": lambda doc: doc["ranges"].update(radius=["a"]),
+    # well-typed values that break a rule make_dataset keeps
+    "zero-spec-radius": lambda doc: doc["entries"][1]["spec"].update(radius=0),
+    "negative-spec-depth": lambda doc: doc["entries"][1]["spec"].update(max_depth=-1),
+    "gaussian-profile": lambda doc: doc["entries"][1]["spec"].update(profile="gaussian"),
+    "reversed-radius-range": lambda doc: doc["ranges"].update(radius=[8, 3]),
+    "negative-split-ratio": lambda doc: doc.update(split_ratios=[2, -0.5, -0.5]),
+    "zero-count": lambda doc: doc.update(count=0),
 }
 
 

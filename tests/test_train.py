@@ -23,7 +23,7 @@ from woundfill import (
     synth_head,
     train,
 )
-from conftest import reference_train
+from conftest import clamps_ignored, reference_train
 from woundfill.checkpoint import MAGIC, load_checkpoint
 from woundfill.errors import DataError, MeshError, MeshFormatError, NumericalError
 from woundfill.train import EvalReport, load_pairs
@@ -34,8 +34,9 @@ train_module = importlib.import_module("woundfill.train")  # the name `train` is
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
-    manifest = make_dataset(root, count=4, scars_per_mesh=2, seed=21,
-                            split_ratios=(0.5, 0.25, 0.25), subdivisions=1)
+    with clamps_ignored():
+        manifest = make_dataset(root, count=4, scars_per_mesh=2, seed=21,
+                                split_ratios=(0.5, 0.25, 0.25), subdivisions=1)
     return manifest, root
 
 
@@ -143,6 +144,7 @@ def test_train_deterministic(dataset, tmp_path):
     assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:scar radius .* clamping:UserWarning")
 def test_train_runs_each_uneven_batch_as_one_stack(tmp_path, monkeypatch):
     # 5 train and 3 val pairs in batches of 2: two full batches and one of 1
     root = tmp_path / "data"
