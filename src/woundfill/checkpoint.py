@@ -1,28 +1,28 @@
 """Single-file checkpoints: magic, scalar JSON header, float64 then int64 blocks.
 
-Format 3 lays a file out as: MAGIC; the header length as <Q; the JSON
+Format 4 lays a file out as: MAGIC; the header length as <Q; the JSON
 header; the parameter blocks as <f8, in Autoencoder.parameters() order,
 which is the model's parameter vector written in one piece;
-the hierarchy's index blocks as <i8: levels, parents, then each down
-topology's indptr and indices, conv_down before pool_down. The header
-holds scalars only: the architecture, `extra`, the block index and the
-hierarchy's faces_sha256 (the digest of the faces it was built on, which
-train.evaluate checks against a dataset), level sizes and each down
-topology's n_in, n_out, edge_count and basis_count, from which every index
-block's length follows. Writes go to a temp file in the same directory
-followed by an atomic rename; a failed write removes the temp file.
+the hierarchy's index blocks as <i8: each down topology's indptr and
+indices, conv_down before pool_down. The header holds scalars only: the
+architecture, `extra`, the block index and the hierarchy's faces_sha256
+(the digest of the faces it was built on, which train.evaluate checks
+against a dataset) and each down topology's n_in, n_out, edge_count and
+basis_count, from which every level size and index block length follows.
+Writes go to a temp file in the same directory followed by an atomic
+rename; a failed write removes the temp file.
 
-Loading refuses every format version but 3, then reads the header as the
+Loading refuses every format version but 4, then reads the header as the
 _Header dataclass (errors.from_json), so a damaged file, one with a key
 the reader does not know, or an architecture the writer would refuse,
 raises DataError naming it. The byte count after
 the header must equal what the header declares before any array is made;
 the index blocks then build the hierarchy, whose own checks (ascending
-rows, coverage, level joins) become DataErrors, and the block index must
-equal exactly what model.parameter_shapes gives for it. The parameter
-blocks are read with one readinto into the vector the model then adopts,
-drawing nothing; a NaN or an infinity anywhere in it is refused, naming its
-block.
+rows, coverage, topologies joined level to level) become DataErrors, and
+the block index must equal exactly what model.parameter_shapes gives for
+it. The parameter blocks are read with one readinto into the vector the
+model then adopts, drawing nothing; a NaN or an infinity anywhere in it is
+refused, naming its block.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .model import Architecture, Autoencoder, parameter_shapes
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
 MAGIC = b"WNDFILL1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,12 @@ class _TopologyEntry:
 @dataclass(frozen=True)
 class _HierarchyEntry:
     faces_sha256: str
-    level_sizes: tuple[int, ...]
     conv_down: tuple[_TopologyEntry, ...]
     pool_down: tuple[_TopologyEntry, ...]
 
     def index_lengths(self) -> list[int]:
         """Element count of every index block, in file order."""
-        topologies = self.conv_down + self.pool_down
-        return [*self.level_sizes, *self.level_sizes[:-1],
-                *(n for t in topologies for n in (t.n_out + 1, t.edge_count))]
+        return [n for t in self.conv_down + self.pool_down for n in (t.n_out + 1, t.edge_count)]
 
 
 @dataclass(frozen=True)
@@ -88,11 +85,10 @@ def save_checkpoint(path, model: Autoencoder, extra: dict | None = None) -> None
     topologies = [tuple(_TopologyEntry(t.n_in, t.n_out, t.edge_count, t.basis_count) for t in ts)
                   for ts in (h.conv_down, h.pool_down)]
     header = _Header(FORMAT_VERSION, model.architecture,
-                     _HierarchyEntry(h.faces_sha256, tuple(h.level_sizes()), *topologies),
+                     _HierarchyEntry(h.faces_sha256, *topologies),
                      tuple(_BlockEntry(k, v) for k, v in model.shapes.items()), extra or {})
     header_bytes = json.dumps(as_json(header), sort_keys=True).encode("utf-8")
-    index_blocks = [*h.levels, *h.parents,
-                    *(a for t in h.conv_down + h.pool_down for a in (t.indptr, t.indices))]
+    index_blocks = [a for t in h.conv_down + h.pool_down for a in (t.indptr, t.indices)]
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -141,7 +137,7 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
                             f"this build reads version {FORMAT_VERSION} only")
         header = from_json(_Header, header, path, "checkpoint header")
         architecture, h = header.architecture, header.hierarchy
-        if len(architecture.widths) != len(h.level_sizes):
+        if len(architecture.widths) != len(h.conv_down) + 1:
             raise DataError(f"{path}: architecture widths do not match the hierarchy levels")
         lengths = h.index_lengths()
         if min([*lengths, *(d for b in header.blocks for d in b.shape)], default=0) < 0:
@@ -155,15 +151,12 @@ def load_checkpoint(path) -> tuple[Autoencoder, dict]:
         vector = _read_into(fh, np.empty(sum(counts), dtype="<f8"), path)
         ints = _read_into(fh, np.empty(sum(lengths), dtype="<i8"), path)
     arrays = iter(np.split(ints, np.cumsum(lengths)[:-1]))
-    n_levels = len(h.level_sizes)
     try:
-        levels = tuple(next(arrays) for _ in range(n_levels))
-        parents = tuple(next(arrays) for _ in range(n_levels - 1))
         conv_down, pool_down = (
             tuple(ConvTopology(t.n_in, t.n_out, next(arrays), next(arrays), t.basis_count)
                   for t in ts)
             for ts in (h.conv_down, h.pool_down))
-        hierarchy = MeshHierarchy(levels, parents, conv_down, pool_down, h.faces_sha256)
+        hierarchy = MeshHierarchy(conv_down, pool_down, h.faces_sha256)
     except MeshError as exc:
         raise DataError(f"{path}: invalid checkpoint: {exc}") from exc
     shapes = parameter_shapes(hierarchy, architecture)

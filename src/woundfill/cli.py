@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError, MeshError, NumericalError
 from .filling import _require_finite, extract_filling
 from .losses import METRICS, TARGETS, vertex_distance
 from .mesh import fill_holes, is_watertight, keep_largest_component
-from .meshio import load_mesh_path, save_mesh, save_mesh_path
+from .meshio import load_mesh_path, save_mesh_path
 from .scars import SPLITS, load_manifest, make_dataset
 from .train import evaluate, train
 
@@ -123,7 +123,7 @@ def cmd_extract_fill(args) -> int:
     (out / "fill_report.json").write_text(report.to_json())
     save_mesh_path(report.filling, out / "filling.ply")
     if report.watertight:
-        (out / "filling.stl").write_bytes(save_mesh(report.filling, "stl"))
+        save_mesh_path(report.filling, out / "filling.stl")
     for note in report.notes:
         print(f"note: {note}")
     print(f"|D| = {len(report.distances)}")

@@ -14,10 +14,13 @@ they overlap but still cover the level.
 
 Every level graph, cell partition and neighborhood is a CSR graph built by
 :func:`woundfill.mesh.csr_from_pairs`. A :class:`MeshHierarchy` stores only
-the down topologies; the up ones are their cached transposes (transposition
-is an involution, so an up topology's transpose is its down one), and every
-hierarchy, built or loaded, checks that its topologies join its levels, that
-its levels nest and that every vertex kept by a coarser level owns itself.
+the down topologies, which are all the model runs on: a level's size is its
+topologies' n_in or n_out, and which vertices a level keeps is not recorded
+(row i of a pool topology holds the i-th selected vertex). The up topologies
+are the down ones' cached transposes (transposition is an involution, so an
+up topology's transpose is its down one), and every hierarchy, built or
+loaded, checks that it has at least one level below the mesh and that its
+topologies join level to level.
 """
 
 from __future__ import annotations
@@ -154,50 +157,31 @@ def _topology(n_in: int, csr: tuple[np.ndarray, np.ndarray], m_clamp) -> ConvTop
 
 @dataclass(frozen=True)
 class MeshHierarchy:
-    """Nested vertex levels plus the down topologies between them.
+    """The down topologies between a mesh's vertex levels, finest first.
 
-    levels[l] holds mesh-level vertex ids, ascending; level 0 is the full mesh
-    and each level a subset of the one before. The transition arrays all have
-    length len(levels) - 1 and are indexed by the finer level; conv_down[l]
-    and pool_down[l] join levels l and l+1 (n_in is the size of level l, n_out
-    that of level l+1), and parents[l] maps every vertex of level l to a
-    vertex of level l+1, each vertex that level l+1 keeps to itself.
-    Construction checks all of this.
-    The up topologies are not stored: they are the down ones' cached transposes.
-    faces_sha256 is the faces_digest of the level-0 mesh, which binds the
-    hierarchy (and a checkpoint that carries it) to that face list.
+    conv_down[l] and pool_down[l] join level l to level l+1: n_in is the size
+    of level l, n_out that of level l+1, and level 0 is the full mesh. There
+    is at least one pair, and each pair's n_in is the previous pair's n_out;
+    construction checks this. The up topologies are not stored: they are the
+    down ones' cached transposes. faces_sha256 is the faces_digest of the
+    level-0 mesh, which binds the hierarchy (and a checkpoint that carries it)
+    to that face list.
     """
 
-    levels: tuple[np.ndarray, ...]
-    parents: tuple[np.ndarray, ...]  # per fine vertex: owning coarse (local) index
     conv_down: tuple[ConvTopology, ...]
     pool_down: tuple[ConvTopology, ...]
     faces_sha256: str
 
     def __post_init__(self):
+        if not self.conv_down or len(self.conv_down) != len(self.pool_down):
+            raise MeshError(f"hierarchy has inconsistent level counts: {len(self.conv_down)} "
+                            f"conv_down and {len(self.pool_down)} pool_down topologies; it "
+                            "needs as many of each, and at least one")
         sizes = self.level_sizes()
-        transitions = (self.parents, self.conv_down, self.pool_down)
-        if any(len(ts) != len(sizes) - 1 for ts in transitions):
-            raise MeshError("hierarchy has inconsistent level counts")
         for l, join in enumerate(zip(sizes, sizes[1:])):
             if any((t.n_in, t.n_out) != join for t in (self.conv_down[l], self.pool_down[l])):
                 raise MeshError(f"conv_down[{l}] or pool_down[{l}] does not join levels of "
                                 f"{join[0]} and {join[1]} vertices")
-            if len(self.parents[l]) != join[0]:
-                raise MeshError(f"parents[{l}] has {len(self.parents[l])} entries for the "
-                                f"{join[0]} vertices of level {l}")
-        if not np.array_equal(self.levels[0], np.arange(sizes[0])):
-            raise MeshError("levels[0] is not every mesh vertex in order")
-        for l, (fine, coarse, parent) in enumerate(zip(self.levels, self.levels[1:],
-                                                       self.parents)):
-            kept = np.searchsorted(fine, coarse)
-            if ((np.diff(coarse) <= 0).any() or (kept == len(fine)).any()
-                    or (fine[np.minimum(kept, len(fine) - 1)] != coarse).any()):
-                raise MeshError(f"levels[{l + 1}] is not an ascending subset of levels[{l}]")
-            if len(parent) and (parent.min() < 0 or parent.max() >= len(coarse)):
-                raise MeshError(f"parents[{l}] names a vertex outside level {l + 1}")
-            if not np.array_equal(parent[kept], np.arange(len(coarse))):
-                raise MeshError(f"a vertex of level {l + 1} is not its own parent in parents[{l}]")
 
     @property
     def conv_up(self) -> tuple[ConvTopology, ...]:
@@ -207,12 +191,8 @@ class MeshHierarchy:
     def pool_up(self) -> tuple[ConvTopology, ...]:
         return tuple(t.transposed for t in self.pool_down)
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
     def level_sizes(self) -> list[int]:
-        return [len(lv) for lv in self.levels]
+        return [self.conv_down[0].n_in, *(t.n_out for t in self.conv_down)]
 
 
 def faces_digest(mesh: Mesh) -> str:
@@ -276,6 +256,7 @@ def build_hierarchy(
 
     ratios are level sizes as fractions of the full vertex count, starting
     at 1.0 and strictly decreasing; level l has floor(n * ratios[l]) vertices.
+    A lone 1.0 leaves no level below the mesh, which MeshHierarchy refuses.
     """
     ratios = tuple(float(r) for r in ratios)
     if not ratios or ratios[0] != 1.0:
@@ -291,14 +272,13 @@ def build_hierarchy(
     if n == 0 or components(level_adj).any():
         raise MeshError("build_hierarchy requires a connected mesh")
 
-    levels = [np.arange(n, dtype=np.int64)]
-    parents, conv_down, pool_down = [], [], []
+    conv_down, pool_down = [], []
     for ratio in ratios[1:]:
         target = int(np.floor(n * ratio))
         if target < MIN_LEVEL_VERTICES:
             raise MeshError(f"ratio {ratio} yields {target} of {n} vertices; "
                             f"need at least {MIN_LEVEL_VERTICES}")
-        n_fine = len(levels[-1])
+        n_fine = len(level_adj[0]) - 1
         selected = _greedy_cover(level_adj, target)
         _, owner = bfs(level_adj, selected)
         if (owner < 0).any():
@@ -312,17 +292,9 @@ def build_hierarchy(
             len(selected), np.concatenate([owner, owner[u]]), np.concatenate([fine, w])
         )
         conv_down.append(_topology(n_fine, dilated, m_clamp))
-        parents.append(owner)
-        levels.append(levels[-1][selected])
         # coarse graph: cells are adjacent when any of their fine vertices are
         cross = owner[u] != owner[w]
         level_adj = csr_from_pairs(len(selected), owner[u][cross], owner[w][cross])
 
-    return MeshHierarchy(
-        levels=tuple(levels),
-        parents=tuple(parents),
-        conv_down=tuple(conv_down),
-        pool_down=tuple(pool_down),
-        faces_sha256=faces_digest(mesh),
-    )
+    return MeshHierarchy(tuple(conv_down), tuple(pool_down), faces_digest(mesh))
 

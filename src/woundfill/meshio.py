@@ -2,7 +2,9 @@
 
 Output is byte-deterministic for a given mesh. PLY is binary little-endian
 with float32 positions; attribute channels are stored as float32 scalars.
-STL is the 80-byte-header binary layout and carries geometry only.
+STL is the 80-byte-header binary layout and carries geometry only. A value
+that float32 cannot hold is a NumericalError, and save_mesh_path serializes
+before it opens the file, so a refused mesh leaves no file behind.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .errors import MeshError, MeshFormatError
+from .errors import MeshError, MeshFormatError, NumericalError
 from .mesh import Mesh, _cross, _norm
 
 __all__ = ["load_mesh", "save_mesh", "load_mesh_path", "save_mesh_path"]
@@ -68,9 +70,22 @@ def load_mesh_path(path, like: Mesh | None = None) -> Mesh:
 
 
 def save_mesh_path(mesh: Mesh, path) -> None:
+    """Write mesh to path in the format its extension names; a NumericalError raised
+    on its content is prefixed with the path."""
     path = str(path)
+    try:
+        data = save_mesh(mesh, path.rsplit(".", 1)[-1])
+    except NumericalError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     with open(path, "wb") as fh:
-        fh.write(save_mesh(mesh, path.rsplit(".", 1)[-1]))
+        fh.write(data)
+
+
+def _check_float32(values: np.ndarray, what: str) -> None:
+    """Refuse cast float32 values that are not finite: the mesh's float64 ones are."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} do not fit the file's float32 values")
 
 
 # --- OBJ ---------------------------------------------------------------
@@ -289,9 +304,11 @@ def _save_ply(mesh: Mesh) -> bytes:
     out = bytearray(("\n".join(header) + "\n").encode("ascii"))
 
     vert = np.empty((mesh.n_vertices, 3 + len(attr_names)), dtype="<f4")
-    vert[:, :3] = mesh.positions
-    for j, name in enumerate(attr_names):
-        vert[:, 3 + j] = mesh.attributes[name]
+    with np.errstate(over="ignore"):
+        vert[:, :3] = mesh.positions
+        for j, name in enumerate(attr_names):
+            vert[:, 3 + j] = mesh.attributes[name]
+    _check_float32(vert, "vertex positions or channels")
     out += vert.tobytes()
 
     out += _face_records(mesh.faces, np.dtype([("n", "<u1"), ("idx", "<i4", (3,))]))
@@ -309,15 +326,18 @@ def _save_stl(mesh: Mesh) -> bytes:
     p = mesh.positions
     f = mesh.faces
     corners = p[f]
-    a, b, c = corners.swapaxes(0, 1)
-    normals = _cross(b - a, c - a)
-    lens = _norm(normals)[:, None]
-    unit = np.zeros_like(normals)  # stays zero where a face has no area
-    np.divide(normals, lens, out=unit, where=lens > 0)
-
     record = np.zeros(mesh.n_faces, dtype=np.dtype([("n", "<f4", (3,)),
                                                     ("v", "<f4", (3, 3)),
                                                     ("attr", "<u2")]))
-    record["n"] = unit
-    record["v"] = corners
+    # positions near the float64 limit overflow the normals, and the cast above float32's
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = corners.swapaxes(0, 1)
+        normals = _cross(b - a, c - a)
+        lens = _norm(normals)[:, None]
+        unit = np.zeros_like(normals)  # stays zero where a face has no area
+        np.divide(normals, lens, out=unit, where=lens > 0)
+        record["n"] = unit
+        record["v"] = corners
+    _check_float32(record["v"], "face corners")
+    _check_float32(record["n"], "face normals")
     return _STL_HEADER + struct.pack("<I", mesh.n_faces) + record.tobytes()

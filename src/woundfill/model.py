@@ -84,8 +84,9 @@ class Architecture:
         if any(w < 1 for w in self.widths):
             raise ConfigError(f"widths must be >= 1, got {self.widths}")
         r = self.ratios
-        if r[0] != 1.0 or not r[-1] > 0 or not all(b < a for a, b in zip(r, r[1:])):
-            raise ConfigError(f"ratios must start at 1.0 and strictly decrease to > 0, got {r}")
+        if len(r) < 2 or r[0] != 1.0 or not r[-1] > 0 or not all(b < a for a, b in zip(r, r[1:])):
+            raise ConfigError("ratios must start at 1.0 and strictly decrease to > 0 over at "
+                              f"least two levels, got {r}")
         if len(self.m_clamp) != 2 or not 1 <= self.m_clamp[0] <= self.m_clamp[1]:
             raise ConfigError(f"m_clamp must be [lo, hi] with 1 <= lo <= hi, got {self.m_clamp}")
 
@@ -93,10 +94,10 @@ class Architecture:
 def _layout(hierarchy: MeshHierarchy, architecture: Architecture):
     """(name, conv topology, pool topology, in width, out width) of each block in
     order: the encoder down the levels, then the decoder on their transposes."""
-    h, w, levels = hierarchy, architecture.widths, range(len(hierarchy.conv_down))
-    for l in levels:
+    h, w, down = hierarchy, architecture.widths, range(len(hierarchy.conv_down))
+    for l in down:
         yield f"enc{l}", h.conv_down[l], h.pool_down[l], w[l], w[l + 1]
-    for i, l in enumerate(reversed(levels)):
+    for i, l in enumerate(reversed(down)):
         yield f"dec{i}", h.conv_up[l], h.pool_up[l], w[l + 1], w[l]
 
 

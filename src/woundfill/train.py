@@ -85,7 +85,8 @@ def load_pairs(manifest: DatasetManifest, data_dir, split: str,
     split's first mesh. Each file is loaded against that mesh, so the meshes
     that match it share its one frozen faces array, checked once. Each
     distinct file is read once, so the triples of one head share its
-    (immutable) ground-truth Mesh.
+    (immutable) ground-truth Mesh. An entry whose scar center is not a vertex
+    of its mesh is a DataError naming manifest.json.
     """
     data_dir = Path(data_dir)
     meshes: dict[str, Mesh] = {}
@@ -102,8 +103,14 @@ def load_pairs(manifest: DatasetManifest, data_dir, split: str,
             meshes[name] = mesh
         return meshes[name]
 
-    return [(Path(e.wounded_file).stem, load(e.wounded_file), load(e.gt_file))
-            for e in manifest.split_entries(split)]
+    pairs = []
+    for e in manifest.split_entries(split):
+        wounded, gt = load(e.wounded_file), load(e.gt_file)
+        if not 0 <= e.spec.center < wounded.n_vertices:
+            raise DataError(f"{data_dir / 'manifest.json'}: entry {e.wounded_file}: scar center "
+                            f"{e.spec.center} is outside its mesh of {wounded.n_vertices} vertices")
+        pairs.append((Path(e.wounded_file).stem, wounded, gt))
+    return pairs
 
 
 def _stacks(spec: LossSpec, pairs) -> tuple[np.ndarray, np.ndarray]:

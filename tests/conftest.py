@@ -170,12 +170,18 @@ def pinched_rim_pair() -> tuple[Mesh, Mesh]:
 
 
 def format_2_hierarchy(h: MeshHierarchy) -> dict:
-    """The header's hierarchy entry as checkpoint format 2 wrote it: index arrays as JSON lists."""
+    """The header's hierarchy entry as checkpoint format 2 wrote it: index arrays as JSON lists.
+
+    parents[l], each level-l vertex's cell, is pool_up[l]'s indices. A hierarchy does not
+    record which mesh vertices a coarse level keeps, so levels[l] holds the placeholder ids
+    0..n-1 of level l's size; a reader refuses the format before it reads either.
+    """
     def topology(t):
         return {"n_in": t.n_in, "n_out": t.n_out, "indptr": t.indptr.tolist(),
                 "indices": t.indices.tolist(), "basis_count": t.basis_count}
 
-    return {"levels": [lv.tolist() for lv in h.levels], "parents": [p.tolist() for p in h.parents],
+    return {"levels": [list(range(n)) for n in h.level_sizes()],
+            "parents": [t.indices.tolist() for t in h.pool_up],
             "conv_down": [topology(t) for t in h.conv_down],
             "pool_down": [topology(t) for t in h.pool_down], "faces_sha256": h.faces_sha256}
 

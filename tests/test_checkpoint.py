@@ -115,8 +115,7 @@ def _with_header(header, body: bytes = b"") -> bytes:
 def _index_blocks(header) -> dict[str, tuple[int, int]]:
     """(offset into the index bytes, element count) of every index block, in file order."""
     h = header["hierarchy"]
-    counts = [(f"levels{l}", n) for l, n in enumerate(h["level_sizes"])]
-    counts += [(f"parents{l}", n) for l, n in enumerate(h["level_sizes"][:-1])]
+    counts = []
     for kind in ("conv_down", "pool_down"):
         for l, t in enumerate(h[kind]):
             counts += [(f"{kind}{l}.indptr", t["n_out"] + 1),
@@ -141,7 +140,7 @@ def _write_index(header, index: bytes, name: str, values) -> bytes:
 
 def _damage(kind, raw, header, params, index):
     h = header["hierarchy"]
-    conv = h["conv_down"][0]
+    conv, pool = h["conv_down"][0], h["pool_down"][0]
     if kind == "short":
         return raw[:12]
     if kind == "header-past-end":
@@ -191,35 +190,20 @@ def _damage(kind, raw, header, params, index):
     elif kind == "huge-edge-count":
         conv["edge_count"] = 10**11
     elif kind == "huge-level-size":
-        h["level_sizes"][0] = 10**11
+        # level 1 as both topologies declare it
+        conv["n_out"] = pool["n_out"] = 10**11
     elif kind == "extra-level":
-        h["level_sizes"].append(4)
+        h["conv_down"].append(dict(conv, n_in=conv["n_out"], n_out=4))
+        h["pool_down"].append(dict(pool, n_in=pool["n_out"], n_out=4))
     elif kind == "unjoined-levels":
-        # a level one vertex larger than its topologies say, its levels block grown to match
-        h["level_sizes"][1] += 1
-        at = _index_blocks(header)["levels1"][0]
-        index = index[:at] + bytes(8) + index[at:]
-    elif kind == "foreign-levels":
-        # a mesh vertex id outside the mesh and a parent outside the coarse level
-        levels = _read_index(header, index, "levels0")
-        levels[0] = -5
-        index = _write_index(header, index, "levels0", levels)
-        parents = _read_index(header, index, "parents0")
-        parents[0] = 10**9
-        index = _write_index(header, index, "parents0", parents)
-    elif kind == "parent-out-of-range":
-        parents = _read_index(header, index, "parents0")
-        parents[0] = h["level_sizes"][1]
-        index = _write_index(header, index, "parents0", parents)
-    elif kind == "unnested-level":
-        levels = _read_index(header, index, "levels1")
-        levels[0], levels[1] = levels[1], levels[0]
-        index = _write_index(header, index, "levels1", levels)
-    elif kind == "kept-vertex-not-its-own-parent":
-        kept = _read_index(header, index, "levels1")[1]  # a level-0 id is its local index
-        parents = _read_index(header, index, "parents0")
-        parents[kept] = 0
-        index = _write_index(header, index, "parents0", parents)
+        # conv_down[0] (the first index blocks) gains a one-neighbor output vertex, so its
+        # level 1 is one vertex larger than pool_down[0]'s
+        indptr = _read_index(header, index, "conv_down0.indptr")
+        indices = _read_index(header, index, "conv_down0.indices")
+        grown = np.concatenate([indptr, [indptr[-1] + 1], indices, [0]]).astype("<i8")
+        index = grown.tobytes() + index[8 * (len(indptr) + len(indices)):]
+        conv["n_out"] += 1
+        conv["edge_count"] += 1
     elif kind == "huge-width":
         header["architecture"]["widths"][1] = 10**9
     elif kind == "huge-basis-count":
@@ -239,11 +223,9 @@ INDEX_DAMAGE = {
     "negative-edge-count": "negative size",
     "negative-block-dim": "negative size",
     "huge-edge-count": "run past the end",
+    "huge-level-size": "run past the end",
+    "extra-level": "widths do not match the hierarchy levels",
     "unjoined-levels": "does not join levels",
-    "foreign-levels": "levels[0] is not every mesh vertex",
-    "parent-out-of-range": "outside level 1",
-    "unnested-level": "not an ascending subset",
-    "kept-vertex-not-its-own-parent": "not its own parent",
     "truncated-block": "run past the end",
 }
 
@@ -253,9 +235,8 @@ INDEX_DAMAGE = {
     "string-ratio", "bool-ratio", "rising-ratios", "index-out-of-range", "negative-index",
     "descending-indptr", "short-index-block", "huge-index", "negative-n-out",
     "negative-edge-count", "negative-block-dim", "huge-n-in", "huge-edge-count",
-    "huge-level-size", "extra-level", "unjoined-levels", "foreign-levels",
-    "parent-out-of-range", "unnested-level", "kept-vertex-not-its-own-parent", "huge-width",
-    "huge-basis-count", "truncated-block",
+    "huge-level-size", "extra-level", "unjoined-levels", "huge-width", "huge-basis-count",
+    "truncated-block",
 ])
 def test_damaged_checkpoint_is_data_error(tmp_path, model, kind):
     bad = tmp_path / "bad.ckpt"
@@ -340,7 +321,7 @@ def test_unknown_header_key_is_data_error(tmp_path, model, where, key):
 
 def test_format_version_1_is_data_error(tmp_path, model):
     raw, header, params, index = _saved(model, tmp_path)
-    assert header["format_version"] == 3
+    assert header["format_version"] == 4
     header["format_version"] = 1
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(_with_header(header, params + index))
@@ -356,6 +337,22 @@ def test_format_version_2_is_data_error(tmp_path, model):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(_with_header(json.dumps(header, sort_keys=True).encode(), params))
     with pytest.raises(DataError, match="format version 2 is not supported") as exc:
+        load_checkpoint(bad)
+    assert str(bad) in str(exc.value)
+
+
+def test_format_version_3_is_data_error(tmp_path, model):
+    # the layout format 3 wrote: level sizes in the header, and the levels' and parents'
+    # index blocks before the topologies' (placeholder level ids, as in format_2_hierarchy)
+    raw, header, params, index = _saved(model, tmp_path)
+    sizes = model.hierarchy.level_sizes()
+    header["format_version"] = 3
+    header["hierarchy"]["level_sizes"] = sizes
+    blocks = [*(np.arange(n) for n in sizes), *(t.indices for t in model.hierarchy.pool_up)]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_with_header(header, params + np.concatenate(blocks).astype("<i8").tobytes()
+                                 + index))
+    with pytest.raises(DataError, match="format version 3 is not supported") as exc:
         load_checkpoint(bad)
     assert str(bad) in str(exc.value)
 
@@ -427,11 +424,10 @@ def test_loading_draws_no_parameters(tmp_path, model, monkeypatch):
         assert np.array_equal(loaded.parameters()[k], v)
 
 
-# sha256 of the format-3 header below
-HEADER_SHA256 = "9b349b9c27deefb93a3211d49b749c14ce672367bca8c82e92a953b2cd9fce56"
-# its index blocks: levels, parents, conv_down[0] indptr and indices, pool_down[0]'s
-INDEX_BLOCKS = [0, 1, 2, 3, 4, 5, 0, 3, 0, 0, 0, 1, 1, 1, 0, 4, 8, 0, 1, 2, 3, 2, 3, 4, 5,
-                0, 3, 6, 0, 1, 2, 3, 4, 5]
+# sha256 of the format-4 header below
+HEADER_SHA256 = "98f9c6f7b0674667e39ea43c8644d434a4731c5665cece09c030ea59da0b94c4"
+# its index blocks: conv_down[0] indptr and indices, then pool_down[0]'s
+INDEX_BLOCKS = [0, 4, 8, 0, 1, 2, 3, 2, 3, 4, 5, 0, 3, 6, 0, 1, 2, 3, 4, 5]
 
 
 def test_header_json_is_pinned(tmp_path):
@@ -439,10 +435,7 @@ def test_header_json_is_pinned(tmp_path):
     # holds on any libm or BLAS (the header carries no parameter values)
     conv = ConvTopology(6, 2, np.array([0, 4, 8]), np.array([0, 1, 2, 3, 2, 3, 4, 5]), 4)
     pool = ConvTopology(6, 2, np.array([0, 3, 6]), np.arange(6), 3)
-    hierarchy = MeshHierarchy(
-        levels=(np.arange(6), np.array([0, 3])), parents=(np.array([0, 0, 0, 1, 1, 1]),),
-        conv_down=(conv,), pool_down=(pool,), faces_sha256="0" * 64,
-    )
+    hierarchy = MeshHierarchy(conv_down=(conv,), pool_down=(pool,), faces_sha256="0" * 64)
     arch = Architecture(ratios=(1.0, 0.5), widths=(3, 4), m_clamp=(3, 9))
     model = Autoencoder.init(hierarchy, arch, seed=0)
     save_checkpoint(tmp_path / "m.ckpt", model, extra={"epoch": 3, "loss": 0.125})

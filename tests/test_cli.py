@@ -318,13 +318,16 @@ def test_eval_takes_exactly_one_of_checkpoint_and_identity(tmp_path, gen_dir, fl
     assert not (tmp_path / "ev").exists()
 
 
-@pytest.mark.parametrize("ratios", [["0.5", "0.25"], ["1.0", "1.0"]], ids=["leading", "repeated"])
-def test_bad_arch_ratios_exit_1(tmp_path, capsys, gen_dir, ratios):
+@pytest.mark.parametrize("ratios, widths", [
+    (["0.5", "0.25"], ["3", "8"]), (["1.0", "1.0"], ["3", "8"]),
+    (["1.0"], ["3"]),  # no level below the mesh for the encoder to pool to
+], ids=["leading", "repeated", "one-level"])
+def test_bad_arch_ratios_exit_1(tmp_path, capsys, gen_dir, ratios, widths):
     args = ["train", "--data", gen_dir, "--out", tmp_path / "run",
-            "--arch-ratios", *ratios, "--widths", "3", "8"]
+            "--arch-ratios", *ratios, "--widths", *widths]
     assert run(args) == 1
     assert "config error: ratios" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "run").exists()  # so no metrics.csv
 
 
 def test_arch_ratio_too_small_for_the_mesh_exits_2_naming_the_key(tmp_path, capsys, gen_dir):
@@ -640,6 +643,35 @@ def test_out_of_rule_manifest_spec_train_exits_2(tmp_path, capsys, gen_dir):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {data / 'manifest.json'}: ") and "radius" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_manifest_center_off_the_mesh_train_exits_2(tmp_path, capsys, gen_dir):
+    # a well-formed spec whose center only the loaded mesh shows to be no vertex of it
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    entry = next(e for e in doc["entries"] if e["split"] == "train")
+    entry["spec"]["center"] = 1000000
+    (data / "manifest.json").write_text(json.dumps(doc))
+    assert run(["train", "--data", data, "--out", tmp_path / "run", "--max-steps", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {data / 'manifest.json'}: entry {entry['wounded']}: scar center 1000000 "
+        "is outside its mesh of 42 vertices\n")
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_depth_beyond_float32_gen_data_exits_3_without_the_file(tmp_path, capsys):
+    # the dent's float64 positions are finite, but a PLY stores float32
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"depth_range": [1e39, 1e40]}}))
+    with clamps_ignored():
+        code = run(["gen-data", "--out", tmp_path / "d", "--config", cfg, "--count", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical error: {tmp_path / 'd'}") and "float32" in err
+    path = Path(err.split(": ")[1])
+    assert path.suffix == ".ply" and not path.exists()
+    assert not (tmp_path / "d" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command, usage", [

@@ -11,11 +11,10 @@ from woundfill.hierarchy import ConvTopology, MeshHierarchy, _greedy_cover
 from woundfill.mesh import bfs, csr_from_pairs, vertex_adjacency
 
 
-def test_single_level_identity(sphere2):
-    h = build_hierarchy(sphere2, (1.0,))
-    assert h.n_levels == 1
-    assert h.level_sizes() == [162]
-    assert h.conv_down == ()
+def test_single_level_rejected(sphere2):
+    # no level below the mesh: the hierarchy itself refuses it
+    with pytest.raises(MeshError, match="at least one"):
+        build_hierarchy(sphere2, (1.0,))
 
 
 def test_level_sizes_from_ratios(sphere2):
@@ -26,8 +25,7 @@ def test_level_sizes_from_ratios(sphere2):
 def test_three_levels(sphere2):
     h = build_hierarchy(sphere2, (1.0, 0.25, 0.05))
     assert h.level_sizes() == [162, 40, 8]
-    assert len(h.conv_down) == 2
-    assert len(h.parents) == 2
+    assert len(h.conv_down) == len(h.pool_down) == 2
 
 
 def test_pool_topology_partitions_fine_level(sphere2):
@@ -47,23 +45,13 @@ def test_conv_topology_covers_and_overlaps(sphere2):
     assert len(seen) > 162  # one-ring dilation makes neighborhoods overlap
 
 
-def test_parents_agree_with_pool_cells(sphere2):
-    h = build_hierarchy(sphere2, (1.0, 0.25))
-    pool = h.pool_down[0]
-    parents = h.parents[0]
-    for i in range(pool.n_out):
-        assert np.array_equal(pool.indices[pool.indptr[i]:pool.indptr[i + 1]],
-                              np.flatnonzero(parents == i))
-
-
 def test_selected_vertices_own_their_cell(sphere2):
     h = build_hierarchy(sphere2, (1.0, 0.25))
-    fine_ids = h.levels[0]
-    coarse_ids = h.levels[1]
-    parents = h.parents[0]
-    for rank, vid in enumerate(coarse_ids):
-        local = int(np.flatnonzero(fine_ids == vid)[0])
-        assert parents[local] == rank
+    pool = h.pool_down[0]
+    selected = _greedy_cover(vertex_adjacency(sphere2), 40)
+    assert len(selected) == pool.n_out
+    for i, v in enumerate(selected):
+        assert v in pool.indices[pool.indptr[i]:pool.indptr[i + 1]]
 
 
 def test_m_is_mean_neighborhood_size_clamped(sphere2):
@@ -82,8 +70,6 @@ def test_hierarchy_deterministic(sphere2):
         assert np.array_equal(ta.indptr, tb.indptr)
         assert np.array_equal(ta.indices, tb.indices)
         assert ta.basis_count == tb.basis_count
-    for la, lb in zip(a.levels, b.levels):
-        assert np.array_equal(la, lb)
 
 
 def test_transpose_is_involution(sphere2):
@@ -213,36 +199,18 @@ def test_topology_rejects_impossible_vertex_counts(n_in, n_out, indptr, indices,
 def test_hierarchy_checks_level_counts_and_joins():
     conv = ConvTopology(6, 2, np.array([0, 4, 8]), np.array([0, 1, 2, 3, 2, 3, 4, 5]), 4)
     pool = ConvTopology(6, 2, np.array([0, 3, 6]), np.arange(6), 3)
-    levels, parents = (np.arange(6), np.array([0, 3])), (np.array([0, 0, 0, 1, 1, 1]),)
     digest = "0" * 64  # hand-built: no mesh behind it
-    h = MeshHierarchy(levels, parents, (conv,), (pool,), digest)
+    h = MeshHierarchy((conv,), (pool,), digest)
+    assert h.level_sizes() == [6, 2]
     assert h.conv_up[0] is conv.transposed and h.pool_up[0] is pool.transposed
     with pytest.raises(MeshError, match="level counts"):
-        MeshHierarchy(levels + (np.array([0]),), parents, (conv,), (pool,), digest)
+        MeshHierarchy((), (), digest)
     with pytest.raises(MeshError, match="level counts"):
-        MeshHierarchy(levels, parents, (conv, conv), (pool,), digest)
+        MeshHierarchy((conv, conv), (pool,), digest)
+    with pytest.raises(MeshError, match=r"conv_down\[1\] or pool_down\[1\] does not join"):
+        MeshHierarchy((conv, conv), (pool, pool), digest)  # level 1 has 2 vertices, not 6
     with pytest.raises(MeshError, match="join"):
-        MeshHierarchy((np.arange(6), np.array([0, 3, 4])), parents, (conv,), (pool,), digest)
-    with pytest.raises(MeshError, match="join"):
-        MeshHierarchy(levels, parents, (conv,), (conv.transposed,), digest)
-    with pytest.raises(MeshError, match=r"parents\[0\] has 5 entries"):
-        MeshHierarchy(levels, (np.zeros(5, dtype=np.int64),), (conv,), (pool,), digest)
-
-
-@pytest.mark.parametrize("levels, parents, match", [
-    ((np.arange(1, 7), np.array([1, 3])), [0, 0, 0, 1, 1, 1], r"levels\[0\] is not every"),
-    ((np.arange(6), np.array([3, 0])), [1, 1, 1, 0, 0, 0], "ascending subset"),
-    ((np.arange(6), np.array([0, 6])), [0, 0, 0, 1, 1, 1], "ascending subset"),
-    ((np.arange(6), np.array([0, 3])), [0, 0, 0, 2, 1, 1], "outside level 1"),
-    ((np.arange(6), np.array([0, 3])), [-1, 0, 0, 1, 1, 1], "outside level 1"),
-    ((np.arange(6), np.array([0, 3])), [0, 0, 0, 0, 1, 1], "not its own parent"),
-], ids=["level0-not-arange", "descending-level", "level-outside", "parent-too-large",
-        "negative-parent", "kept-vertex-owned-elsewhere"])
-def test_hierarchy_checks_levels_and_parents(levels, parents, match):
-    conv = ConvTopology(6, 2, np.array([0, 4, 8]), np.array([0, 1, 2, 3, 2, 3, 4, 5]), 4)
-    pool = ConvTopology(6, 2, np.array([0, 3, 6]), np.arange(6), 3)
-    with pytest.raises(MeshError, match=match):
-        MeshHierarchy(levels, (np.array(parents),), (conv,), (pool,), "0" * 64)
+        MeshHierarchy((conv,), (conv.transposed,), digest)
 
 
 def test_hierarchy_works_on_synth_heads():
@@ -253,11 +221,6 @@ def test_hierarchy_works_on_synth_heads():
 # sha256 of every int64 array of build_hierarchy(synth_head(7, 3), (1.0, 0.25, 0.0625)),
 # computed with the original per-vertex BFS and adjacency code; pins byte identity
 HEAD7_HIERARCHY_SHA256 = {
-    "levels[0]": "ecc70a9941abf594f8d342f6c471cf744c80c87090c8081383381499c9b25d39",
-    "levels[1]": "d3872142257201eb01341dd584ad3c2238336d2f29a61faef9d3abb23141cca3",
-    "levels[2]": "eedc539e16fc0e9575f1fa403728001991d61b964b66f69d534ec9c36e4be3ba",
-    "parents[0]": "9274fdd641a9f5e988b0cdfaa7a2bef978da8317c0abd4721408c555a1218001",
-    "parents[1]": "89e714f7db616ba687d96208bf08b27b9f5df29dc680d3be17bfb6c9fcb987bb",
     "conv_down[0].indptr": "c6c3443c1accc1498ff872b052a769511b53fb1492143c9e96108d1396166713",
     "conv_down[0].indices": "7c07a41b68ae7ad24899fce35ca9e09c34c1e6efb9f8667e20a3882e22d51abf",
     "conv_down[1].indptr": "802a0b91cfaf17bde4090c66726266d2306d0078b5c8c03cb86a18ee8f2b2bb7",
@@ -279,8 +242,7 @@ HEAD7_HIERARCHY_SHA256 = {
 
 def test_hierarchy_arrays_are_pinned():
     h = build_hierarchy(synth_head(7, 3), (1.0, 0.25, 0.0625))
-    arrays = {f"levels[{i}]": a for i, a in enumerate(h.levels)}
-    arrays.update({f"parents[{i}]": a for i, a in enumerate(h.parents)})
+    arrays = {}
     for name in ("conv_down", "pool_down", "conv_up", "pool_up"):
         for i, t in enumerate(getattr(h, name)):
             arrays[f"{name}[{i}].indptr"] = t.indptr

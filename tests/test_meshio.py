@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from woundfill import Mesh, icosahedron, icosphere, load_mesh, load_mesh_path, save_mesh, save_mesh_path
 from conftest import reference_stl_body
 from woundfill import meshio
-from woundfill.errors import MeshError, MeshFormatError, WoundfillError
+from woundfill.errors import MeshError, MeshFormatError, NumericalError, WoundfillError
 
 
 def test_obj_minimal():
@@ -243,6 +243,23 @@ def test_stl_rejects_attributes(ico):
     mesh = Mesh(ico.positions, ico.faces, {"error": np.zeros(ico.n_vertices)})
     with pytest.raises(MeshError, match="STL carries no attributes"):
         save_mesh(mesh, "stl")
+
+
+@pytest.mark.parametrize("fmt, channel, what", [
+    ("ply", None, "vertex positions"), ("ply", "error", "vertex positions or channels"),
+    ("stl", None, "face corners"),
+], ids=["ply-position", "ply-channel", "stl-position"])
+def test_value_beyond_float32_is_refused_without_a_file(tmp_path, ico, fmt, channel, what):
+    positions, attributes = ico.positions.copy(), {}
+    if channel:
+        attributes[channel] = np.zeros(ico.n_vertices)
+        attributes[channel][5] = 1e39
+    else:
+        positions[5] *= 1e39
+    path = tmp_path / f"big.{fmt}"
+    with pytest.raises(NumericalError, match=re.escape(f"{path}: {what}") + ".* float32"):
+        save_mesh_path(Mesh(positions, ico.faces, attributes), path)
+    assert not path.exists()
 
 
 def test_stl_vertex_payload(ico):

@@ -121,7 +121,7 @@ def test_architecture_validation():
     for m_clamp in ((17, 4), (0, 0), (4,)):
         with pytest.raises(ConfigError, match="m_clamp"):
             Architecture(m_clamp=m_clamp)
-    for ratios in ((0.5, 0.25), (1.0, 1.0), (1.0, 0.9, 0.95), (1.0, 0.0), (1.0, -0.5)):
+    for ratios in ((1.0,), (0.5, 0.25), (1.0, 1.0), (1.0, 0.9, 0.95), (1.0, 0.0), (1.0, -0.5)):
         with pytest.raises(ConfigError, match="ratios"):
             Architecture(ratios=ratios, widths=(3,) * len(ratios))
 
