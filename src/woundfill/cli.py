@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError, MeshError, NumericalError
 from .filling import _require_finite, extract_filling
 from .losses import METRICS, TARGETS, vertex_distance
 from .mesh import fill_holes, is_watertight, keep_largest_component
-from .meshio import load_mesh_path, save_mesh_path
+from .meshio import _encoded_for, load_mesh_path, save_mesh_path
 from .scars import SPLITS, load_manifest, make_dataset
 from .train import evaluate, train
 
@@ -119,11 +119,13 @@ def cmd_extract_fill(args) -> int:
     output_mesh = load_mesh_path(args.output, like=input_mesh)
     report = extract_filling(input_mesh, output_mesh, cfg.extraction["k_sigma"])
     out = Path(cfg.resolve_path("out_dir", "--out"))
+    # every file is serialized before --out is made, so a refused filling writes nothing
+    names = ("filling.ply", "filling.stl") if report.watertight else ("filling.ply",)
+    files = {name: _encoded_for(report.filling, out / name) for name in names}
+    files["fill_report.json"] = report.to_json().encode()
     out.mkdir(parents=True, exist_ok=True)
-    (out / "fill_report.json").write_text(report.to_json())
-    save_mesh_path(report.filling, out / "filling.ply")
-    if report.watertight:
-        save_mesh_path(report.filling, out / "filling.stl")
+    for name, data in files.items():
+        (out / name).write_bytes(data)
     for note in report.notes:
         print(f"note: {note}")
     print(f"|D| = {len(report.distances)}")

@@ -17,8 +17,8 @@ errors.read_json reads it for the manifest and the checkpoint header too: an
 integer for int, any finite number for float (NaN and Infinity are errors), a
 list of the given length and element type for a tuple, null only where None
 is allowed. Unknown sections or keys are errors, not warnings. The values
-are then checked by building what they configure: a DatasetManifest without
-entries, the Architecture and the TrainSettings, each of which checks itself
+are then checked by building what they configure: a DatasetManifest header
+(no splits or specs), the Architecture and the TrainSettings, each of which checks itself
 when it is built, and k_sigma by filling.check_k_sigma, so each rule is
 written once, in the library, and a value that breaks one is a ConfigError.
 """

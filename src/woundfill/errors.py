@@ -76,10 +76,10 @@ _SCALARS = {int: int, float: (int, float), str: str, bool: bool, type(None): typ
 
 
 @cache
-def _json_fields(cls) -> tuple[tuple[str, str, object], ...]:
-    """(attribute, JSON key, annotation) per field; a field's metadata["json"] renames its key."""
+def _json_fields(cls) -> tuple[tuple[str, object], ...]:
+    """(name, annotation) per field; each field's JSON key is its name."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, f.metadata.get("json", f.name), hints[f.name]) for f in fields(cls))
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
 def read_json(value, hint, path, what: str):
@@ -128,7 +128,7 @@ def from_json(cls, doc, path, what: str):
     so is a ConfigError or DataError that cls raises when it is built from the values."""
     specs = _json_fields(cls)
     values = []
-    for _, key, hint in specs:
+    for key, hint in specs:
         if not isinstance(doc, dict) or key not in doc:
             raise DataError(f"{path}: {what} lacks {key!r}")
         try:
@@ -136,7 +136,7 @@ def from_json(cls, doc, path, what: str):
         except TypeError:
             raise DataError(f"{path}: {what} {key!r} has the wrong type") from None
     if len(doc) > len(specs):  # every declared key is present, so the others are unknown
-        unknown = min(doc.keys() - {key for _, key, _ in specs})
+        unknown = min(doc.keys() - {key for key, _ in specs})
         raise DataError(f"{path}: {what} has unknown key {unknown!r} in {cls.__name__}")
     try:
         return cls(*values)
@@ -147,7 +147,7 @@ def from_json(cls, doc, path, what: str):
 def as_json(value):
     """The inverse of from_json: dataclasses as objects, tuples as lists."""
     if is_dataclass(value):
-        return {key: as_json(getattr(value, name)) for name, key, _ in _json_fields(type(value))}
+        return {key: as_json(getattr(value, key)) for key, _ in _json_fields(type(value))}
     if isinstance(value, (tuple, list)):
         return [as_json(v) for v in value]
     return value

@@ -72,14 +72,19 @@ def load_mesh_path(path, like: Mesh | None = None) -> Mesh:
 def save_mesh_path(mesh: Mesh, path) -> None:
     """Write mesh to path in the format its extension names; a NumericalError raised
     on its content is prefixed with the path."""
+    data = _encoded_for(mesh, path)
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _encoded_for(mesh: Mesh, path) -> bytes:
+    """The bytes save_mesh_path writes to path, which it does not touch."""
     path = str(path)
     try:
-        data = save_mesh(mesh, path.rsplit(".", 1)[-1])
+        return save_mesh(mesh, path.rsplit(".", 1)[-1])
     except NumericalError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
-    with open(path, "wb") as fh:
-        fh.write(data)
 
 
 def _check_float32(values: np.ndarray, what: str) -> None:

@@ -9,20 +9,27 @@ each pass's midpoints by their edge's first appearance in face order.
 
 Each dataclass here checks its values when it is built, so no function
 re-checks one it is handed: a bad ScarSpec is a DataError, a bad ScarRanges
-or DatasetManifest a ConfigError, which is what a bad make_dataset argument
-raises. manifest.json is the DatasetManifest dataclass written by
+or DatasetManifest header a ConfigError, which is what a bad make_dataset
+argument raises. manifest.json is the DatasetManifest dataclass written by
 errors.as_json and read back by errors.from_json, each value checked against
 its field's annotation and then by the record it builds, so a damaged
 manifest, one with a key the dataclasses do not declare, or one holding
 values make_dataset would refuse, raises DataError naming the file.
+
+The manifest stores only what cannot be derived: the header, one split per
+head and one ScarSpec per scar, ordered by head and then by scar; tuples that
+do not fit the header are a DataError. Each pair's head and scar follow from
+its position, and its files from those, as HHHH_gt.ply and HHHH_SS.ply
+(_pair_files, the one place that names them).
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +64,9 @@ __all__ = [
 ]
 
 SPLITS = ("train", "val", "test")
+# concrete classes: an isinstance check against numbers.Integral or Real costs ~1 us
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -70,11 +80,11 @@ class ScarSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.center, Integral):
+        if not isinstance(self.center, _INTEGERS):
             raise DataError(f"scar center must be an integer vertex index, got {self.center!r}")
-        if not isinstance(self.radius, Integral) or self.radius <= 0:
+        if not isinstance(self.radius, _INTEGERS) or self.radius <= 0:
             raise DataError(f"scar radius must be an integer hop count > 0, got {self.radius!r}")
-        if not isinstance(self.max_depth, Real) or not 0 < self.max_depth < np.inf:
+        if not isinstance(self.max_depth, _REALS) or not 0 < self.max_depth < np.inf:
             raise DataError(f"scar max_depth must be finite and > 0, got {self.max_depth!r}")
         if self.profile != "quadratic":
             raise DataError(f"unknown scar profile {self.profile!r}")
@@ -241,27 +251,34 @@ def _bump(base: Mesh, seed: int) -> Mesh:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One (wounded, ground truth) pair of a DatasetManifest, derived from its position."""
+
     head: int
     scar: int
-    gt_file: str = field(metadata={"json": "gt"})
-    wounded_file: str = field(metadata={"json": "wounded"})
+    gt_file: str
+    wounded_file: str
     split: str
     spec: ScarSpec
 
-    def __post_init__(self):
-        if self.split not in SPLITS:
-            raise DataError(f"split {self.split!r} is not one of {SPLITS}")
+
+def _pair_files(head: int, scar: int) -> tuple[str, str]:
+    """The ground-truth and wounded file names of a head's scar in a dataset directory."""
+    return f"{head:04d}_gt.ply", f"{head:04d}_{scar:02d}.ply"
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
+    """A dataset's header, one split per head and one ScarSpec per pair, ordered by head
+    and then by scar; no splits and no specs is a header only, as the config builds."""
+
     seed: int
     count: int
     scars_per_mesh: int
     subdivisions: int
     split_ratios: tuple[float, float, float]
     ranges: ScarRanges
-    entries: tuple[ManifestEntry, ...] = field(default_factory=tuple)
+    splits: tuple[str, ...] = ()
+    specs: tuple[ScarSpec, ...] = ()
 
     def __post_init__(self):
         if min(self.count, self.scars_per_mesh, self.subdivisions) < 1:
@@ -274,6 +291,22 @@ class DatasetManifest:
                                     and abs(sum(ratios) - 1.0) <= 1e-9):
             raise ConfigError(f"split_ratios must be three split ratios (train, val, test), "
                               f"each >= 0, that sum to 1; got {ratios}")
+        if self.splits or self.specs:
+            if len(self.splits) != self.count:
+                raise DataError(f"{len(self.splits)} splits for a count of {self.count} heads")
+            if len(self.specs) != self.count * self.scars_per_mesh:
+                raise DataError(f"{len(self.specs)} scar specs for {self.count} heads of "
+                                f"{self.scars_per_mesh} scars")
+            for split in self.splits:
+                if split not in SPLITS:
+                    raise DataError(f"split {split!r} is not one of {SPLITS}")
+
+    @cached_property
+    def entries(self) -> tuple[ManifestEntry, ...]:
+        """Every pair, ordered by head and then by scar."""
+        pairs = product(range(self.count), range(self.scars_per_mesh))
+        return tuple(ManifestEntry(head, scar, *_pair_files(head, scar), self.splits[head], spec)
+                     for (head, scar), spec in zip(pairs, self.specs))
 
     def split_entries(self, split: str) -> list[ManifestEntry]:
         if split not in SPLITS:
@@ -326,30 +359,42 @@ def make_dataset(
     graph are built once per dataset, and each head's mean edge length (over
     that list, as mean_edge_length orders it) and vertex normals once per
     head. The arguments are checked, as the DatasetManifest they make, before
-    anything is written; a bad one is a ConfigError.
+    anything is written; a bad one is a ConfigError. A manifest.json already in
+    out_dir is removed first, and a write that raises removes every file this
+    call wrote, so out_dir never holds a manifest over meshes it did not write.
     """
     header = DatasetManifest(seed, count, scars_per_mesh, subdivisions, tuple(split_ratios),
                              ranges)
-    splits = _split_assignment(count, header.split_ratios, seed)
+    splits = tuple(_split_assignment(count, header.split_ratios, seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)  # if this call dies, an older one names new meshes
     base = icosphere(subdivisions)
     adj = vertex_adjacency(base)  # icospheres are closed, as _dent requires
     edges, _ = unique_edges(base)
-    entries = []
-    for head in range(count):
-        rng = np.random.default_rng([seed, 0, head])
-        gt = _bump(base, int(rng.integers(0, 2**63)))
-        gt_file = f"{head:04d}_gt.ply"
-        save_mesh_path(gt, out / gt_file)
-        edge = _mean_length(gt.positions, edges)
-        normals = vertex_normals(gt)
-        for scar in range(scars_per_mesh):
-            spec = sample_scar_spec(rng, gt.n_vertices, edge, ranges)
-            wounded, _ = _dent(gt, adj, normals, spec)
-            wounded_file = f"{head:04d}_{scar:02d}.ply"
-            save_mesh_path(wounded, out / wounded_file)
-            entries.append(ManifestEntry(head, scar, gt_file, wounded_file, splits[head], spec))
-    manifest = replace(header, entries=tuple(entries))
-    (out / "manifest.json").write_text(manifest.to_json())
+    specs, written = [], []
+
+    def save(mesh: Mesh, name: str) -> None:
+        save_mesh_path(mesh, out / name)
+        written.append(out / name)
+
+    try:
+        for head in range(count):
+            rng = np.random.default_rng([seed, 0, head])
+            gt = _bump(base, int(rng.integers(0, 2**63)))
+            save(gt, _pair_files(head, 0)[0])
+            edge = _mean_length(gt.positions, edges)
+            normals = vertex_normals(gt)
+            for scar in range(scars_per_mesh):
+                spec = sample_scar_spec(rng, gt.n_vertices, edge, ranges)
+                wounded, _ = _dent(gt, adj, normals, spec)
+                save(wounded, _pair_files(head, scar)[1])
+                specs.append(spec)
+        manifest = replace(header, splits=splits, specs=tuple(specs))
+        manifest_path.write_text(manifest.to_json())
+    except BaseException:  # a refused write leaves no partial dataset
+        for path in [*written, manifest_path]:
+            path.unlink(missing_ok=True)
+        raise
     return manifest

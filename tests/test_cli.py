@@ -77,8 +77,8 @@ def test_gen_data_split_ratio_override(tmp_path):
                 "--subdivisions", "1"]) == 0
     doc = read_json(out / "manifest.json")
     heads = {s: set() for s in ("train", "val", "test")}
-    for e in doc["entries"]:
-        heads[e["split"]].add(e["head"])
+    for head, split in enumerate(doc["splits"]):
+        heads[split].add(head)
     assert (len(heads["train"]), len(heads["val"]), len(heads["test"])) == (8, 1, 1)
 
 
@@ -577,8 +577,8 @@ def test_eval_on_relabelled_vertices_exits_2(tmp_path, capsys, gen_dir):
 
 def test_train_on_relabelled_val_split_exits_2(tmp_path, capsys, gen_dir):
     # the val meshes' faces are not the train meshes': their loss must not pick a checkpoint
-    manifest = json.loads((gen_dir / "manifest.json").read_text())
-    val = {e[key] for e in manifest["entries"] if e["split"] == "val" for key in ("gt", "wounded")}
+    val = {name for e in load_manifest(gen_dir / "manifest.json").split_entries("val")
+           for name in (e.gt_file, e.wounded_file)}
     assert val
     moved = _relabelled_copy(gen_dir, tmp_path / "moved", val)
     assert run(["train", "--data", moved, "--out", tmp_path / "run", "--max-steps", "5"]) == 2
@@ -637,7 +637,7 @@ def test_out_of_rule_manifest_spec_train_exits_2(tmp_path, capsys, gen_dir):
     data = tmp_path / "data"
     shutil.copytree(gen_dir, data)
     doc = json.loads((data / "manifest.json").read_text())
-    doc["entries"][0]["spec"]["radius"] = 0
+    doc["specs"][0]["radius"] = 0
     (data / "manifest.json").write_text(json.dumps(doc))
     assert run(["train", "--data", data, "--out", tmp_path / "run", "--max-steps", "1"]) == 2
     err = capsys.readouterr().err
@@ -650,14 +650,27 @@ def test_manifest_center_off_the_mesh_train_exits_2(tmp_path, capsys, gen_dir):
     data = tmp_path / "data"
     shutil.copytree(gen_dir, data)
     doc = json.loads((data / "manifest.json").read_text())
-    entry = next(e for e in doc["entries"] if e["split"] == "train")
-    entry["spec"]["center"] = 1000000
+    entry = load_manifest(data / "manifest.json").split_entries("train")[0]
+    doc["specs"][entry.head * doc["scars_per_mesh"] + entry.scar]["center"] = 1000000
     (data / "manifest.json").write_text(json.dumps(doc))
     assert run(["train", "--data", data, "--out", tmp_path / "run", "--max-steps", "1"]) == 2
     assert capsys.readouterr().err == (
-        f"data error: {data / 'manifest.json'}: entry {entry['wounded']}: scar center 1000000 "
+        f"data error: {data / 'manifest.json'}: entry {entry.wounded_file}: scar center 1000000 "
         "is outside its mesh of 42 vertices\n")
     assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_manifest_count_edit_train_exits_2(tmp_path, capsys, gen_dir):
+    # the files of heads 1-3 are still there, but the manifest says one head
+    data = tmp_path / "data"
+    shutil.copytree(gen_dir, data)
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["count"] = 1
+    (data / "manifest.json").write_text(json.dumps(doc))
+    assert run(["train", "--data", data, "--out", tmp_path / "run", "--max-steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data / 'manifest.json'}: ") and "count of 1" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_depth_beyond_float32_gen_data_exits_3_without_the_file(tmp_path, capsys):
@@ -672,6 +685,52 @@ def test_depth_beyond_float32_gen_data_exits_3_without_the_file(tmp_path, capsys
     path = Path(err.split(": ")[1])
     assert path.suffix == ".ply" and not path.exists()
     assert not (tmp_path / "d" / "manifest.json").exists()
+
+
+def test_refused_gen_data_leaves_no_partial_dataset(tmp_path, capsys, monkeypatch):
+    # a rerun into a good dataset of the same count: an old manifest would name new meshes
+    out = tmp_path / "d"
+    assert run(["gen-data", "--out", out, "--count", "3"]) == 0
+    good = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"depth_range": [1e39, 1e40]}}))
+    written, save = [], woundfill.scars.save_mesh_path
+    monkeypatch.setattr(woundfill.scars, "save_mesh_path",
+                        lambda mesh, path: (save(mesh, path), written.append(Path(path))))
+    with clamps_ignored():
+        code = run(["gen-data", "--out", out, "--config", cfg, "--count", "3"])
+    assert code == 3
+    assert "float32" in capsys.readouterr().err
+    assert written and not any(path.exists() for path in written)
+    assert not (out / "manifest.json").exists()
+    assert all(path.read_bytes() == good[path.name] for path in out.iterdir())
+
+
+def _double_ply(mesh, scale):
+    """PLY bytes of mesh with its positions times scale stored as float64."""
+    header = (f"ply\nformat binary_little_endian 1.0\nelement vertex {mesh.n_vertices}\n"
+              "property double x\nproperty double y\nproperty double z\n"
+              f"element face {mesh.n_faces}\nproperty list uchar int vertex_indices\n"
+              "end_header\n")
+    faces = np.empty(mesh.n_faces, dtype=[("n", "<u1"), ("idx", "<i4", (3,))])
+    faces["n"], faces["idx"] = 3, mesh.faces
+    return header.encode() + (mesh.positions * scale).astype("<f8").tobytes() + faces.tobytes()
+
+
+def test_filling_beyond_float32_extract_fill_exits_3_writing_nothing(tmp_path, capsys):
+    # test_extract_fill_cli's pair, read as float64, but the filling's PLY stores float32
+    data = tmp_path / "d"
+    assert run(["gen-data", "--out", data, "--count", "1", "--scars", "1",
+                "--seed", "3", "--ratios", "1.0", "0.0", "0.0",
+                "--subdivisions", "3", "--config", _ranges_config(tmp_path)]) == 0
+    for name in ("0000_00.ply", "0000_gt.ply"):
+        (tmp_path / name).write_bytes(_double_ply(load_mesh_path(data / name), 1e39))
+    fill = tmp_path / "fill"
+    assert run(["extract-fill", "--input", tmp_path / "0000_00.ply",
+                "--output", tmp_path / "0000_gt.ply", "--out", fill]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical error: {fill / 'filling.ply'}: ") and "float32" in err
+    assert not fill.exists()
 
 
 @pytest.mark.parametrize("command, usage", [

@@ -281,7 +281,7 @@ def test_manifest_is_valid_json(tmp_path):
     make_dataset(tmp_path / "d", count=1, scars_per_mesh=1, seed=0)
     doc = json.loads((tmp_path / "d" / "manifest.json").read_text())
     assert doc["count"] == 1
-    assert len(doc["entries"]) == 1
+    assert len(doc["splits"]) == len(doc["specs"]) == 1
 
 
 def test_make_dataset_bad_ratios(tmp_path):
@@ -383,8 +383,8 @@ def test_scar_ranges_validation():
             ScarRanges(**keywords)
 
 
-# sha256 of the manifest below as the writer wrote it before it was derived from the fields
-MANIFEST_SHA256 = "219ca902e64da2c037fb54e21bca07120d6502c9b2af48d447733bb11f41400f"
+# sha256 of the manifest below as the writer wrote it once it stored only splits and specs
+MANIFEST_SHA256 = "b061a8398df90f60f54139b6e996b6e9d3cb4e0574d436b59c1844242d09b866"
 
 
 def test_manifest_json_is_pinned():
@@ -392,16 +392,80 @@ def test_manifest_json_is_pinned():
     manifest = DatasetManifest(
         seed=5, count=2, scars_per_mesh=1, subdivisions=1, split_ratios=(0.5, 0.5, 0.0),
         ranges=ScarRanges(radius=(2, 4), depth=(0.5, 1.5)),
-        entries=(
-            ManifestEntry(0, 0, "0000_gt.ply", "0000_00.ply", "train",
-                          ScarSpec(center=3, radius=2, max_depth=0.25, seed=11)),
-            ManifestEntry(1, 0, "0001_gt.ply", "0001_00.ply", "val",
-                          ScarSpec(center=40, radius=4, max_depth=0.125, seed=2**62)),
-        ),
+        splits=("train", "val"),
+        specs=(ScarSpec(center=3, radius=2, max_depth=0.25, seed=11),
+               ScarSpec(center=40, radius=4, max_depth=0.125, seed=2**62)),
     )
     text = manifest.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST_SHA256
     assert DatasetManifest.from_json(text) == manifest
+    assert manifest.entries == (
+        ManifestEntry(0, 0, "0000_gt.ply", "0000_00.ply", "train", manifest.specs[0]),
+        ManifestEntry(1, 0, "0001_gt.ply", "0001_00.ply", "val", manifest.specs[1]),
+    )
+
+
+# the manifest of test_manifest_json_is_pinned as the writer wrote it when it stored every
+# entry's head, scar, files and split; its sha256 was that test's pin
+OLD_LAYOUT = {
+    "count": 2,
+    "entries": [
+        {"gt": "0000_gt.ply", "head": 0, "scar": 0, "split": "train", "wounded": "0000_00.ply",
+         "spec": {"center": 3, "max_depth": 0.25, "profile": "quadratic", "radius": 2,
+                  "seed": 11}},
+        {"gt": "0001_gt.ply", "head": 1, "scar": 0, "split": "val", "wounded": "0001_00.ply",
+         "spec": {"center": 40, "max_depth": 0.125, "profile": "quadratic", "radius": 4,
+                  "seed": 2**62}},
+    ],
+    "ranges": {"depth": [0.5, 1.5], "radius": [2, 4]},
+    "scars_per_mesh": 1,
+    "seed": 5,
+    "split_ratios": [0.5, 0.5, 0.0],
+    "subdivisions": 1,
+}
+
+
+def test_old_layout_manifest_is_data_error(tmp_path):
+    text = json.dumps(OLD_LAYOUT, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "219ca902e64da2c037fb54e21bca07120d6502c9b2af48d447733bb11f41400f")
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match="lacks 'splits'") as exc:
+        load_manifest(path)
+    assert str(path) in str(exc.value)
+
+
+# (head, scar, gt_file, wounded_file, split, center, radius, max_depth, seed) of each entry
+# of make_dataset(count=3, scars_per_mesh=2, seed=9) as the writer recorded them when
+# manifest.json stored every field of every entry
+RECORDED_ENTRIES = [
+    (0, 0, "0000_gt.ply", "0000_00.ply", "test", 155, 4, 0.408765815650234,
+     7171486118107499900),
+    (0, 1, "0000_gt.ply", "0000_01.ply", "test", 104, 7, 0.5450522861602968,
+     7935730724560856324),
+    (1, 0, "0001_gt.ply", "0001_00.ply", "train", 157, 4, 0.2648573597596065,
+     2647253605664558746),
+    (1, 1, "0001_gt.ply", "0001_01.ply", "train", 123, 7, 0.1719924176594513,
+     4222444279990361911),
+    (2, 0, "0002_gt.ply", "0002_00.ply", "train", 15, 5, 0.5038254088919129,
+     6169396437751663573),
+    (2, 1, "0002_gt.ply", "0002_01.ply", "train", 72, 5, 0.22465114786312293,
+     995982629746516098),
+]
+
+
+def test_derived_entries_are_the_recorded_ones(tmp_path):
+    manifest = make_dataset(tmp_path, count=3, scars_per_mesh=2, seed=9)
+    got = [(e.head, e.scar, e.gt_file, e.wounded_file, e.split, e.spec.center, e.spec.radius,
+            e.spec.max_depth, e.spec.seed) for e in load_manifest(tmp_path / "manifest.json")
+           .entries]
+    # max_depth is a multiple of the head's mean edge length, which goes through np.exp
+    # in _bump, whose last bit may vary with the CPU's vector unit
+    assert got == [(*r[:7], pytest.approx(r[7], rel=1e-12), r[8]) for r in RECORDED_ENTRIES]
+    assert all(e.spec.profile == "quadratic" for e in manifest.entries)
+    named = {name for e in manifest.entries for name in (e.gt_file, e.wounded_file)}
+    assert {p.name for p in tmp_path.iterdir()} == named | {"manifest.json"}
 
 
 @pytest.fixture(scope="module")
@@ -413,23 +477,27 @@ def manifest_path(tmp_path_factory):
 
 
 EDITS = {
-    "no-entries": lambda doc: doc.pop("entries"),
+    "no-specs": lambda doc: doc.pop("specs"),
     "string-seed": lambda doc: doc.update(seed="5"),
     "bool-count": lambda doc: doc.update(count=True),
     "ranges-list": lambda doc: doc.update(ranges=[3, 8]),
-    "entry-not-object": lambda doc: doc["entries"].__setitem__(0, 7),
-    "unknown-split": lambda doc: doc["entries"][0].update(split="tset"),
-    "spec-lacks-seed": lambda doc: doc["entries"][1]["spec"].pop("seed"),
-    "float-center": lambda doc: doc["entries"][1]["spec"].update(center=1.5),
+    "spec-not-object": lambda doc: doc["specs"].__setitem__(0, 7),
+    "unknown-split": lambda doc: doc["splits"].__setitem__(0, "tset"),
+    "spec-lacks-seed": lambda doc: doc["specs"][1].pop("seed"),
+    "float-center": lambda doc: doc["specs"][1].update(center=1.5),
     "split-ratios-length": lambda doc: doc.update(split_ratios=[1, "a", None, 4, 5]),
     "string-radius": lambda doc: doc["ranges"].update(radius=["a"]),
     # well-typed values that break a rule make_dataset keeps
-    "zero-spec-radius": lambda doc: doc["entries"][1]["spec"].update(radius=0),
-    "negative-spec-depth": lambda doc: doc["entries"][1]["spec"].update(max_depth=-1),
-    "gaussian-profile": lambda doc: doc["entries"][1]["spec"].update(profile="gaussian"),
+    "zero-spec-radius": lambda doc: doc["specs"][1].update(radius=0),
+    "negative-spec-depth": lambda doc: doc["specs"][1].update(max_depth=-1),
+    "gaussian-profile": lambda doc: doc["specs"][1].update(profile="gaussian"),
     "reversed-radius-range": lambda doc: doc["ranges"].update(radius=[8, 3]),
     "negative-split-ratio": lambda doc: doc.update(split_ratios=[2, -0.5, -0.5]),
     "zero-count": lambda doc: doc.update(count=0),
+    # well-formed records that disagree with the header
+    "count-edit": lambda doc: doc.update(count=1),
+    "dropped-spec": lambda doc: doc["specs"].pop(),
+    "short-splits": lambda doc: doc["splits"].pop(),
 }
 
 
@@ -453,10 +521,10 @@ def test_damaged_manifest_is_data_error(manifest_path, damage):
     assert str(bad) in str(exc.value)
 
 
-@pytest.mark.parametrize("where", ["manifest", "entry", "spec"])
+@pytest.mark.parametrize("where", ["manifest", "spec"])
 def test_manifest_with_an_added_key_is_data_error(manifest_path, where):
     doc = json.loads(manifest_path.read_bytes())
-    owner = {"manifest": doc, "entry": doc["entries"][0], "spec": doc["entries"][0]["spec"]}
+    owner = {"manifest": doc, "spec": doc["specs"][0]}
     owner[where]["added"] = 1
     bad = manifest_path.with_name(f"added-{where}.json")
     bad.write_text(json.dumps(doc))

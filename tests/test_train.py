@@ -1,9 +1,11 @@
 import hashlib
 import importlib
 import re
+import shutil
 import struct
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,15 +332,8 @@ def test_evaluate_writes_error_plys(dataset, tmp_path):
 
 def test_evaluate_empty_split(dataset, tmp_path):
     manifest, root = dataset
-    clipped = type(manifest)(
-        seed=manifest.seed,
-        count=manifest.count,
-        scars_per_mesh=manifest.scars_per_mesh,
-        subdivisions=manifest.subdivisions,
-        split_ratios=manifest.split_ratios,
-        ranges=manifest.ranges,
-        entries=tuple(e for e in manifest.entries if e.split != "val"),
-    )
+    clipped = replace(manifest, splits=tuple("train" if s == "val" else s
+                                             for s in manifest.splits))
     with pytest.raises(DataError, match="empty"):
         evaluate(None, clipped, root, "val")
 
@@ -388,23 +383,13 @@ def test_evaluate_identity_matches_manual_aggregation(dataset):
 
 
 def test_perfect_model_gives_zero_stats(dataset, tmp_path):
-    # evaluating gt against itself through the identity wiring: rewrite the
-    # manifest so the "wounded" file is the ground truth itself
+    # evaluating gt against itself through the identity wiring: in a copy of the
+    # dataset, each "wounded" file is its ground truth
     manifest, root = dataset
-    entries = tuple(
-        type(e)(e.head, e.scar, e.gt_file, e.gt_file, e.split, e.spec)
-        for e in manifest.entries
-    )
-    perfect = type(manifest)(
-        seed=manifest.seed,
-        count=manifest.count,
-        scars_per_mesh=manifest.scars_per_mesh,
-        subdivisions=manifest.subdivisions,
-        split_ratios=manifest.split_ratios,
-        ranges=manifest.ranges,
-        entries=entries,
-    )
-    report = evaluate(None, perfect, root, "train")
+    for e in manifest.entries:
+        shutil.copyfile(root / e.gt_file, tmp_path / e.gt_file)
+        shutil.copyfile(root / e.gt_file, tmp_path / e.wounded_file)
+    report = evaluate(None, manifest, tmp_path, "train")
     assert report.max_vertex_distance == 0.0
     assert report.mean_vertex_distance == 0.0
     assert report.min_mesh_mean == report.max_mesh_mean == 0.0
