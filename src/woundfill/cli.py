@@ -52,7 +52,7 @@ def _overrides(args) -> dict:
 def cmd_gen_data(args) -> int:
     cfg = RunConfig.load(args.config, _overrides(args))
     out = cfg.resolve_path("out_dir", "--out")
-    manifest = make_dataset(out, **cfg.dataset_kwargs())
+    manifest = make_dataset(out, **cfg.dataset)
     n_files = manifest.count * (manifest.scars_per_mesh + 1)
     print(f"wrote {n_files} mesh files and manifest.json to {out}")
     print(f"manifest entries: {len(manifest.entries)}")
@@ -87,7 +87,7 @@ def cmd_train(args) -> int:
     data = cfg.resolve_path("data_dir", "--data")
     out = cfg.resolve_path("out_dir", "--out")
     manifest = load_manifest(Path(data) / "manifest.json")
-    result = train(manifest, data, cfg.model_architecture(), cfg.train_settings(), out)
+    result = train(manifest, data, cfg.architecture, cfg.training, out)
     print(f"trained {result.steps} steps; best loss {result.best_loss!r}")
     print(f"checkpoint: {result.checkpoint_path}")
     print(f"metrics: {result.metrics_path}")
@@ -117,7 +117,7 @@ def cmd_extract_fill(args) -> int:
     cfg = RunConfig.load(args.config, _overrides(args))
     input_mesh = load_mesh_path(args.input)
     output_mesh = load_mesh_path(args.output, like=input_mesh)
-    report = extract_filling(input_mesh, output_mesh, cfg.extraction["k_sigma"])
+    report = extract_filling(input_mesh, output_mesh, **cfg.extraction)
     out = Path(cfg.resolve_path("out_dir", "--out"))
     # every file is serialized before --out is made, so a refused filling writes nothing
     names = ("filling.ply", "filling.stl") if report.watertight else ("filling.ply",)

@@ -4,23 +4,25 @@ Each section takes its keys, defaults and value types from the object it
 configures, so every default is written once, in the library:
 
     dataset:      make_dataset's keywords (count=8, scars_per_mesh=1, seed=0,
-                  split_ratios, subdivisions) plus the ScarRanges fields as
-                  radius_range and depth_range
+                  split_ratios, subdivisions), its ScarRanges as radius_range
+                  and depth_range
     architecture: the fields of model.Architecture
     training:     the fields of train.TrainSettings, its LossSpec as
                   loss_target and loss_metric
-    extraction:   extract_filling's k_sigma
+    extraction:   extract_filling's keywords (k_sigma)
     paths:        data_dir, out_dir (flags take precedence)
 
-A value must have the JSON type of its field's annotation, as
-errors.read_json reads it for the manifest and the checkpoint header too: an
-integer for int, any finite number for float (NaN and Infinity are errors), a
-list of the given length and element type for a tuple, null only where None
-is allowed. Unknown sections or keys are errors, not warnings. The values
-are then checked by building what they configure: a DatasetManifest header
-(no splits or specs), the Architecture and the TrainSettings, each of which checks itself
-when it is built, and k_sigma by filling.check_k_sigma, so each rule is
-written once, in the library, and a value that breaks one is a ConfigError.
+_nested() names each nested record and the key pattern of its fields. A
+value must have the JSON type of its field's annotation, as errors.read_json
+reads it for the manifest and the checkpoint header too: an integer for int,
+any finite number for float (NaN and Infinity are errors), a list of the
+given length and element type for a tuple, null only where None is allowed.
+Unknown sections or keys are errors, not warnings. RunConfig.load returns the
+records the values configure, each built once, and each checks itself when
+it is built: the dataset's ScarRanges and a DatasetManifest header (no splits
+or specs), the Architecture, the TrainSettings and its LossSpec;
+filling.check_k_sigma checks k_sigma. So each rule is written once, in the
+library, and a value that breaks one is a ConfigError.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import inspect
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, read_json
@@ -41,43 +43,60 @@ from .train import TrainSettings
 __all__ = ["RunConfig"]
 
 
-def _keys(obj, key=str, skip=()) -> dict:
+def _keys(obj, key=str) -> dict:
     """Config key -> (default, annotation) per defaulted parameter of a function or dataclass."""
     hints = typing.get_type_hints(obj)
     return {key(p.name): (p.default, hints[p.name])
-            for p in inspect.signature(obj).parameters.values()
-            if p.default is not p.empty and p.name not in skip}
+            for p in inspect.signature(obj).parameters.values() if p.default is not p.empty}
+
+
+def _nested() -> dict[str, tuple[str, type, str]]:
+    """section -> (the parameter that takes a record, the record, its fields' key pattern)."""
+    return {"dataset": ("ranges", ScarRanges, "{}_range"),
+            "training": ("loss", LossSpec, "loss_{}")}
 
 
 def _schema() -> dict[str, dict[str, tuple]]:
-    return {
-        "dataset": {**_keys(make_dataset, skip=("ranges",)),
-                    **_keys(ScarRanges, "{}_range".format)},
+    schema = {
+        "dataset": _keys(make_dataset),
         "architecture": _keys(Architecture),
-        "training": {**_keys(TrainSettings, skip=("loss",)), **_keys(LossSpec, "loss_{}".format)},
+        "training": _keys(TrainSettings),
         "extraction": _keys(extract_filling),
         "paths": {"data_dir": (None, str | None), "out_dir": (None, str | None)},
     }
+    for sec, (name, record, pattern) in _nested().items():
+        del schema[sec][name]
+        schema[sec].update(_keys(record, pattern.format))
+    return schema
 
 
-@dataclass
+def _unflatten(sec: str, values: dict) -> dict:
+    """A section's values as keywords, its nested record built from the keys of its fields."""
+    name, record, pattern = _nested()[sec]
+    keys = {pattern.format(f): f for f in _keys(record)}
+    kwargs = {k: v for k, v in values.items() if k not in keys}
+    return {**kwargs, name: record(**{f: values[k] for k, f in keys.items()})}
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    dataset: dict = field(default_factory=dict)
-    architecture: dict = field(default_factory=dict)
-    training: dict = field(default_factory=dict)
-    extraction: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
+    dataset: dict  # make_dataset's keywords, ranges a ScarRanges
+    architecture: Architecture
+    training: TrainSettings
+    extraction: dict  # extract_filling's keywords
+    data_dir: str | None = None
+    out_dir: str | None = None
 
     def resolve_path(self, key: str, flag_name: str):
         """paths.<key>, from its flag or the config file; one of them must set it."""
-        value = self.paths[key]
+        value = getattr(self, key)
         if value is None:
             raise ConfigError(f"missing {flag_name} (flag) or paths.{key} (config)")
         return value
 
     @classmethod
     def load(cls, path=None, overrides: dict | None = None) -> "RunConfig":
-        """Merge defaults <- config file <- explicit overrides, then validate."""
+        """Merge defaults <- config file <- explicit overrides, then build the records."""
         schema = _schema()
         merged = {sec: {key: default for key, (default, _) in keys.items()}
                   for sec, keys in schema.items()}
@@ -111,28 +130,9 @@ class RunConfig:
             apply(doc, str(path))
         if overrides:
             apply(overrides, "flags")
-        cfg = cls(**merged)
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        DatasetManifest(**self.dataset_kwargs())
-        self.model_architecture()
-        self.train_settings()
-        check_k_sigma(self.extraction["k_sigma"])
-
-    def scar_ranges(self) -> ScarRanges:
-        return ScarRanges(self.dataset["radius_range"], self.dataset["depth_range"])
-
-    def dataset_kwargs(self) -> dict:
-        """make_dataset's keyword arguments."""
-        kwargs = {k: v for k, v in self.dataset.items() if not k.endswith("_range")}
-        return {**kwargs, "ranges": self.scar_ranges()}
-
-    def model_architecture(self) -> Architecture:
-        return Architecture(**self.architecture)
-
-    def train_settings(self) -> TrainSettings:
-        tr = dict(self.training)
-        loss = LossSpec(tr.pop("loss_target"), tr.pop("loss_metric"))
-        return TrainSettings(loss=loss, **tr)
+        dataset = _unflatten("dataset", merged["dataset"])
+        DatasetManifest(**dataset)
+        architecture = Architecture(**merged["architecture"])
+        training = TrainSettings(**_unflatten("training", merged["training"]))
+        check_k_sigma(merged["extraction"]["k_sigma"])
+        return cls(dataset, architecture, training, merged["extraction"], **merged["paths"])

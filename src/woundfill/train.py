@@ -152,11 +152,10 @@ def train(
 
     Every val mesh must have the train split's faces. When the val split is
     empty, selection and early stopping fall back to the train loss. A
-    non-finite train or val loss is a NumericalError. Metrics are appended
-    to metrics.csv as `epoch,split,loss`.
+    non-finite train or val loss is a NumericalError. out_dir is made after the
+    data and model load; metrics are appended to its metrics.csv as `epoch,split,loss`.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_pairs = load_pairs(manifest, data_dir, "train")
     if not train_pairs:
         raise DataError("train split is empty")
@@ -170,6 +169,7 @@ def train(
 
     checkpoint_path = out_dir / "model.ckpt"
     metrics_path = out_dir / "metrics.csv"
+    out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path.write_text("epoch,split,loss\n")
 
     history: list[tuple[int, str, float]] = []

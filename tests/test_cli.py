@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -106,6 +107,18 @@ def test_preprocess_repairs_fixture(tmp_path, capsys):
     assert "repaired" in capsys.readouterr().out
 
 
+def test_preprocess_caps_a_hole_carrying_each_channel_at_its_rim_mean(tmp_path):
+    sphere = icosphere(1)
+    src = tmp_path / "holed.ply"
+    save_mesh_path(Mesh(sphere.positions, sphere.faces[1:],
+                        {"error": np.arange(sphere.n_vertices, dtype=np.float64)}), src)
+    assert run(["preprocess", src, "--out", tmp_path / "clean"]) == 0
+    cleaned = load_mesh_path(tmp_path / "clean" / "holed.ply")
+    assert is_watertight(cleaned) and cleaned.n_vertices == 43
+    # the channel is the vertex index, and the cap's value the rim's mean, 8.667, as float32
+    assert cleaned.attributes["error"][42] == np.float32(np.mean(sphere.faces[0]))
+
+
 def test_train_eval_round_trip(tmp_path, gen_dir):
     run_dir = tmp_path / "run"
     assert run(["train", "--data", gen_dir, "--out", run_dir,
@@ -143,7 +156,7 @@ def test_extract_fill_cli(tmp_path, monkeypatch):
                 "--subdivisions", "3", "--config", _ranges_config(tmp_path)]) == 0
     pairs, real = [], cli.extract_filling
     monkeypatch.setattr(cli, "extract_filling",
-                        lambda a, b, k: pairs.append((a, b)) or real(a, b, k))
+                        lambda a, b, **kw: pairs.append((a, b)) or real(a, b, **kw))
     fill = tmp_path / "fill"
     assert run(["extract-fill", "--input", data / "0000_00.ply",
                 "--output", data / "0000_gt.ply", "--out", fill]) == 0
@@ -253,6 +266,22 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config {path}: "),
+    ('{"dataset": ', "config {path} is not valid JSON: "),
+    ("[]", "config {path} must be a JSON object"),
+    ('{"datasets": {}}', "{path}: unknown config section 'datasets'"),
+    ('{"dataset": 3}', "{path}: section 'dataset' must be an object"),
+], ids=["missing", "not-json", "array", "unknown-section", "section-not-object"])
+def test_refused_config_document_exits_1_before_writing(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run(["gen-data", "--out", tmp_path / "d", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: " + message.format(path=cfg))
+    assert not (tmp_path / "d").exists()
+
+
 def test_infinite_depth_range_exits_1_before_writing(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"dataset": {"depth_range": [0.5, 1e999]}}')  # json reads 1e999 as inf
@@ -336,6 +365,7 @@ def test_arch_ratio_too_small_for_the_mesh_exits_2_naming_the_key(tmp_path, caps
     assert run(args) == 2
     err = capsys.readouterr().err
     assert "data error: architecture.ratios: ratio 0.001 leaves 0 of the mesh's 42 vertices" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("block", ["vertex", "face"])
@@ -585,7 +615,17 @@ def test_train_on_relabelled_val_split_exits_2(tmp_path, capsys, gen_dir):
     err = capsys.readouterr().err
     assert "face topology differs" in err and any(str(moved / name) in err for name in val)
     assert "Traceback" not in err
-    assert not (tmp_path / "run" / "metrics.csv").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_empty_train_split_exits_2_without_a_run_dir(tmp_path, capsys):
+    data = tmp_path / "data"
+    with clamps_ignored():
+        assert run(["gen-data", "--out", data, "--count", "4", "--ratios", "0", "0.5", "0.5",
+                    "--subdivisions", "1"]) == 0
+    assert run(["train", "--data", data, "--out", tmp_path / "run", "--max-steps", "1"]) == 2
+    assert capsys.readouterr().err == "data error: train split is empty\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_diverging_train_exits_3_without_a_checkpoint(tmp_path, capsys, gen_dir):
@@ -597,6 +637,23 @@ def test_diverging_train_exits_3_without_a_checkpoint(tmp_path, capsys, gen_dir)
     out, err = capsys.readouterr()
     assert err == "numerical error: validation diverged: loss=nan at epoch 0\n"
     assert "checkpoint:" not in out
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_non_finite_train_loss_exits_3_with_no_metrics_row_or_checkpoint(tmp_path, capsys,
+                                                                         gen_dir, monkeypatch):
+    module = importlib.import_module("woundfill.train")  # the package's `train` is the function
+    real, offsets = module.reconstruction_loss, iter([np.inf])
+
+    def first_batch_inf(out, target, metric):
+        values, grad = real(out, target, metric)
+        return values + next(offsets, 0.0), grad
+
+    monkeypatch.setattr(module, "reconstruction_loss", first_batch_inf)
+    assert run(["train", "--data", gen_dir, "--out", tmp_path / "run", "--max-steps", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "numerical error: training diverged: loss=inf at step 0\n")
+    assert (tmp_path / "run" / "metrics.csv").read_text() == "epoch,split,loss\n"
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
@@ -657,7 +714,7 @@ def test_manifest_center_off_the_mesh_train_exits_2(tmp_path, capsys, gen_dir):
     assert capsys.readouterr().err == (
         f"data error: {data / 'manifest.json'}: entry {entry.wounded_file}: scar center 1000000 "
         "is outside its mesh of 42 vertices\n")
-    assert not (tmp_path / "run" / "metrics.csv").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_manifest_count_edit_train_exits_2(tmp_path, capsys, gen_dir):

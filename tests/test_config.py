@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import re
@@ -9,39 +10,61 @@ import pytest
 
 from woundfill import (
     Architecture,
+    LossSpec,
     ScarRanges,
     TrainSettings,
     extract_filling,
     make_dataset,
     train,
 )
+from woundfill import config
 from woundfill.cli import build_parser, main
-from woundfill.config import RunConfig
+from woundfill.config import RunConfig, _schema
 from woundfill.errors import ConfigError, read_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def keyword_defaults(fn, skip=()):
+def keyword_defaults(fn):
     return {p.name: p.default for p in inspect.signature(fn).parameters.values()
-            if p.default is not p.empty and p.name not in skip}
+            if p.default is not p.empty}
 
 
 def test_defaults_are_the_library_defaults():
     cfg = RunConfig.load()
-    assert cfg.train_settings() == TrainSettings()
-    assert cfg.model_architecture() == Architecture()
-    assert cfg.scar_ranges() == ScarRanges()
-    dataset = {k: v for k, v in cfg.dataset.items() if k not in ("radius_range", "depth_range")}
-    assert dataset == keyword_defaults(make_dataset, skip=("ranges",))
+    assert cfg.training == TrainSettings()
+    assert cfg.architecture == Architecture()
+    assert cfg.dataset == keyword_defaults(make_dataset)
+    assert cfg.dataset["ranges"] == ScarRanges()
     assert cfg.extraction == keyword_defaults(extract_filling)
-    assert (dataset["count"], dataset["scars_per_mesh"]) == (8, 1)
+    assert (cfg.dataset["count"], cfg.dataset["scars_per_mesh"]) == (8, 1)
+    assert (cfg.data_dir, cfg.out_dir) == (None, None)
 
 
 def write_config(tmp_path, doc) -> Path:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_a_field_added_to_a_nested_record_gets_a_key_that_reaches_it(tmp_path, monkeypatch):
+    # each nested record's keys are its own fields, so a new field needs no edit in config.py
+    def with_field(record, name, hint, default):
+        return dataclasses.make_dataclass(record.__name__,
+                                          [(name, hint, dataclasses.field(default=default))],
+                                          bases=(record,), frozen=True)
+
+    monkeypatch.setattr(config, "ScarRanges",
+                        with_field(ScarRanges, "falloff", tuple[float, float], (1.0, 1.0)))
+    monkeypatch.setattr(config, "LossSpec", with_field(LossSpec, "weight", float, 1.0))
+    path = write_config(tmp_path, {
+        "dataset": {"falloff_range": [0.25, 0.5], "radius_range": [3, 4]},
+        "training": {"loss_weight": 0.5, "loss_metric": "l1"},
+    })
+    cfg = RunConfig.load(path)
+    ranges, loss = cfg.dataset["ranges"], cfg.training.loss
+    assert (ranges.falloff, ranges.radius, ranges.depth) == ((0.25, 0.5), (3, 4), (0.5, 2.0))
+    assert (loss.weight, loss.metric, loss.target) == (0.5, "l1", "ground_truth")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -104,7 +127,7 @@ def test_ill_fitting_tuple_is_a_type_error(value):
 def test_flags_override_the_file(tmp_path):
     cfg = write_config(tmp_path, {"training": {"lr": 0.5, "epochs": 3}})
     loaded = RunConfig.load(cfg, {"training": {"lr": 0.25}})
-    assert (loaded.training["lr"], loaded.training["epochs"]) == (0.25, 3)
+    assert (loaded.training.lr, loaded.training.epochs) == (0.25, 3)
 
 
 def test_train_validates_its_settings(tmp_path):
@@ -123,18 +146,6 @@ def test_train_settings_reject_non_finite_values(key, value):
         TrainSettings(**{key: value})
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("dataset", "split_ratios", (float("nan"), 0.5, 0.5)),
-    ("dataset", "split_ratios", (0.5, 0.5, float("nan"))),
-    ("extraction", "k_sigma", float("nan")),
-], ids=["first-split-nan", "last-split-nan", "k-sigma-nan"])
-def test_run_config_validate_rejects_nan(section, key, value):
-    cfg = RunConfig.load()
-    getattr(cfg, section)[key] = value
-    with pytest.raises(ConfigError, match=key):
-        cfg.validate()
-
-
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
                          ids=["nan", "inf", "-inf", "huge-int"])
 def test_non_finite_number_does_not_fit_float(value):
@@ -148,19 +159,19 @@ def test_readme_config_example_is_the_schema(tmp_path):
     example = re.search(r"`--config cfg\.json`.*?```json\n(.*?)```", text, re.S).group(1)
     path = tmp_path / "cfg.json"
     path.write_text(example)
-    RunConfig.load(path)
-    defaults = RunConfig.load()
+    loaded = RunConfig.load(path)
+    assert (loaded.data_dir, loaded.out_dir) == ("data", "run")
     doc = json.loads(example)
     assert {sec: set(keys) for sec, keys in doc.items()} == {
-        sec: set(getattr(defaults, sec)) for sec in vars(defaults)
+        sec: set(keys) for sec, keys in _schema().items()
     }
 
 
 def test_every_setting_flag_names_a_config_key():
-    defaults = RunConfig.load()
+    schema = _schema()
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = [a.dest for p in sub.choices.values() for a in p._actions if "." in a.dest]
     assert "dataset.scars_per_mesh" in dests
     for dest in dests:
         section, key = dest.split(".")
-        assert key in getattr(defaults, section), dest
+        assert key in schema[section], dest

@@ -148,6 +148,15 @@ def test_fill_holes_noop_on_watertight(ico):
     assert fill_holes(ico) is ico
 
 
+def test_fill_holes_extends_each_channel_with_its_rim_mean():
+    sphere = icosphere(1)
+    index = np.arange(sphere.n_vertices, dtype=np.float64)
+    filled = fill_holes(Mesh(sphere.positions, sphere.faces[1:], {"error": index}))
+    assert is_watertight(filled) and filled.n_vertices == 43
+    np.testing.assert_array_equal(filled.attributes["error"][:42], index)
+    assert filled.attributes["error"][42] == index[sphere.faces[0]].mean() == 26 / 3
+
+
 def test_fill_holes_two_holes_adds_per_loop(sphere2):
     # two vertex-disjoint holes: one single face (rim 3) and one adjacent
     # face pair (rim 4, their shared edge vanishes)
